@@ -16,7 +16,6 @@ from .autodiff import (
     LinearParams,
     Parameter,
     Tensor,
-    adam_step,
     conv1d,
     cross_attention,
     grad_check,
@@ -38,17 +37,14 @@ from .errors import (
     StateError,
 )
 from .graph import (
-    EdgeKind,
     EmotionGraph,
     GAEParams,
     GraphNode,
     GraphStage,
-    NodeKind,
     ProgressiveEncoding,
     ProjectionParams,
     build_basic_graph,
-    extend_direct,
-    extend_indirect,
+    extend_graph,
     gae_encode,
     progressive_encode,
     project_input,
@@ -68,20 +64,16 @@ from .head import (
 )
 from .library import (
     EmotionVector,
-    ExtractorSuite,
     FootageLibrary,
     FootageRecord,
     Modality,
     MODALITY_ORDER,
-    RawSample,
-    build_record,
     load_library,
     read_jsonl,
     record_from_vectors,
     save_library,
     subsample,
     synthetic_extract,
-    synthetic_suite,
     uniform_schema,
     write_jsonl,
 )

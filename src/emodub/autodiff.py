@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .binfmt import Reader, pack_string
 from .errors import ArgumentError, ConfigError, FormatError, NumericError, ShapeError
 from .rng import SplitMix64
 
@@ -64,7 +65,13 @@ class Tensor:
         return float(self.data[0, 0])
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded graph."""
+        """Backpropagate from this scalar through the recorded graph.
+
+        Interior nodes start from a zero gradient on every call, so running
+        ``backward`` again on the same graph adds exactly one more gradient
+        to each leaf instead of re-propagating what earlier calls left on
+        the interior nodes.
+        """
         if self.data.shape != (1, 1):
             raise ArgumentError(f"backward() starts from a scalar, got shape {self.data.shape}")
         order: list[Tensor] = []
@@ -82,6 +89,9 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
+        for node in order:
+            if node._parents:
+                node.grad = None
         self.grad = np.ones((1, 1))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
@@ -589,15 +599,6 @@ class AdamState:
             p.zero_grad()
 
 
-def adam_step(params: Iterable[Parameter], state: AdamState) -> None:
-    """Apply one Adam update to ``params`` (which must be the state's own)."""
-    expected = {id(p) for p in state.params}
-    for p in params:
-        if id(p) not in expected:
-            raise ArgumentError(f"parameter {p.name!r} is not managed by this AdamState")
-    state.step()
-
-
 def grad_check(
     loss_fn: Callable[[], Tensor],
     params: Sequence[Parameter],
@@ -663,8 +664,7 @@ def save_checkpoint(params: Iterable[Parameter], path) -> None:
     buf += struct.pack("<I", _CKPT_VERSION)
     buf += struct.pack("<I", len(params))
     for p in params:
-        raw = p.name.encode("utf-8")
-        buf += struct.pack("<I", len(raw)) + raw
+        buf += pack_string(p.name)
         buf += struct.pack("<II", p.rows, p.cols)
         buf += np.ascontiguousarray(p.data).astype("<f8", copy=False).tobytes()
     Path(path).write_bytes(bytes(buf))
@@ -672,34 +672,23 @@ def save_checkpoint(params: Iterable[Parameter], path) -> None:
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint back as a name -> matrix mapping (bit-exact)."""
-    data = Path(path).read_bytes()
-    pos = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise FormatError(f"{path}: truncated payload while reading {what}")
-        out = data[pos : pos + n]
-        pos += n
-        return out
-
-    if take(4, "magic") != _CKPT_MAGIC:
+    r = Reader(path)
+    if r.take(4, "magic") != _CKPT_MAGIC:
         raise FormatError(f"{path}: bad magic, expected {_CKPT_MAGIC!r}")
-    (version,) = struct.unpack("<I", take(4, "version"))
+    (version,) = r.unpack("<I", "version")
     if version != _CKPT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    (count,) = struct.unpack("<I", take(4, "count"))
+    (count,) = r.unpack("<I", "count")
     out: dict[str, np.ndarray] = {}
     for i in range(count):
-        (nlen,) = struct.unpack("<I", take(4, f"parameter {i} name length"))
-        name = take(nlen, f"parameter {i} name").decode("utf-8")
-        rows, cols = struct.unpack("<II", take(8, f"parameter {i} shape"))
-        payload = take(8 * rows * cols, f"parameter {i} payload")
+        name = r.string(f"parameter {i} name")
+        rows, cols = r.unpack("<II", f"parameter {i} shape")
+        payload = r.take(8 * rows * cols, f"parameter {i} payload")
         if name in out:
             raise FormatError(f"{path}: duplicate parameter name {name!r}")
         out[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(rows, cols)
-    if pos != len(data):
-        raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
+    if r.remaining:
+        raise FormatError(f"{path}: {r.remaining} trailing bytes")
     return out
 
 

@@ -10,6 +10,7 @@ failure.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -20,13 +21,15 @@ import numpy as np
 
 from . import __version__
 from .autodiff import grad_check, save_checkpoint
-from .errors import ArgumentError, ConfigError, FormatError, NumericError, SchemaError
+from .errors import ArgumentError, ConfigError, NumericError, SchemaError
+from .graph import GAEParams, ProjectionParams, progressive_encode
 from .head import PipelineParams, make_toy_batch, toy_loss, train_toy
 from .library import (
     MODALITY_ORDER,
     Schema,
     load_library,
     read_jsonl,
+    sample_indices,
     save_library,
     uniform_schema,
 )
@@ -42,23 +45,34 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+#: exit code of each exception type reported as an ``error:`` line
+_EXIT_CODES = {
+    ArgumentError: EXIT_USAGE,
+    ConfigError: EXIT_USAGE,
+    SchemaError: EXIT_DATA,  # includes FormatError and ShapeError
+    OSError: EXIT_DATA,
+    NumericError: EXIT_NUMERIC,
+}
+
 
 def _handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ArgumentError, ConfigError) as exc:
+        except tuple(_EXIT_CODES) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
-        except (SchemaError, FormatError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_DATA)
-        except NumericError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_NUMERIC)
+            sys.exit(next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)))
 
     return wrapper
+
+
+def _parse_number(convert, text: str, what: str):
+    """``convert(text)``, reporting a malformed number as a usage error."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ArgumentError(f"invalid {what} {text!r}") from None
 
 
 def _parse_k_list(text: str) -> list[int]:
@@ -68,19 +82,19 @@ def _parse_k_list(text: str) -> list[int]:
         chunk = chunk.strip()
         if ".." in chunk:
             lo_s, hi_s = chunk.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _parse_number(int, lo_s, "K"), _parse_number(int, hi_s, "K")
             if hi < lo:
                 raise ArgumentError(f"empty K range {chunk!r}")
             out.extend(range(lo, hi + 1))
         elif chunk:
-            out.append(int(chunk))
+            out.append(_parse_number(int, chunk, "K"))
     if not out or any(k < 1 for k in out):
         raise ArgumentError(f"invalid K list {text!r}")
     return sorted(set(out))
 
 
 def _parse_fractions(text: str) -> list[float]:
-    out = [float(chunk) for chunk in text.split(",") if chunk.strip()]
+    out = [_parse_number(float, chunk, "fraction") for chunk in text.split(",") if chunk.strip()]
     if not out:
         raise ArgumentError(f"invalid fractions list {text!r}")
     for f in out:
@@ -94,7 +108,7 @@ def _schema_from_flags(dim: int | None) -> Schema:
     if dim is None:
         override = os.environ.get("MRFL_DIM_OVERRIDE")
         if override:
-            parts = [int(p) for p in override.split(",")]
+            parts = [_parse_number(int, p, "MRFL_DIM_OVERRIDE entry") for p in override.split(",")]
             if len(parts) == 1:
                 return uniform_schema(parts[0])
             if len(parts) == 5:
@@ -106,8 +120,21 @@ def _schema_from_flags(dim: int | None) -> Schema:
     return uniform_schema(dim)
 
 
+@contextlib.contextmanager
 def _open_out(path: str | None):
-    return open(path, "w", newline="") if path and path != "-" else sys.stdout
+    """The text file at ``path``, closed on exit; stdout for '-' or no path."""
+    if not path or path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
+
+
+def _lookup(lib, record_id: int):
+    try:
+        return lib.lookup(record_id)
+    except KeyError:
+        raise ArgumentError(f"--query-id {record_id} is not in the library") from None
 
 
 @click.group()
@@ -159,16 +186,10 @@ def cmd_ingest(jsonl_path, out):
 
 def _load_queries(lib, query_ids, num_queries, seed):
     if query_ids:
-        return [lib.lookup(qid) for qid in query_ids]
+        return [_lookup(lib, qid) for qid in query_ids]
     if num_queries:
-        rng = stream(seed, "query-sample")
-        n = len(lib)
-        count = min(num_queries, n)
-        indices = list(range(n))
-        for i in range(count):
-            j = i + rng.next_below(n - i)
-            indices[i], indices[j] = indices[j], indices[i]
-        return [lib.records[i] for i in sorted(indices[:count])]
+        chosen = sample_indices(len(lib), num_queries, stream(seed, "query-sample"))
+        return [lib.records[i] for i in chosen]
     raise ArgumentError("provide --query-id or --num-queries")
 
 
@@ -189,8 +210,7 @@ def cmd_retrieve(lib_path, query_ids, num_queries, k, metric, mode, seed, out):
     """
     lib = load_library(lib_path)
     queries = _load_queries(lib, query_ids, num_queries, seed)
-    fh = _open_out(out)
-    try:
+    with _open_out(out) as fh:
         fh.write("query_id,modality,rank,record_id,score,speaker_id\n")
         for rec in queries:
             result = retrieve_all(lib, Query.from_record(rec), k, _METRICS[metric], _MODES[mode])
@@ -200,9 +220,6 @@ def cmd_retrieve(lib_path, query_ids, num_queries, k, metric, mode, seed, out):
                     fh.write(
                         f"{rec.record_id},{channel},{rank},{record_id},{score:.17g},{speaker}\n"
                     )
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 @main.command("encode")
@@ -218,22 +235,12 @@ def cmd_retrieve(lib_path, query_ids, num_queries, k, metric, mode, seed, out):
 @_handle_errors
 def cmd_encode(lib_path, query_id, k, metric, mode, seed, dim, features, out):
     """Run the three-stage progressive encoding and dump graph topology."""
-    from .graph import GAEParams, ProjectionParams, progressive_encode
-    from .library import Modality
-
     lib = load_library(lib_path)
-    rec = lib.lookup(query_id)
+    rec = _lookup(lib, query_id)
     query = Query.from_record(rec)
     retrieved = retrieve_all(lib, query, k, _METRICS[metric], _MODES[mode])
     rng = stream(seed, "params")
-    proj = ProjectionParams.init(
-        lib.schema[Modality.SCENE],
-        lib.schema[Modality.FACE],
-        lib.schema[Modality.TEXT_SELF] + lib.schema[Modality.TEXT_REACT],
-        lib.schema[Modality.AUDIO],
-        dim,
-        rng,
-    )
+    proj = ProjectionParams.for_schema(lib.schema, dim, rng)
     gae = GAEParams.init(dim, rng)
     encoding = progressive_encode(
         rec.scene.values,
@@ -248,21 +255,17 @@ def cmd_encode(lib_path, query_id, k, metric, mode, seed, dim, features, out):
         stage_doc = {
             "stage": graph.stage.value,
             "nodes": [
-                {"index": i, "kind": node.kind.value, "source_record_id": node.source_record_id}
+                {"index": i, "kind": node.kind, "source_record_id": node.source_record_id}
                 for i, node in enumerate(graph.nodes)
             ],
-            "edges": [{"a": a, "b": b, "kind": kind.value} for a, b, kind in graph.edges],
+            "edges": [{"a": a, "b": b, "kind": stage.value} for a, b, stage in graph.edges],
         }
         if features:
             stage_doc["features"] = graph.features.data.tolist()
         doc["stages"].append(stage_doc)
-    fh = _open_out(out)
-    try:
+    with _open_out(out) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 @main.command("train-toy")
@@ -286,14 +289,10 @@ def cmd_train_toy(seed, steps, k, dim, mel_bins, length, lib_size, clusters, sep
         seed, k, dim, mel_bins, length, lib_size, clusters, separation, vec_dim, _METRICS[metric]
     )
     losses = train_toy(batch, model, steps)
-    fh = _open_out(out)
-    try:
+    with _open_out(out) as fh:
         fh.write("step,loss\n")
         for step, loss in enumerate(losses, start=1):
             fh.write(f"{step},{loss:.17g}\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     if checkpoint:
         save_checkpoint(model.parameters(), checkpoint)
         click.echo(f"checkpoint written to {checkpoint}", err=True)
@@ -344,12 +343,8 @@ def cmd_sweep_topk(lib_path, k_list, metric, mode, out):
     lib = load_library(lib_path)
     modes = [_MODES[mode]] if mode != "both" else [Mode.SPEAKER_AGNOSTIC, Mode.SPEAKER_SPECIFIC]
     rows = sweep_topk(lib, _parse_k_list(k_list), _METRICS[metric], modes)
-    fh = _open_out(out)
-    try:
+    with _open_out(out) as fh:
         write_csv(rows, ["k", "mode", "purity", "mean_score"], fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 @main.command("sweep-metric")
@@ -362,12 +357,8 @@ def cmd_sweep_metric(lib_path, k_list, mode, out):
     """Purity per (similarity metric, K)."""
     lib = load_library(lib_path)
     rows = sweep_metric(lib, _parse_k_list(k_list), mode=_MODES[mode])
-    fh = _open_out(out)
-    try:
+    with _open_out(out) as fh:
         write_csv(rows, ["metric", "k", "purity"], fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 @main.command("sweep-scale")
@@ -383,12 +374,8 @@ def cmd_sweep_scale(lib_path, fractions, k, metric, mode, seed, out):
     """Purity per library-scale fraction (deterministic subsampling)."""
     lib = load_library(lib_path)
     rows = sweep_scale(lib, _parse_fractions(fractions), k, _METRICS[metric], _MODES[mode], seed)
-    fh = _open_out(out)
-    try:
+    with _open_out(out) as fh:
         write_csv(rows, ["fraction", "purity"], fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 if __name__ == "__main__":

@@ -14,8 +14,13 @@ The pipeline builds and encodes three graphs in sequence:
 Each stage is encoded by a graph attention encoder (GAE): per node,
 attention over its neighborhood plus a self-loop, scores
 ``leaky_relu(attn . [W h_i | W h_j])``, softmax-normalized, then a weighted
-sum of the projected neighbor features. Edge kinds label topology only;
-all edges share the same learned transform.
+sum of the projected neighbor features.
+
+Each node is typed by the stage that added it and the channel it serves
+(scene, face or text); each edge carries the stage of its non-basic end.
+Basic edges join two basic nodes; an indirect or direct edge joins a
+node of its stage to the basic node of the same channel. The types label
+topology only; all edges share the same learned transform.
 
 Node order is fixed so the encoded feature matrices are reproducible:
 basic (scene, face, text), then indirect hits per channel in rank order,
@@ -50,6 +55,7 @@ from .autodiff import (
     uniform_init,
 )
 from .errors import ArgumentError, ConfigError, SchemaError, StateError
+from .library import Modality, Schema
 from .retrieval import CHANNELS, RetrievalResult
 from .rng import SplitMix64
 
@@ -60,49 +66,28 @@ class GraphStage(Enum):
     DIRECT = "direct"
 
 
-class NodeKind(Enum):
-    BASIC_SCENE = "basic_scene"
-    BASIC_FACE = "basic_face"
-    BASIC_TEXT = "basic_text"
-    INDIRECT_SCENE = "indirect_scene"
-    INDIRECT_FACE = "indirect_face"
-    INDIRECT_TEXT = "indirect_text"
-    DIRECT_AUDIO_SCENE = "direct_audio_scene"
-    DIRECT_AUDIO_FACE = "direct_audio_face"
-    DIRECT_AUDIO_TEXT = "direct_audio_text"
-
-
-class EdgeKind(Enum):
-    BASIC = "basic"
-    INDIRECT = "indirect"
-    DIRECT = "direct"
-
-
-_BASIC_KINDS = {"scene": NodeKind.BASIC_SCENE, "face": NodeKind.BASIC_FACE, "text": NodeKind.BASIC_TEXT}
-_INDIRECT_KINDS = {
-    "scene": NodeKind.INDIRECT_SCENE,
-    "face": NodeKind.INDIRECT_FACE,
-    "text": NodeKind.INDIRECT_TEXT,
-}
-_DIRECT_KINDS = {
-    "scene": NodeKind.DIRECT_AUDIO_SCENE,
-    "face": NodeKind.DIRECT_AUDIO_FACE,
-    "text": NodeKind.DIRECT_AUDIO_TEXT,
-}
-
 #: index of each channel's basic node, by construction order
 BASIC_NODE_INDEX = {"scene": 0, "face": 1, "text": 2}
 
 
 @dataclass
 class GraphNode:
-    kind: NodeKind
+    """A node typed by the stage that added it and the channel it serves."""
+
+    stage: GraphStage
+    channel: str
     source_record_id: int | None = None
+
+    @property
+    def kind(self) -> str:
+        """Label such as ``basic_scene``, ``indirect_face`` or ``direct_audio_text``."""
+        prefix = "direct_audio" if self.stage is GraphStage.DIRECT else self.stage.value
+        return f"{prefix}_{self.channel}"
 
 
 @dataclass
 class EmotionGraph:
-    """Typed-node, typed-edge undirected graph with node features.
+    """Undirected graph of typed nodes and stage-labelled edges, with node features.
 
     ``features`` is an (n_nodes x d) tensor; row i belongs to ``nodes[i]``.
     ``encoded`` flips to True after a GAE pass; the extension constructors
@@ -111,7 +96,7 @@ class EmotionGraph:
 
     stage: GraphStage
     nodes: list[GraphNode]
-    edges: list[tuple[int, int, EdgeKind]]
+    edges: list[tuple[int, int, GraphStage]]
     features: Tensor
     encoded: bool = False
 
@@ -155,31 +140,16 @@ class EmotionGraph:
 
 
 def check_edge_kinds(graph: EmotionGraph) -> None:
-    """Raise if any edge violates the wiring rules for its kind."""
-    basic_of_channel = {v: k for k, v in _BASIC_KINDS.items()}
-    indirect_of_channel = {v: k for k, v in _INDIRECT_KINDS.items()}
-    direct_of_channel = {v: k for k, v in _DIRECT_KINDS.items()}
-    for a, b, kind in graph.edges:
-        ka, kb = graph.nodes[a].kind, graph.nodes[b].kind
-        if kind is EdgeKind.BASIC:
-            if ka not in basic_of_channel or kb not in basic_of_channel:
-                raise SchemaError(f"basic edge connects non-basic nodes {ka} - {kb}")
-        elif kind is EdgeKind.INDIRECT:
-            pair = {ka, kb}
-            indirect = pair & set(indirect_of_channel)
-            basic = pair & set(basic_of_channel)
-            if len(indirect) != 1 or len(basic) != 1:
-                raise SchemaError(f"indirect edge must join indirect and basic nodes, got {ka} - {kb}")
-            if indirect_of_channel[indirect.pop()] != basic_of_channel[basic.pop()]:
-                raise SchemaError(f"indirect edge crosses channels: {ka} - {kb}")
+    """Raise unless every edge joins two basic nodes, for a basic edge, or
+    a node of the edge's stage to the basic node of the same channel."""
+    for a, b, stage in graph.edges:
+        na, nb = graph.nodes[a], graph.nodes[b]
+        if stage is GraphStage.BASIC:
+            legal = na.stage is nb.stage is GraphStage.BASIC
         else:
-            pair = {ka, kb}
-            direct = pair & set(direct_of_channel)
-            basic = pair & set(basic_of_channel)
-            if len(direct) != 1 or len(basic) != 1:
-                raise SchemaError(f"direct edge must join direct-audio and basic nodes, got {ka} - {kb}")
-            if direct_of_channel[direct.pop()] != basic_of_channel[basic.pop()]:
-                raise SchemaError(f"direct edge crosses channels: {ka} - {kb}")
+            legal = {na.stage, nb.stage} == {GraphStage.BASIC, stage} and na.channel == nb.channel
+        if not legal:
+            raise SchemaError(f"{stage.value} edge cannot join {na.kind} and {nb.kind}")
 
 
 @dataclass
@@ -210,6 +180,18 @@ class ProjectionParams:
             face=LinearParams.init("proj.face", face_dim, out_dim, rng),
             text=LinearParams.init("proj.text", text_dim, out_dim, rng),
             audio=LinearParams.init("proj.audio", audio_dim, out_dim, rng),
+        )
+
+    @classmethod
+    def for_schema(cls, schema: Schema, out_dim: int, rng: SplitMix64) -> "ProjectionParams":
+        """Projections sized to a library schema; text takes self + react."""
+        return cls.init(
+            schema[Modality.SCENE],
+            schema[Modality.FACE],
+            schema[Modality.TEXT_SELF] + schema[Modality.TEXT_REACT],
+            schema[Modality.AUDIO],
+            out_dim,
+            rng,
         )
 
     @property
@@ -355,11 +337,11 @@ def build_basic_graph(scene_raw, face_raw, text_concat_raw, proj: ProjectionPara
         project_input(face_raw, proj.face),
         project_input(text_concat_raw, proj.text),
     ]
-    nodes = [GraphNode(_BASIC_KINDS[c]) for c in CHANNELS]
+    nodes = [GraphNode(GraphStage.BASIC, c) for c in CHANNELS]
     edges = [
-        (0, 1, EdgeKind.BASIC),
-        (0, 2, EdgeKind.BASIC),
-        (1, 2, EdgeKind.BASIC),
+        (0, 1, GraphStage.BASIC),
+        (0, 2, GraphStage.BASIC),
+        (1, 2, GraphStage.BASIC),
     ]
     return EmotionGraph(
         stage=GraphStage.BASIC,
@@ -369,61 +351,36 @@ def build_basic_graph(scene_raw, face_raw, text_concat_raw, proj: ProjectionPara
     )
 
 
-def extend_indirect(
-    encoded_basic: EmotionGraph,
+def extend_graph(
+    encoded: EmotionGraph,
     retrieved: RetrievalResult,
     proj: ProjectionParams,
 ) -> EmotionGraph:
-    """Attach retrieved indirect hits to their same-channel basic nodes.
+    """Build the next stage on top of an encoded basic or indirect graph.
 
-    Basic-node features are the encoded stage-1 rows, carried over as-is.
+    An encoded basic graph gains one indirect node per retrieved hit,
+    projected from the hit's own channel vector; an encoded indirect graph
+    gains one direct node per hit, projected from its matched audio. Each
+    new node is wired to the basic node of the channel whose query found
+    the hit, and every encoded feature row is carried over as-is.
     """
-    if encoded_basic.stage is not GraphStage.BASIC or not encoded_basic.encoded:
-        raise StateError("extend_indirect needs an encoded basic-stage graph")
-    nodes = list(encoded_basic.nodes)
-    edges = list(encoded_basic.edges)
+    if not encoded.encoded or encoded.stage is GraphStage.DIRECT:
+        raise StateError("only an encoded basic or indirect graph can be extended")
+    stage = GraphStage.INDIRECT if encoded.stage is GraphStage.BASIC else GraphStage.DIRECT
+    nodes = list(encoded.nodes)
+    edges = list(encoded.edges)
     new_rows: list[Tensor] = []
     for channel in CHANNELS:
-        proj_params: LinearParams = getattr(proj, channel)
-        ranking = retrieved.rankings[channel]
-        vectors = retrieved.indirect_vectors[channel]
-        for (record_id, _score), vec in zip(ranking, vectors):
-            index = len(nodes)
-            nodes.append(GraphNode(_INDIRECT_KINDS[channel], record_id))
-            edges.append((BASIC_NODE_INDEX[channel], index, EdgeKind.INDIRECT))
-            new_rows.append(project_input(vec, proj_params))
-    features = (
-        concat_rows([encoded_basic.features] + new_rows) if new_rows else encoded_basic.features
-    )
-    return EmotionGraph(GraphStage.INDIRECT, nodes, edges, features)
-
-
-def extend_direct(
-    encoded_indirect: EmotionGraph,
-    retrieved: RetrievalResult,
-    proj: ProjectionParams,
-) -> EmotionGraph:
-    """Attach each hit's matched audio vector to the basic node that issued
-    the query; all encoded stage-2 features are carried over."""
-    if encoded_indirect.stage is not GraphStage.INDIRECT or not encoded_indirect.encoded:
-        raise StateError("extend_direct needs an encoded indirect-stage graph")
-    nodes = list(encoded_indirect.nodes)
-    edges = list(encoded_indirect.edges)
-    new_rows: list[Tensor] = []
-    for channel in CHANNELS:
-        ranking = retrieved.rankings[channel]
-        audio_vectors = retrieved.matched_audio[channel]
-        for (record_id, _score), vec in zip(ranking, audio_vectors):
-            index = len(nodes)
-            nodes.append(GraphNode(_DIRECT_KINDS[channel], record_id))
-            edges.append((BASIC_NODE_INDEX[channel], index, EdgeKind.DIRECT))
-            new_rows.append(project_input(vec, proj.audio))
-    features = (
-        concat_rows([encoded_indirect.features] + new_rows)
-        if new_rows
-        else encoded_indirect.features
-    )
-    return EmotionGraph(GraphStage.DIRECT, nodes, edges, features)
+        if stage is GraphStage.INDIRECT:
+            vectors, projection = retrieved.indirect_vectors[channel], getattr(proj, channel)
+        else:
+            vectors, projection = retrieved.matched_audio[channel], proj.audio
+        for (record_id, _score), vec in zip(retrieved.rankings[channel], vectors):
+            edges.append((BASIC_NODE_INDEX[channel], len(nodes), stage))
+            nodes.append(GraphNode(stage, channel, record_id))
+            new_rows.append(project_input(vec, projection))
+    features = concat_rows([encoded.features] + new_rows) if new_rows else encoded.features
+    return EmotionGraph(stage, nodes, edges, features)
 
 
 @dataclass
@@ -449,12 +406,9 @@ def progressive_encode(
     Differentiable end to end: gradients flow from any encoded feature back
     to the projections, the encoder parameters, and the raw inputs.
     """
-    basic = build_basic_graph(scene_raw, face_raw, text_concat_raw, proj)
-    basic_enc = gae_encode(basic, gae)
-    indirect = extend_indirect(basic_enc, retrieved, proj)
-    indirect_enc = gae_encode(indirect, gae)
-    direct = extend_direct(indirect_enc, retrieved, proj)
-    direct_enc = gae_encode(direct, gae)
+    basic_enc = gae_encode(build_basic_graph(scene_raw, face_raw, text_concat_raw, proj), gae)
+    indirect_enc = gae_encode(extend_graph(basic_enc, retrieved, proj), gae)
+    direct_enc = gae_encode(extend_graph(indirect_enc, retrieved, proj), gae)
     return ProgressiveEncoding(
         h_basic=basic_enc.features,
         h_indirect=indirect_enc.features,

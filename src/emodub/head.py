@@ -40,7 +40,7 @@ from .autodiff import (
 )
 from .errors import ArgumentError, NumericError, ShapeError
 from .graph import GAEParams, ProgressiveEncoding, ProjectionParams, progressive_encode
-from .library import FootageLibrary, Modality
+from .library import FootageLibrary
 from .retrieval import Metric, Mode, Query, RetrievalResult, retrieve_all
 from .rng import SplitMix64, stream
 
@@ -158,12 +158,9 @@ class PipelineParams:
     head: HeadParams
 
     @classmethod
-    def init(
+    def init_for_library(
         cls,
-        scene_dim: int,
-        face_dim: int,
-        text_dim: int,
-        audio_dim: int,
+        lib: FootageLibrary,
         dim: int,
         rng: SplitMix64,
         n_mel: int = 80,
@@ -172,24 +169,12 @@ class PipelineParams:
         gae_heads: int = 1,
         ca_heads: int = 1,
     ) -> "PipelineParams":
+        """Fresh parameters sized to ``lib``'s schema, drawn from ``rng`` in
+        the order projections, encoder, head."""
         return cls(
-            proj=ProjectionParams.init(scene_dim, face_dim, text_dim, audio_dim, dim, rng),
+            proj=ProjectionParams.for_schema(lib.schema, dim, rng),
             gae=GAEParams.init(dim, rng, num_layers=gae_layers, heads=gae_heads),
             head=HeadParams.init(dim, rng, n_mel=n_mel, conv_width=conv_width, heads=ca_heads),
-        )
-
-    @classmethod
-    def init_for_library(
-        cls, lib: FootageLibrary, dim: int, rng: SplitMix64, **kwargs
-    ) -> "PipelineParams":
-        return cls.init(
-            scene_dim=lib.schema[Modality.SCENE],
-            face_dim=lib.schema[Modality.FACE],
-            text_dim=lib.schema[Modality.TEXT_SELF] + lib.schema[Modality.TEXT_REACT],
-            audio_dim=lib.schema[Modality.AUDIO],
-            dim=dim,
-            rng=rng,
-            **kwargs,
         )
 
     def parameters(self) -> list[Parameter]:

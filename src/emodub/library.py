@@ -21,12 +21,12 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator
 
 import numpy as np
 
+from .binfmt import Reader, pack_string
 from .errors import ArgumentError, FormatError, SchemaError
-from .rng import stream
+from .rng import SplitMix64, stream
 
 
 class Modality(Enum):
@@ -37,14 +37,8 @@ class Modality(Enum):
     AUDIO = "audio"
 
 
-#: Fixed serialization order of the five modalities.
-MODALITY_ORDER: tuple[Modality, ...] = (
-    Modality.SCENE,
-    Modality.FACE,
-    Modality.TEXT_SELF,
-    Modality.TEXT_REACT,
-    Modality.AUDIO,
-)
+#: Fixed serialization order of the five modalities: their declaration order.
+MODALITY_ORDER: tuple[Modality, ...] = tuple(Modality)
 
 #: schema: registered vector dimension per modality
 Schema = dict[Modality, int]
@@ -108,49 +102,6 @@ def synthetic_extract(seed: int, content_key: str, modality: Modality, dim: int)
     return EmotionVector(modality, [rng.next_signed_unit() for _ in range(dim)])
 
 
-@dataclass
-class RawSample:
-    """Opaque raw inputs for one reference clip, one entry per extractor."""
-
-    scene: str
-    face: str
-    text: str
-    audio: str
-
-
-@dataclass
-class ExtractorSuite:
-    """The four extraction procedures used to populate a record.
-
-    Each callable must be deterministic: identical input implies an
-    identical output vector. The text extractor returns both halves
-    (self, react) so retrieval can score them separately while the graph
-    consumes their concatenation.
-    """
-
-    scene: Callable[[str], EmotionVector]
-    face: Callable[[str], EmotionVector]
-    text: Callable[[str], tuple[EmotionVector, EmotionVector]]
-    audio: Callable[[str], EmotionVector]
-
-
-def synthetic_suite(seed: int, schema: Schema) -> ExtractorSuite:
-    """Extractor suite backed by :func:`synthetic_extract` at schema dims."""
-
-    def _text(raw: str) -> tuple[EmotionVector, EmotionVector]:
-        return (
-            synthetic_extract(seed, raw, Modality.TEXT_SELF, schema[Modality.TEXT_SELF]),
-            synthetic_extract(seed, raw, Modality.TEXT_REACT, schema[Modality.TEXT_REACT]),
-        )
-
-    return ExtractorSuite(
-        scene=lambda raw: synthetic_extract(seed, raw, Modality.SCENE, schema[Modality.SCENE]),
-        face=lambda raw: synthetic_extract(seed, raw, Modality.FACE, schema[Modality.FACE]),
-        text=_text,
-        audio=lambda raw: synthetic_extract(seed, raw, Modality.AUDIO, schema[Modality.AUDIO]),
-    )
-
-
 @dataclass(eq=False)
 class FootageRecord:
     """One reference-library sample: identifiers plus five emotion vectors."""
@@ -184,29 +135,6 @@ class FootageRecord:
             and self.emotion_label == other.emotion_label
             and all(self.vector(m) == other.vector(m) for m in MODALITY_ORDER)
         )
-
-
-def build_record(
-    record_id: int,
-    movie_id: str,
-    speaker_id: str,
-    emotion_label: str | None,
-    raw_inputs: RawSample,
-    extractors: ExtractorSuite,
-) -> FootageRecord:
-    """Run the four extractors over one raw sample and assemble a record."""
-    text_self, text_react = extractors.text(raw_inputs.text)
-    return FootageRecord(
-        record_id=record_id,
-        movie_id=movie_id,
-        speaker_id=speaker_id,
-        emotion_label=emotion_label,
-        scene=extractors.scene(raw_inputs.scene),
-        face=extractors.face(raw_inputs.face),
-        text_self=text_self,
-        text_react=text_react,
-        audio=extractors.audio(raw_inputs.audio),
-    )
 
 
 def record_from_vectors(
@@ -275,9 +203,6 @@ class FootageLibrary:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self) -> Iterator[FootageRecord]:
-        return iter(self.records)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FootageLibrary):
             return NotImplemented
@@ -292,21 +217,27 @@ class FootageLibrary:
         if not (0.0 < fraction <= 1.0):
             raise ArgumentError(f"fraction must be in (0, 1], got {fraction}")
         n = len(self.records)
-        m = math.ceil(fraction * n)
-        rng = stream(seed, "subsample")
-        indices = list(range(n))
-        for i in range(m):  # partial Fisher-Yates
-            j = i + rng.next_below(n - i)
-            indices[i], indices[j] = indices[j], indices[i]
-        chosen = sorted(indices[:m])
         out = FootageLibrary(dict(self.schema))
-        for idx in chosen:
+        for idx in sample_indices(n, math.ceil(fraction * n), stream(seed, "subsample")):
             out.add(self.records[idx])
         return out
 
 
 def subsample(lib: FootageLibrary, fraction: float, seed: int) -> FootageLibrary:
     return lib.subsample(fraction, seed)
+
+
+def sample_indices(n: int, count: int, rng: SplitMix64) -> list[int]:
+    """Ascending indices of a uniform sample of ``min(count, n)`` of
+    ``range(n)`` without replacement, by partial Fisher-Yates over ``rng``."""
+    if count < 0:
+        raise ArgumentError(f"sample size must be >= 0, got {count}")
+    count = min(count, n)
+    indices = list(range(n))
+    for i in range(count):
+        j = i + rng.next_below(n - i)
+        indices[i], indices[j] = indices[j], indices[i]
+    return sorted(indices[:count])
 
 
 # --- binary format ---------------------------------------------------------
@@ -333,49 +264,31 @@ def save_library(lib: FootageLibrary, path) -> None:
     for rec in lib.records:
         buf += struct.pack("<Q", rec.record_id)
         for s in (rec.movie_id, rec.speaker_id, rec.emotion_label or ""):
-            raw = s.encode("utf-8")
-            buf += struct.pack("<I", len(raw)) + raw
+            buf += pack_string(s)
         for m in MODALITY_ORDER:
             buf += rec.vector(m).values.astype("<f8", copy=False).tobytes()
     Path(path).write_bytes(bytes(buf))
 
 
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError(f"{self.path}: truncated payload while reading {what}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-
 def load_library(path) -> FootageLibrary:
     """Read a file written by :func:`save_library`; round trip is bit-exact."""
-    r = _Reader(Path(path).read_bytes(), path)
+    r = Reader(path)
     magic = r.take(4, "magic")
     if magic != _MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-    (version,) = struct.unpack("<I", r.take(4, "version"))
+    (version,) = r.unpack("<I", "version")
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported version {version}, expected {_VERSION}")
-    dims = struct.unpack("<5I", r.take(20, "modality dims"))
+    dims = r.unpack("<5I", "modality dims")
     for m, d in zip(MODALITY_ORDER, dims):
         if d < 1:
             raise FormatError(f"{path}: invalid dimension {d} for {m.value}")
     schema = dict(zip(MODALITY_ORDER, dims))
-    (count,) = struct.unpack("<Q", r.take(8, "record count"))
+    (count,) = r.unpack("<Q", "record count")
     lib = FootageLibrary(schema)
     for i in range(count):
-        (record_id,) = struct.unpack("<Q", r.take(8, f"record {i} id"))
-        strings = []
-        for what in ("movie", "speaker", "label"):
-            (slen,) = struct.unpack("<I", r.take(4, f"record {i} {what} length"))
-            strings.append(r.take(slen, f"record {i} {what}").decode("utf-8"))
+        (record_id,) = r.unpack("<Q", f"record {i} id")
+        strings = [r.string(f"record {i} {what}") for what in ("movie", "speaker", "label")]
         vectors = {}
         for m in MODALITY_ORDER:
             raw = r.take(8 * schema[m], f"record {i} {m.value} vector")
@@ -385,8 +298,8 @@ def load_library(path) -> FootageLibrary:
                 record_id, strings[0], strings[1], strings[2] or None, vectors
             )
         )
-    if r.pos != len(r.data):
-        raise FormatError(f"{path}: {len(r.data) - r.pos} trailing bytes after last record")
+    if r.remaining:
+        raise FormatError(f"{path}: {r.remaining} trailing bytes after last record")
     return lib
 
 
@@ -422,13 +335,18 @@ def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise FormatError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+            label = obj.get("emotion_label")
+            if label is not None and not isinstance(label, str):
+                raise FormatError(f"{path}:{lineno}: emotion_label must be a string or null")
             try:
                 vectors = {m: np.asarray(obj[m.value], dtype=np.float64) for m in MODALITY_ORDER}
                 rec = record_from_vectors(
                     int(obj["record_id"]),
                     str(obj["movie_id"]),
                     str(obj["speaker_id"]),
-                    obj.get("emotion_label"),
+                    label,
                     vectors,
                 )
             except KeyError as exc:

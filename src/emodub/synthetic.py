@@ -15,15 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .library import (
-    EmotionVector,
-    FootageLibrary,
-    FootageRecord,
-    Modality,
-    MODALITY_ORDER,
-    Schema,
-    uniform_schema,
-)
+from .library import FootageLibrary, MODALITY_ORDER, Schema, record_from_vectors, uniform_schema
 from .retrieval import CHANNELS, Metric, Mode, Query, retrieve_all
 from .rng import stream
 
@@ -74,23 +66,13 @@ def generate_clustered_library(spec: ClusterSpec) -> FootageLibrary:
         label = i % spec.clusters
         centroid = np.zeros(spec.dim)
         centroid[label] = radius
-        vectors = {}
-        for m in MODALITY_ORDER:
-            noise = np.array([rng.next_gaussian() for _ in range(spec.dim)])
-            vectors[m] = EmotionVector(m, centroid + noise)
+        vectors = {
+            m: centroid + np.array([rng.next_gaussian() for _ in range(spec.dim)])
+            for m in MODALITY_ORDER
+        }
         speaker = f"speaker_{label if spec.speaker_per_cluster else i % spec.speakers}"
         lib.add(
-            FootageRecord(
-                record_id=i,
-                movie_id=f"movie_{i % spec.movies}",
-                speaker_id=speaker,
-                emotion_label=f"cluster_{label}",
-                scene=vectors[Modality.SCENE],
-                face=vectors[Modality.FACE],
-                text_self=vectors[Modality.TEXT_SELF],
-                text_react=vectors[Modality.TEXT_REACT],
-                audio=vectors[Modality.AUDIO],
-            )
+            record_from_vectors(i, f"movie_{i % spec.movies}", speaker, f"cluster_{label}", vectors)
         )
     return lib
 

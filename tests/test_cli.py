@@ -36,6 +36,13 @@ def gen_lib(runner, path, n=60, clusters=3, separation=8.0, seed=3, extra=()):
     return path
 
 
+def assert_error_exit(result, code, message):
+    """Exit ``code`` with an ``error:`` line naming ``message``, not a traceback."""
+    assert result.exit_code == code, result.output
+    assert "error:" in result.output and message in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -78,6 +85,12 @@ class TestGenSynthetic:
             env={"MRFL_DIM_OVERRIDE": "8,8,16,16,8"},
         )
         assert result.exit_code == 2
+        result = runner.invoke(
+            main,
+            ["gen-synthetic", "--out", str(tmp_path / "x.mrfl"), "--n", "4", "--clusters", "2"],
+            env={"MRFL_DIM_OVERRIDE": "abc"},
+        )
+        assert_error_exit(result, 2, "invalid MRFL_DIM_OVERRIDE entry 'abc'")
 
 
 class TestIngest:
@@ -96,6 +109,23 @@ class TestIngest:
         jsonl.write_text("{broken\n")
         result = runner.invoke(main, ["ingest", "--jsonl", str(jsonl), "--out", str(tmp_path / "o.mrfl")])
         assert result.exit_code == 3
+
+    def test_line_that_is_not_an_object_is_data_error(self, runner, tmp_path):
+        jsonl = tmp_path / "list.jsonl"
+        jsonl.write_text("[1, 2]\n")
+        result = runner.invoke(main, ["ingest", "--jsonl", str(jsonl), "--out", str(tmp_path / "o.mrfl")])
+        assert_error_exit(result, 3, "expected a JSON object")
+
+    def test_non_string_label_is_data_error(self, runner, tmp_path, rng):
+        from conftest import random_library
+
+        jsonl = tmp_path / "label.jsonl"
+        write_jsonl(random_library(rng, 1), jsonl)
+        obj = json.loads(jsonl.read_text())
+        obj["emotion_label"] = 7
+        jsonl.write_text(json.dumps(obj) + "\n")
+        result = runner.invoke(main, ["ingest", "--jsonl", str(jsonl), "--out", str(tmp_path / "o.mrfl")])
+        assert_error_exit(result, 3, "emotion_label")
 
 
 class TestRetrieve:
@@ -131,6 +161,9 @@ class TestRetrieve:
         lib_path = gen_lib(runner, tmp_path / "lib.mrfl")
         result = runner.invoke(main, ["retrieve", "--lib", str(lib_path)])
         assert result.exit_code == 2
+        for command in ("retrieve", "encode"):  # an id the library does not hold
+            result = runner.invoke(main, [command, "--lib", str(lib_path), "--query-id", "999"])
+            assert_error_exit(result, 2, "--query-id 999 is not in the library")
 
     def test_corrupt_library_is_data_error(self, runner, tmp_path):
         bad = tmp_path / "bad.mrfl"
@@ -138,10 +171,26 @@ class TestRetrieve:
         result = runner.invoke(main, ["retrieve", "--lib", str(bad), "--query-id", "0"])
         assert result.exit_code == 3
 
+    def test_invalid_utf8_in_library_is_data_error(self, runner, tmp_path):
+        lib_path = gen_lib(runner, tmp_path / "lib.mrfl")
+        data = bytearray(lib_path.read_bytes())
+        data[48] = 0xFF  # first byte of record 0's movie id: after the 36-byte header, id and length
+        lib_path.write_bytes(bytes(data))
+        result = runner.invoke(main, ["retrieve", "--lib", str(lib_path), "--query-id", "0"])
+        assert_error_exit(result, 3, "record 0 movie is not valid UTF-8")
+
+    def test_negative_num_queries_is_usage_error(self, runner, tmp_path):
+        lib_path = gen_lib(runner, tmp_path / "lib.mrfl")
+        result = runner.invoke(main, ["retrieve", "--lib", str(lib_path), "--num-queries", "-3"])
+        assert_error_exit(result, 2, "sample size must be >= 0")
+
     def test_bad_k_is_usage_error(self, runner, tmp_path):
         lib_path = gen_lib(runner, tmp_path / "lib.mrfl")
         result = runner.invoke(main, ["retrieve", "--lib", str(lib_path), "--query-id", "0", "--k", "0"])
         assert result.exit_code == 2
+        for command in ("sweep-topk", "sweep-metric"):
+            result = runner.invoke(main, [command, "--lib", str(lib_path), "--k", "x"])
+            assert_error_exit(result, 2, "invalid K 'x'")
 
 
 class TestEncode:
@@ -272,6 +321,8 @@ class TestSweeps:
         lib_path = gen_lib(runner, tmp_path / "lib.mrfl", n=10)
         result = runner.invoke(main, ["sweep-scale", "--lib", str(lib_path), "--fractions", "0,1.5"])
         assert result.exit_code == 2
+        result = runner.invoke(main, ["sweep-scale", "--lib", str(lib_path), "--fractions", "abc"])
+        assert_error_exit(result, 2, "invalid fraction 'abc'")
 
 
 class TestUsageErrors:

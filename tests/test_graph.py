@@ -9,18 +9,15 @@ from emodub.autodiff import Parameter, Tensor, grad_check, mse
 from emodub.errors import ArgumentError, SchemaError, StateError
 from emodub.graph import (
     BASIC_NODE_INDEX,
-    EdgeKind,
     EmotionGraph,
     GAEHeadParams,
     GAEParams,
     GraphNode,
     GraphStage,
-    NodeKind,
     ProjectionParams,
     build_basic_graph,
     check_edge_kinds,
-    extend_direct,
-    extend_indirect,
+    extend_graph,
     gae_encode,
     progressive_encode,
     project_input,
@@ -31,6 +28,7 @@ from emodub.rng import SplitMix64, stream
 from conftest import random_library
 
 
+BASIC, INDIRECT, DIRECT = GraphStage.BASIC, GraphStage.INDIRECT, GraphStage.DIRECT
 D_VEC = 8  # raw emotion vector dim used by these fixtures
 D_H = 6  # node feature dim
 
@@ -63,9 +61,9 @@ def encode_stages(rng, proj, gae, k):
     retrieved = make_retrieved(rng, k)
     basic = build_basic_graph(rng.normal(size=D_VEC), rng.normal(size=D_VEC), rng.normal(size=2 * D_VEC), proj)
     basic_enc = gae_encode(basic, gae)
-    indirect = extend_indirect(basic_enc, retrieved, proj)
+    indirect = extend_graph(basic_enc, retrieved, proj)
     indirect_enc = gae_encode(indirect, gae)
-    direct = extend_direct(indirect_enc, retrieved, proj)
+    direct = extend_graph(indirect_enc, retrieved, proj)
     direct_enc = gae_encode(direct, gae)
     return basic, basic_enc, indirect, indirect_enc, direct, direct_enc, retrieved
 
@@ -92,12 +90,9 @@ class TestBasicGraph:
         g = build_basic_graph(rng.normal(size=D_VEC), rng.normal(size=D_VEC), rng.normal(size=2 * D_VEC), proj)
         assert g.stage is GraphStage.BASIC
         assert g.node_count == 3 and g.edge_count == 3
-        assert all(kind is EdgeKind.BASIC for _, _, kind in g.edges)
-        assert [n.kind for n in g.nodes] == [
-            NodeKind.BASIC_SCENE,
-            NodeKind.BASIC_FACE,
-            NodeKind.BASIC_TEXT,
-        ]
+        assert all(stage is BASIC for _, _, stage in g.edges)
+        assert [(n.stage, n.channel) for n in g.nodes] == [(BASIC, c) for c in CHANNELS]
+        assert [n.kind for n in g.nodes] == ["basic_scene", "basic_face", "basic_text"]
         assert all(g.degree(i) == 2 for i in range(3))
         check_edge_kinds(g)
         assert g.is_connected()
@@ -110,7 +105,7 @@ class TestGAEEncode:
             layers=[[GAEHeadParams(Parameter(w, "w"), Parameter(np.array([[0.3, -0.2, 0.5, 0.1]]), "a"))]]
         )
         h = np.array([[2.0, -1.0]])
-        g = EmotionGraph(GraphStage.BASIC, [GraphNode(NodeKind.BASIC_SCENE)], [], Tensor(h))
+        g = EmotionGraph(GraphStage.BASIC, [GraphNode(BASIC, "scene")], [], Tensor(h))
         out = gae_encode(g, params)
         np.testing.assert_allclose(out.features.data, h @ w, rtol=1e-14)
 
@@ -131,8 +126,8 @@ class TestGAEEncode:
         a_vec = np.array([0.3, -0.2, 0.5, 0.1])
         slope = 0.2
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        nodes = [GraphNode(NodeKind.BASIC_SCENE), GraphNode(NodeKind.BASIC_FACE), GraphNode(NodeKind.BASIC_TEXT)]
-        edges = [(0, 1, EdgeKind.BASIC), (0, 2, EdgeKind.BASIC), (1, 2, EdgeKind.BASIC)]
+        nodes = [GraphNode(BASIC, c) for c in CHANNELS]
+        edges = [(0, 1, BASIC), (0, 2, BASIC), (1, 2, BASIC)]
         g = EmotionGraph(GraphStage.BASIC, nodes, edges, Tensor(feats))
         params = GAEParams(layers=[[GAEHeadParams(Parameter(w, "w"), Parameter(a_vec.reshape(1, -1), "a"))]], slope=slope)
         got = gae_encode(g, params).features.data
@@ -165,7 +160,7 @@ class TestGAEEncode:
             gae_encode(empty, gae)
 
     def test_feature_dim_mismatch(self, gae):
-        g = EmotionGraph(GraphStage.BASIC, [GraphNode(NodeKind.BASIC_SCENE)], [], Tensor(np.zeros((1, D_H + 1))))
+        g = EmotionGraph(GraphStage.BASIC, [GraphNode(BASIC, "scene")], [], Tensor(np.zeros((1, D_H + 1))))
         with pytest.raises(SchemaError):
             gae_encode(g, gae)
 
@@ -200,9 +195,9 @@ class TestExtensions:
         _, _, _, _, direct, _, retrieved = encode_stages(rng, proj, gae, k=3)
         # scene-rank-2 audio node carries the scene rank-2 record id
         scene_rank2_id = retrieved.rankings["scene"][1][0]
-        audio_nodes = [n for n in direct.nodes if n.kind is NodeKind.DIRECT_AUDIO_SCENE]
+        audio_nodes = [n for n in direct.nodes if (n.stage, n.channel) == (DIRECT, "scene")]
         assert audio_nodes[1].source_record_id == scene_rank2_id
-        indirect_nodes = [n for n in direct.nodes if n.kind is NodeKind.INDIRECT_FACE]
+        indirect_nodes = [n for n in direct.nodes if (n.stage, n.channel) == (INDIRECT, "face")]
         assert [n.source_record_id for n in indirect_nodes] == [
             rid for rid, _ in retrieved.rankings["face"]
         ]
@@ -213,38 +208,53 @@ class TestExtensions:
         for channel in CHANNELS:
             assert direct.degree(BASIC_NODE_INDEX[channel]) == 2 + 2 * k
         for i, node in enumerate(direct.nodes):
-            if node.kind.value.startswith("direct_audio"):
+            if node.stage is DIRECT:
                 assert direct.degree(i) == 1
 
     def test_node_ordering_convention(self, rng, proj, gae):
         _, _, _, _, direct, _, _ = encode_stages(rng, proj, gae, k=2)
         kinds = [n.kind for n in direct.nodes]
         assert kinds == [
-            NodeKind.BASIC_SCENE,
-            NodeKind.BASIC_FACE,
-            NodeKind.BASIC_TEXT,
-            NodeKind.INDIRECT_SCENE,
-            NodeKind.INDIRECT_SCENE,
-            NodeKind.INDIRECT_FACE,
-            NodeKind.INDIRECT_FACE,
-            NodeKind.INDIRECT_TEXT,
-            NodeKind.INDIRECT_TEXT,
-            NodeKind.DIRECT_AUDIO_SCENE,
-            NodeKind.DIRECT_AUDIO_SCENE,
-            NodeKind.DIRECT_AUDIO_FACE,
-            NodeKind.DIRECT_AUDIO_FACE,
-            NodeKind.DIRECT_AUDIO_TEXT,
-            NodeKind.DIRECT_AUDIO_TEXT,
+            "basic_scene",
+            "basic_face",
+            "basic_text",
+            "indirect_scene",
+            "indirect_scene",
+            "indirect_face",
+            "indirect_face",
+            "indirect_text",
+            "indirect_text",
+            "direct_audio_scene",
+            "direct_audio_scene",
+            "direct_audio_face",
+            "direct_audio_face",
+            "direct_audio_text",
+            "direct_audio_text",
         ]
+        assert [n.stage for n in direct.nodes] == [BASIC] * 3 + [INDIRECT] * 6 + [DIRECT] * 6
 
     def test_stage_gating(self, rng, proj, gae):
-        basic, basic_enc, _, indirect_enc, _, _, retrieved = encode_stages(rng, proj, gae, k=1)
-        with pytest.raises(StateError):
-            extend_indirect(basic, retrieved, proj)  # not encoded yet
-        with pytest.raises(StateError):
-            extend_direct(basic_enc, retrieved, proj)  # wrong stage
-        with pytest.raises(StateError):
-            extend_indirect(indirect_enc, retrieved, proj)  # wrong stage
+        basic, basic_enc, indirect, indirect_enc, _, direct_enc, retrieved = encode_stages(rng, proj, gae, k=1)
+        for graph in (basic, indirect, direct_enc):  # not encoded yet, or no stage left
+            with pytest.raises(StateError):
+                extend_graph(graph, retrieved, proj)
+        assert extend_graph(basic_enc, retrieved, proj).stage is INDIRECT
+        assert extend_graph(indirect_enc, retrieved, proj).stage is DIRECT
+
+    def test_edge_check_rejects_illegal_wiring(self, rng, proj, gae):
+        _, _, _, _, direct, _, _ = encode_stages(rng, proj, gae, k=1)
+        scene_audio = next(i for i, n in enumerate(direct.nodes) if (n.stage, n.channel) == (DIRECT, "scene"))
+        face_hit = next(i for i, n in enumerate(direct.nodes) if (n.stage, n.channel) == (INDIRECT, "face"))
+        bad_edges = [
+            (BASIC_NODE_INDEX["face"], scene_audio, DIRECT),  # crosses channels
+            (BASIC_NODE_INDEX["face"], face_hit, DIRECT),  # edge stage differs from its node's
+            (BASIC_NODE_INDEX["scene"], face_hit, BASIC),  # basic edge to a non-basic node
+            (face_hit, scene_audio, INDIRECT),  # no basic end
+        ]
+        for edge in bad_edges:
+            g = EmotionGraph(DIRECT, direct.nodes, direct.edges + [edge], direct.features)
+            with pytest.raises(SchemaError):
+                check_edge_kinds(g)
 
 
 class TestProgressiveEncode:

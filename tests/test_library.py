@@ -13,14 +13,11 @@ from emodub.library import (
     FootageLibrary,
     Modality,
     MODALITY_ORDER,
-    RawSample,
-    build_record,
     load_library,
     read_jsonl,
     record_from_vectors,
     save_library,
     synthetic_extract,
-    synthetic_suite,
     uniform_schema,
     write_jsonl,
 )
@@ -87,30 +84,21 @@ class TestEmotionVector:
         assert a == EmotionVector(Modality.FACE, [0.0, 1.0])
 
 
-class TestBuildRecord:
-    def test_composes_the_four_extractors(self):
-        schema = uniform_schema(8)
-        suite = synthetic_suite(11, schema)
-        raw = RawSample(scene="s0", face="f0", text="t0", audio="a0")
-        rec = build_record(1, "mov", "spk", "joy", raw, suite)
-        assert rec.scene == synthetic_extract(11, "s0", Modality.SCENE, 8)
-        assert rec.face == synthetic_extract(11, "f0", Modality.FACE, 8)
-        assert rec.text_self == synthetic_extract(11, "t0", Modality.TEXT_SELF, 8)
-        assert rec.text_react == synthetic_extract(11, "t0", Modality.TEXT_REACT, 8)
-        assert rec.audio == synthetic_extract(11, "a0", Modality.AUDIO, 8)
+def extracted_vectors(seed, content_key, dim):
+    """One record's vectors from the synthetic extractor, keyed by content."""
+    return {m: synthetic_extract(seed, content_key, m, dim).values for m in MODALITY_ORDER}
 
+
+class TestBuildRecord:
     def test_duplicate_id_rejected(self):
         lib = FootageLibrary(uniform_schema(4))
-        suite = synthetic_suite(0, lib.schema)
-        raw = RawSample("s", "f", "t", "a")
-        lib.add(build_record(1, "m", "s", None, raw, suite))
+        lib.add(record_from_vectors(1, "m", "s", None, extracted_vectors(0, "a", 4)))
         with pytest.raises(SchemaError, match="duplicate"):
-            lib.add(build_record(1, "m", "s", None, raw, suite))
+            lib.add(record_from_vectors(1, "m", "s", None, extracted_vectors(0, "b", 4)))
 
     def test_wrong_extractor_dim_rejected(self):
         lib = FootageLibrary(uniform_schema(4))
-        suite = synthetic_suite(0, uniform_schema(6))  # emits dim 6 into a dim-4 library
-        rec = build_record(1, "m", "s", None, RawSample("s", "f", "t", "a"), suite)
+        rec = record_from_vectors(1, "m", "s", None, extracted_vectors(0, "a", 6))  # dim 6 into dim 4
         with pytest.raises(SchemaError, match="dimension mismatch"):
             lib.add(rec)
 
