@@ -3,7 +3,8 @@
 A library stores one record per reference clip, each holding five
 fixed-dimension emotion vectors (scene, face, text-self, text-react, audio)
 plus identifiers and an optional free-form emotion label used by the
-synthetic evaluation harness.
+synthetic evaluation harness. The library keeps each modality's vectors in
+one array, and records view their rows (see :class:`FootageLibrary`).
 
 Two persistence formats are provided:
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -102,25 +102,64 @@ def synthetic_extract(seed: int, content_key: str, modality: Modality, dim: int)
     return EmotionVector(modality, [rng.next_signed_unit() for _ in range(dim)])
 
 
-@dataclass(eq=False)
+def _row_vector(modality: Modality, row: np.ndarray) -> EmotionVector:
+    """An :class:`EmotionVector` over one row of a library column, which the
+    library has already validated as a whole."""
+    vec = EmotionVector.__new__(EmotionVector)
+    vec.modality = modality
+    vec.values = row
+    return vec
+
+
 class FootageRecord:
-    """One reference-library sample: identifiers plus five emotion vectors."""
+    """One reference-library sample: identifiers plus five emotion vectors.
 
-    record_id: int
-    movie_id: str
-    speaker_id: str
-    emotion_label: str | None
-    scene: EmotionVector
-    face: EmotionVector
-    text_self: EmotionVector
-    text_react: EmotionVector
-    audio: EmotionVector
+    Once the record is in a library, each vector's ``values`` is a row view
+    into the library's column for that modality, and setting ``speaker_id``
+    also updates the library's speaker column.
+    """
 
-    def __post_init__(self):
-        if not (0 <= int(self.record_id) < 1 << 64):
-            raise SchemaError(f"record_id must fit in 64 unsigned bits, got {self.record_id}")
-        if self.emotion_label == "":
-            self.emotion_label = None
+    __slots__ = (
+        "record_id", "movie_id", "_speaker_id", "emotion_label",
+        "scene", "face", "text_self", "text_react", "audio", "_home",
+    )
+
+    def __init__(
+        self,
+        record_id: int,
+        movie_id: str,
+        speaker_id: str,
+        emotion_label: str | None,
+        scene: EmotionVector,
+        face: EmotionVector,
+        text_self: EmotionVector,
+        text_react: EmotionVector,
+        audio: EmotionVector,
+    ):
+        if not (0 <= int(record_id) < 1 << 64):
+            raise SchemaError(f"record_id must fit in 64 unsigned bits, got {record_id}")
+        self.record_id = record_id
+        self.movie_id = movie_id
+        self._speaker_id = speaker_id
+        self.emotion_label = None if emotion_label == "" else emotion_label
+        self.scene = scene
+        self.face = face
+        self.text_self = text_self
+        self.text_react = text_react
+        self.audio = audio
+        #: (speaker column, row) once the record belongs to a library
+        self._home: tuple[_SpeakerColumn, int] | None = None
+
+    @property
+    def speaker_id(self) -> str:
+        return self._speaker_id
+
+    @speaker_id.setter
+    def speaker_id(self, value: str) -> None:
+        self._speaker_id = value
+        if self._home is not None:
+            column, row = self._home
+            column.codes[row] = column.code(value)
 
     def vector(self, modality: Modality) -> EmotionVector:
         return getattr(self, modality.value)
@@ -161,26 +200,113 @@ def record_from_vectors(
     )
 
 
-@dataclass(eq=False)
-class FootageLibrary:
-    """Ordered collection of footage records with an id index.
+class _SpeakerColumn:
+    """The speaker of every library row as an integer code, so that a
+    speaker's rows are found with one array comparison."""
 
-    Construction is single-writer (``add``); once built or loaded, treat the
-    library as immutable: every retrieval entry point only reads, so a
-    library is safe to share across concurrent readers.
+    __slots__ = ("codes", "_code_of")
+
+    def __init__(self, speaker_ids):
+        self._code_of: dict[str, int] = {}
+        self.codes = np.array([self.code(s) for s in speaker_ids], dtype=np.int64)
+
+    def code(self, speaker_id: str) -> int:
+        return self._code_of.setdefault(speaker_id, len(self._code_of))
+
+    def mask(self, speaker_id: str, n: int) -> np.ndarray:
+        code = self._code_of.get(speaker_id)
+        if code is None:
+            return np.zeros(n, dtype=bool)
+        return self.codes[:n] == code
+
+
+def _check_schema(schema: Schema) -> None:
+    for m in MODALITY_ORDER:
+        if m not in schema:
+            raise SchemaError(f"schema is missing modality {m.value}")
+        _check_dim(schema[m])
+
+
+class FootageLibrary:
+    """Ordered collection of footage records, stored by column.
+
+    Each modality's vectors live in one C-contiguous ``(N, d)`` float64
+    array (:meth:`matrix`), record ids in a uint64 array (:attr:`ids`) and
+    speakers in an integer code array (:meth:`speaker_mask`), all in record
+    order. ``records[i]`` is row ``i``: its five ``EmotionVector.values``
+    are row views into the modality arrays, so an in-place write through
+    ``values`` (``rec.scene.values *= 2``) is what the next retrieval
+    reads, and setting a record's ``speaker_id`` updates the speaker
+    column. ``id_index`` maps a record id to its row.
+
+    :meth:`from_columns` adopts whole arrays at once; loading, ingestion,
+    synthesis and subsampling build libraries that way. :meth:`add` copies
+    one record in, growing the arrays geometrically; when they grow, the
+    views of the records already in the library move to the new arrays.
+    Retrieval only reads, so a built library is safe to share across
+    concurrent readers.
     """
 
-    schema: Schema
-    records: list[FootageRecord] = field(default_factory=list)
-    id_index: dict[int, int] = field(default_factory=dict)
+    def __init__(self, schema: Schema):
+        _check_schema(schema)
+        self.schema = schema
+        self.records: list[FootageRecord] = []
+        self.id_index: dict[int, int] = {}
+        self._vectors = {m: np.empty((0, schema[m])) for m in MODALITY_ORDER}
+        self._ids = np.empty(0, dtype=np.uint64)
+        self._speakers = _SpeakerColumn(())
 
-    def __post_init__(self):
+    @classmethod
+    def from_columns(
+        cls,
+        schema: Schema,
+        record_ids: list[int],
+        movie_ids: list[str],
+        speaker_ids: list[str],
+        labels: list[str | None],
+        vectors: dict[Modality, np.ndarray],
+    ) -> "FootageLibrary":
+        """The library whose row ``i`` is ``record_ids[i]``, ``movie_ids[i]``,
+        ..., ``vectors[m][i]``. Each ``vectors[m]`` must have shape
+        ``(N, schema[m])``; float64 C-contiguous arrays are adopted, not copied.
+        """
+        lib = cls(schema)
+        n = len(record_ids)
         for m in MODALITY_ORDER:
-            if m not in self.schema:
-                raise SchemaError(f"schema is missing modality {m.value}")
-            _check_dim(self.schema[m])
+            arr = np.require(vectors[m], np.float64, ["C", "W"])
+            if arr.shape != (n, schema[m]):
+                raise SchemaError(
+                    f"dimension mismatch for {m.value}: got shape {arr.shape}, "
+                    f"schema says ({n}, {schema[m]})"
+                )
+            bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+            if bad.size:
+                raise SchemaError(
+                    f"emotion vector for {m.value} in record {record_ids[bad[0]]} "
+                    "contains non-finite values"
+                )
+            lib._vectors[m] = arr
+        lib._speakers = _SpeakerColumn(speaker_ids)
+        columns = [lib._vectors[m] for m in MODALITY_ORDER]
+        for row, (record_id, movie_id, speaker_id, label, *rows) in enumerate(
+            zip(record_ids, movie_ids, speaker_ids, labels, *columns)
+        ):
+            if record_id in lib.id_index:
+                raise SchemaError(f"duplicate record_id {record_id}")
+            rec = FootageRecord(
+                record_id, movie_id, speaker_id, label,
+                *(_row_vector(m, v) for m, v in zip(MODALITY_ORDER, rows)),
+            )
+            rec._home = (lib._speakers, row)
+            lib.id_index[record_id] = row
+            lib.records.append(rec)
+        lib._ids = np.array(record_ids, dtype=np.uint64)
+        return lib
 
     def add(self, record: FootageRecord) -> None:
+        """Append a copy of the record's vectors as a new row; ``record``
+        itself becomes that row, unless it already belongs to a library, in
+        which case a new record with its fields does."""
         if record.record_id in self.id_index:
             raise SchemaError(f"duplicate record_id {record.record_id}")
         for m in MODALITY_ORDER:
@@ -191,8 +317,51 @@ class FootageLibrary:
                     f"dimension mismatch for {m.value} in record {record.record_id}: "
                     f"got {got}, schema says {want}"
                 )
-        self.id_index[record.record_id] = len(self.records)
+        if record._home is not None:
+            record = FootageRecord(
+                record.record_id, record.movie_id, record.speaker_id, record.emotion_label,
+                *(record.vector(m) for m in MODALITY_ORDER),
+            )
+        row = len(self.records)
+        if row == self._ids.shape[0]:
+            self._grow(max(8, 2 * row))
+        for m in MODALITY_ORDER:
+            column = self._vectors[m]
+            column[row] = record.vector(m).values
+            setattr(record, m.value, _row_vector(m, column[row]))
+        self._ids[row] = record.record_id
+        self._speakers.codes[row] = self._speakers.code(record.speaker_id)
+        record._home = (self._speakers, row)
+        self.id_index[record.record_id] = row
         self.records.append(record)
+
+    def _grow(self, capacity: int) -> None:
+        n = len(self.records)
+
+        def grown(old: np.ndarray) -> np.ndarray:
+            new = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
+            new[:n] = old[:n]
+            return new
+
+        for m in MODALITY_ORDER:
+            self._vectors[m] = grown(self._vectors[m])
+            for rec, row in zip(self.records, self._vectors[m]):
+                rec.vector(m).values = row
+        self._ids = grown(self._ids)
+        self._speakers.codes = grown(self._speakers.codes)
+
+    def matrix(self, modality: Modality) -> np.ndarray:
+        """The ``(N, d)`` array of the modality's vectors; row ``i`` is ``records[i]``."""
+        return self._vectors[modality][: len(self.records)]
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Record ids in row order, as uint64."""
+        return self._ids[: len(self.records)]
+
+    def speaker_mask(self, speaker_id: str) -> np.ndarray:
+        """Boolean row mask of the records whose speaker is ``speaker_id``."""
+        return self._speakers.mask(speaker_id, len(self.records))
 
     def lookup(self, record_id: int) -> FootageRecord:
         try:
@@ -212,15 +381,22 @@ class FootageLibrary:
         """Uniform sample without replacement of ceil(fraction * N) records.
 
         Deterministic in ``seed``; selected records keep their original
-        relative order. ``fraction`` must lie in (0, 1].
+        relative order. ``fraction`` must lie in (0, 1]. The sample holds
+        copies of the selected rows.
         """
         if not (0.0 < fraction <= 1.0):
             raise ArgumentError(f"fraction must be in (0, 1], got {fraction}")
         n = len(self.records)
-        out = FootageLibrary(dict(self.schema))
-        for idx in sample_indices(n, math.ceil(fraction * n), stream(seed, "subsample")):
-            out.add(self.records[idx])
-        return out
+        rows = sample_indices(n, math.ceil(fraction * n), stream(seed, "subsample"))
+        picked = [self.records[i] for i in rows]
+        return FootageLibrary.from_columns(
+            dict(self.schema),
+            [r.record_id for r in picked],
+            [r.movie_id for r in picked],
+            [r.speaker_id for r in picked],
+            [r.emotion_label for r in picked],
+            {m: self.matrix(m)[rows] for m in MODALITY_ORDER},
+        )
 
 
 def subsample(lib: FootageLibrary, fraction: float, seed: int) -> FootageLibrary:
@@ -261,12 +437,12 @@ def save_library(lib: FootageLibrary, path) -> None:
     buf += struct.pack("<I", _VERSION)
     buf += struct.pack("<5I", *(lib.schema[m] for m in MODALITY_ORDER))
     buf += struct.pack("<Q", len(lib.records))
-    for rec in lib.records:
+    payloads = np.hstack([lib.matrix(m) for m in MODALITY_ORDER]).astype("<f8", copy=False)
+    for rec, payload in zip(lib.records, payloads):
         buf += struct.pack("<Q", rec.record_id)
         for s in (rec.movie_id, rec.speaker_id, rec.emotion_label or ""):
             buf += pack_string(s)
-        for m in MODALITY_ORDER:
-            buf += rec.vector(m).values.astype("<f8", copy=False).tobytes()
+        buf += payload.tobytes()
     Path(path).write_bytes(bytes(buf))
 
 
@@ -285,22 +461,32 @@ def load_library(path) -> FootageLibrary:
             raise FormatError(f"{path}: invalid dimension {d} for {m.value}")
     schema = dict(zip(MODALITY_ORDER, dims))
     (count,) = r.unpack("<Q", "record count")
-    lib = FootageLibrary(schema)
-    for i in range(count):
-        (record_id,) = r.unpack("<Q", f"record {i} id")
-        strings = [r.string(f"record {i} {what}") for what in ("movie", "speaker", "label")]
-        vectors = {}
-        for m in MODALITY_ORDER:
-            raw = r.take(8 * schema[m], f"record {i} {m.value} vector")
-            vectors[m] = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        lib.add(
-            record_from_vectors(
-                record_id, strings[0], strings[1], strings[2] or None, vectors
-            )
-        )
+    columns = _read_records(r, count, dims)
     if r.remaining:
         raise FormatError(f"{path}: {r.remaining} trailing bytes after last record")
-    return lib
+    return FootageLibrary.from_columns(schema, *columns)
+
+
+def _read_records(r: Reader, count: int, dims: tuple[int, ...]) -> tuple:
+    """Ids, movies, speakers, labels and per-modality vector arrays of
+    ``count`` records."""
+    width = sum(dims)
+    # id, three string lengths and the vectors: a smaller file cannot hold them
+    if count * (20 + 8 * width) > r.remaining:
+        raise FormatError(f"{r.path}: truncated payload: {count} records do not fit")
+    vectors = {m: np.empty((count, d)) for m, d in zip(MODALITY_ORDER, dims)}
+    edges = np.cumsum((0, *dims)).tolist()
+    slots = [(vectors[m], lo, hi) for m, lo, hi in zip(MODALITY_ORDER, edges, edges[1:])]
+    ids, movies, speakers, labels = [], [], [], []
+    for i in range(count):
+        ids.append(r.unpack("<Q", f"record {i} id")[0])
+        movies.append(r.string(f"record {i} movie"))
+        speakers.append(r.string(f"record {i} speaker"))
+        labels.append(r.string(f"record {i} label") or None)
+        payload = np.frombuffer(r.take(8 * width, f"record {i} vectors"), dtype="<f8")
+        for column, lo, hi in slots:
+            column[i] = payload[lo:hi]
+    return ids, movies, speakers, labels, vectors
 
 
 # --- JSON-lines interchange format -----------------------------------------
@@ -321,39 +507,72 @@ def write_jsonl(lib: FootageLibrary, path) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
+_JSONL_FIELDS = ("record_id", "movie_id", "speaker_id", *(m.value for m in MODALITY_ORDER))
+
+
 def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
-    """Ingest precomputed vectors; schema inferred from the first record if absent."""
-    lib: FootageLibrary | None = None
+    """Ingest precomputed vectors; schema inferred from the first record if absent.
+
+    A malformed line raises :class:`FormatError` naming ``path:line``.
+    """
     if schema is not None:
-        lib = FootageLibrary(dict(schema))
-    with open(path, "r", encoding="utf-8") as fh:
+        _check_schema(schema)
+    ids, movies, speakers, labels = [], [], [], []
+    rows: dict[Modality, list[np.ndarray]] = {m: [] for m in MODALITY_ORDER}
+    # Undecodable bytes become lone surrogates here, which no valid UTF-8 text holds.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise FormatError(f"{where}: invalid UTF-8") from None
             line = line.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+                raise FormatError(f"{where}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
-                raise FormatError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+                raise FormatError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+            missing = [key for key in _JSONL_FIELDS if key not in obj]
+            if missing:
+                raise FormatError(f"{where}: missing field {missing[0]!r}")
             label = obj.get("emotion_label")
             if label is not None and not isinstance(label, str):
-                raise FormatError(f"{path}:{lineno}: emotion_label must be a string or null")
+                raise FormatError(f"{where}: emotion_label must be a string or null")
             try:
-                vectors = {m: np.asarray(obj[m.value], dtype=np.float64) for m in MODALITY_ORDER}
-                rec = record_from_vectors(
-                    int(obj["record_id"]),
-                    str(obj["movie_id"]),
-                    str(obj["speaker_id"]),
-                    label,
-                    vectors,
-                )
-            except KeyError as exc:
-                raise FormatError(f"{path}:{lineno}: missing field {exc}") from None
-            if lib is None:
-                lib = FootageLibrary({m: vectors[m].shape[0] for m in MODALITY_ORDER})
-            lib.add(rec)
-    if lib is None:
+                record_id = int(obj["record_id"])
+            except (TypeError, ValueError, OverflowError):
+                raise FormatError(
+                    f"{where}: record_id {obj['record_id']!r} is not an integer"
+                ) from None
+            parsed = {}
+            for m in MODALITY_ORDER:
+                try:
+                    vec = np.asarray(obj[m.value], dtype=np.float64)
+                except (TypeError, ValueError, OverflowError):
+                    raise FormatError(f"{where}: {m.value} holds a non-numeric entry") from None
+                if vec.ndim != 1:
+                    raise FormatError(f"{where}: {m.value} is not a flat list of numbers")
+                parsed[m] = vec
+            if schema is None:
+                schema = {m: vec.shape[0] for m, vec in parsed.items()}
+                _check_schema(schema)
+            for m, vec in parsed.items():
+                if vec.shape[0] != schema[m]:
+                    raise SchemaError(
+                        f"dimension mismatch for {m.value} in record {record_id}: "
+                        f"got {vec.shape[0]}, schema says {schema[m]}"
+                    )
+                rows[m].append(vec)
+            ids.append(record_id)
+            movies.append(str(obj["movie_id"]))
+            speakers.append(str(obj["speaker_id"]))
+            labels.append(label)
+    if schema is None:
         raise FormatError(f"{path}: no records and no schema given")
-    return lib
+    vectors = {m: np.array(rows[m]).reshape(len(ids), schema[m]) for m in MODALITY_ORDER}
+    return FootageLibrary.from_columns(dict(schema), ids, movies, speakers, labels, vectors)

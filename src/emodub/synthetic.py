@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .library import FootageLibrary, MODALITY_ORDER, Schema, record_from_vectors, uniform_schema
+from .library import FootageLibrary, MODALITY_ORDER, Schema, uniform_schema
 from .retrieval import CHANNELS, Metric, Mode, Query, retrieve_all
 from .rng import stream
 
@@ -61,20 +61,24 @@ def generate_clustered_library(spec: ClusterSpec) -> FootageLibrary:
         raise ArgumentError(f"speaker count must be >= 1, got {spec.speakers}")
     radius = spec.separation / np.sqrt(2.0)
     rng = stream(spec.seed, "clustered-library")
-    lib = FootageLibrary(spec.schema())
-    for i in range(spec.n):
-        label = i % spec.clusters
-        centroid = np.zeros(spec.dim)
-        centroid[label] = radius
-        vectors = {
-            m: centroid + np.array([rng.next_gaussian() for _ in range(spec.dim)])
-            for m in MODALITY_ORDER
-        }
-        speaker = f"speaker_{label if spec.speaker_per_cluster else i % spec.speakers}"
-        lib.add(
-            record_from_vectors(i, f"movie_{i % spec.movies}", speaker, f"cluster_{label}", vectors)
-        )
-    return lib
+    # Draw order: record by record, modality by modality, dim values each.
+    count = spec.n * len(MODALITY_ORDER) * spec.dim
+    noise = np.fromiter((rng.next_gaussian() for _ in range(count)), np.float64, count)
+    noise = noise.reshape(spec.n, len(MODALITY_ORDER), spec.dim)
+    labels = [i % spec.clusters for i in range(spec.n)]
+    speakers = [
+        label if spec.speaker_per_cluster else i % spec.speakers for i, label in enumerate(labels)
+    ]
+    centroids = np.zeros((spec.n, spec.dim))
+    centroids[np.arange(spec.n), labels] = radius
+    return FootageLibrary.from_columns(
+        spec.schema(),
+        list(range(spec.n)),
+        [f"movie_{i % spec.movies}" for i in range(spec.n)],
+        [f"speaker_{s}" for s in speakers],
+        [f"cluster_{label}" for label in labels],
+        {m: centroids + noise[:, j] for j, m in enumerate(MODALITY_ORDER)},
+    )
 
 
 @dataclass

@@ -13,7 +13,6 @@ from emodub.autodiff import (
     AdamState,
     Conv1dParams,
     CrossAttentionParams,
-    LinearParams,
     Parameter,
     Tensor,
     add,

@@ -4,14 +4,12 @@ import csv
 import io
 import json
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from emodub.autodiff import load_checkpoint
 from emodub.cli import main
-from emodub.library import load_library, write_jsonl
-from emodub.synthetic import ClusterSpec, generate_clustered_library
+from emodub.library import load_library, save_library, write_jsonl
 
 
 @pytest.fixture
@@ -127,6 +125,35 @@ class TestIngest:
         result = runner.invoke(main, ["ingest", "--jsonl", str(jsonl), "--out", str(tmp_path / "o.mrfl")])
         assert_error_exit(result, 3, "emotion_label")
 
+    def ingest_lines(self, runner, tmp_path, rng, edit):
+        """Ingest a one-record JSONL file after ``edit`` rewrites its line."""
+        from conftest import random_library
+
+        jsonl = tmp_path / "edited.jsonl"
+        write_jsonl(random_library(rng, 1), jsonl)
+        jsonl.write_bytes(edit(jsonl.read_bytes()))
+        return runner.invoke(main, ["ingest", "--jsonl", str(jsonl), "--out", str(tmp_path / "o.mrfl")])
+
+    def test_invalid_utf8_is_data_error(self, runner, tmp_path, rng):
+        result = self.ingest_lines(
+            runner, tmp_path, rng, lambda line: line.replace(b'"movie_id": "', b'"movie_id": "\xff')
+        )
+        assert_error_exit(result, 3, "edited.jsonl:1: invalid UTF-8")
+
+    def test_non_integer_record_id_is_data_error(self, runner, tmp_path, rng):
+        result = self.ingest_lines(
+            runner, tmp_path, rng, lambda line: line.replace(b'"record_id": 0', b'"record_id": "abc"')
+        )
+        assert_error_exit(result, 3, "edited.jsonl:1: record_id 'abc' is not an integer")
+
+    def test_non_numeric_vector_entry_is_data_error(self, runner, tmp_path, rng):
+        # a string, and an integer too large for a float
+        for entry in (b'"a"', b"1" + b"0" * 400):
+            result = self.ingest_lines(
+                runner, tmp_path, rng, lambda line: line.replace(b'"face": [', b'"face": [' + entry + b", ")
+            )
+            assert_error_exit(result, 3, "edited.jsonl:1: face holds a non-numeric entry")
+
 
 class TestRetrieve:
     def test_csv_shape_and_columns(self, runner, tmp_path):
@@ -178,6 +205,18 @@ class TestRetrieve:
         lib_path.write_bytes(bytes(data))
         result = runner.invoke(main, ["retrieve", "--lib", str(lib_path), "--query-id", "0"])
         assert_error_exit(result, 3, "record 0 movie is not valid UTF-8")
+
+    def test_zero_norm_record_fails_cosine_only_inside_the_pool(self, runner, tmp_path):
+        lib = load_library(gen_lib(runner, tmp_path / "lib.mrfl", n=20))
+        zero = lib.records[5]
+        assert zero.speaker_id != lib.records[0].speaker_id
+        zero.scene.values[...] = 0.0
+        path = tmp_path / "zero.mrfl"
+        save_library(lib, path)
+        args = ["retrieve", "--lib", str(path), "--query-id", "0", "--k", "3", "--metric", "cosine"]
+        assert_error_exit(runner.invoke(main, args), 2, "zero vector")
+        result = run_ok(runner, [*args, "--mode", "specific"])
+        assert ",5," not in result.output
 
     def test_negative_num_queries_is_usage_error(self, runner, tmp_path):
         lib_path = gen_lib(runner, tmp_path / "lib.mrfl")

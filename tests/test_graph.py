@@ -23,7 +23,7 @@ from emodub.graph import (
     project_input,
 )
 from emodub.retrieval import CHANNELS, Metric, Query, RetrievalResult, retrieve_all
-from emodub.rng import SplitMix64, stream
+from emodub.rng import SplitMix64
 
 from conftest import random_library
 

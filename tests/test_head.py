@@ -17,7 +17,7 @@ from emodub.head import (
     toy_train_step,
     train_toy,
 )
-from emodub.retrieval import Metric, Query
+from emodub.retrieval import Query
 from emodub.rng import SplitMix64, stream
 from emodub.synthetic import ClusterSpec, generate_clustered_library
 

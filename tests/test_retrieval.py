@@ -6,13 +6,14 @@ with the retrieval path it checks.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from emodub.errors import ArgumentError, SchemaError
-from emodub.library import EmotionVector, Modality, MODALITY_ORDER
+from emodub.library import EmotionVector, FootageLibrary, Modality, MODALITY_ORDER
 from emodub.retrieval import (
     CHANNELS,
     Metric,
@@ -24,7 +25,7 @@ from emodub.retrieval import (
     text_criterion,
 )
 
-from conftest import random_library
+from conftest import make_record, random_library
 
 
 def vec(values, modality=Modality.SCENE):
@@ -236,6 +237,107 @@ class TestRetrieveModality:
         got = retrieve_modality(lib, q, channel, k, metric, mode)
         want = oracle_rank(lib, q, channel, k, metric, mode)
         assert_matches_oracle(got, want)
+
+
+class TestZeroNormCandidates:
+    """Under cosine a zero-norm record in the scored pool raises, as the
+    scalar similarity does; outside the pool it is never scored."""
+
+    # the modality whose zero vector the channel scores
+    ZEROED = {"scene": Modality.SCENE, "face": Modality.FACE, "text": Modality.TEXT_REACT}
+
+    def library(self, rng, channel):
+        lib = random_library(rng, 12, speakers=1)
+        lib.records[4].vector(self.ZEROED[channel]).values[...] = 0.0
+        lib.records[4].speaker_id = "other"
+        return lib
+
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_zero_norm_record_in_pool_raises(self, rng, channel):
+        lib = self.library(rng, channel)
+        q = Query.from_record(lib.records[0])
+        with pytest.raises(ArgumentError, match="zero vector"):
+            retrieve_modality(lib, q, channel, k=3)
+
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_zero_norm_record_outside_pool_is_skipped(self, rng, channel):
+        lib = self.library(rng, channel)
+        excluded = Query.from_record(lib.records[0])
+        excluded.exclude_ids = frozenset({0, 4})
+        specific = Query.from_record(lib.records[0])
+        for q, mode in ((excluded, Mode.SPEAKER_AGNOSTIC), (specific, Mode.SPEAKER_SPECIFIC)):
+            got = retrieve_modality(lib, q, channel, k=3, mode=mode)
+            assert got == brute_force_rank(lib, q, channel, 3, Metric.COSINE, mode)
+            assert 4 not in [rid for rid, _ in got]
+
+
+def brute_force_rank(lib, query, channel, k, metric, mode):
+    """Full sort of the pool by the scalar reference functions, (score desc, id asc)."""
+    scored = []
+    for rec in lib.records:
+        if rec.record_id in query.exclude_ids:
+            continue
+        if mode is Mode.SPEAKER_SPECIFIC and rec.speaker_id != query.speaker_id:
+            continue
+        if channel == "text":
+            s = text_criterion(metric, query.text_self, query.text_react, rec.text_self, rec.text_react)
+        else:
+            s = similarity(metric, getattr(query, channel), getattr(rec, channel))
+        scored.append((rec.record_id, s))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
+
+
+def near_tie_rows(r, n_base, dim, big):
+    """Rows that score equal or one rounding apart against each other:
+    copies of each base row scaled by 2**j and by 3, copies one ulp away,
+    exact duplicates, and with ``big`` rows near 1e150, rows whose
+    products, squares or differences overflow, and rows whose squares are
+    subnormal."""
+    rows = []
+    for base in r.normal(size=(n_base, dim)):
+        rows += [base, base * 2.0 ** int(r.integers(-4, 5)), base * 3.0, base.copy()]
+        rows += [np.nextafter(base, np.inf), np.nextafter(base, -np.inf)]
+        if big:
+            huge = base * 1e150
+            rows += [huge, np.nextafter(huge, np.inf), huge * 3.0, base * 1e200]
+            rows += [np.where(base >= 0, 1.5e308, -1.5e308), base * 1e-160, base * 3e-160]
+    return np.array(rows)
+
+
+class TestNearTies:
+    # the scalar reference overflows on purpose for the big rows
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_base=st.integers(1, 4),
+        dim=st.integers(2, 8),
+        big=st.booleans(),
+        k=st.integers(1, 12),
+        metric=st.sampled_from(list(Metric)),
+        mode=st.sampled_from(list(Mode)),
+        channel=st.sampled_from(CHANNELS),
+        exclude_self=st.booleans(),
+    )
+    def test_matches_brute_force_bit_for_bit(
+        self, seed, n_base, dim, big, k, metric, mode, channel, exclude_self
+    ):
+        r = np.random.default_rng(seed)
+        tables = {m: near_tie_rows(r, n_base, dim, big) for m in MODALITY_ORDER}
+        n = len(tables[Modality.SCENE])
+        for table in tables.values():
+            r.shuffle(table)
+        lib = FootageLibrary({m: dim for m in MODALITY_ORDER})
+        for i, rid in enumerate(r.permutation(n).tolist()):
+            vectors = {m: tables[m][i] for m in MODALITY_ORDER}
+            lib.add(make_record(rid, vectors, speaker_id=f"spk{r.integers(2)}"))
+        q = Query.from_record(lib.records[int(r.integers(n))], exclude_self=exclude_self)
+        got = retrieve_modality(lib, q, channel, k, metric, mode)
+        want = brute_force_rank(lib, q, channel, k, metric, mode)
+        assert [(rid, struct.pack("<d", s)) for rid, s in got] == [
+            (rid, struct.pack("<d", s)) for rid, s in want
+        ]
 
 
 class TestCosineScaleInvariance:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from emodub.errors import ArgumentError
-from emodub.library import MODALITY_ORDER
 from emodub.retrieval import Metric, Mode
 from emodub.synthetic import ClusterSpec, evaluate_purity, generate_clustered_library
 
