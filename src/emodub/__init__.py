@@ -70,7 +70,6 @@ from .library import (
     MODALITY_ORDER,
     load_library,
     read_jsonl,
-    record_from_vectors,
     save_library,
     subsample,
     synthetic_extract,

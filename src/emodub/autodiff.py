@@ -377,6 +377,10 @@ def mse(pred, target) -> Tensor:
 
 def uniform_init(rng: SplitMix64, rows: int, cols: int, d_in: int) -> np.ndarray:
     """Row-major uniform(-sqrt(1/d_in), +sqrt(1/d_in)) draw from the stream."""
+    if min(rows, cols, d_in) < 1:
+        raise ConfigError(
+            f"parameter sizes must be >= 1, got rows={rows}, cols={cols}, d_in={d_in}"
+        )
     bound = math.sqrt(1.0 / d_in)
     return np.array(
         [[rng.next_uniform(-bound, bound) for _ in range(cols)] for _ in range(rows)]
@@ -613,6 +617,8 @@ def grad_check(
     indistinguishable from finite-difference roundoff). ``loss_fn`` must
     rebuild its graph on every call and be deterministic.
     """
+    if not eps > 0.0:
+        raise ArgumentError(f"finite-difference step must be > 0, got {eps}")
     params = collect_parameters(params)
     for p in params:
         p.zero_grad()

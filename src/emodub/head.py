@@ -249,17 +249,10 @@ def toy_train_step(batch: ToyBatch, model: PipelineParams, adam: AdamState) -> f
     return value
 
 
-def train_toy(
-    batch: ToyBatch,
-    model: PipelineParams,
-    steps: int,
-    lr: float = 0.00625,
-    beta1: float = 0.9,
-    beta2: float = 0.98,
-    eps: float = 1e-9,
-) -> list[float]:
-    """Run the toy loop for ``steps`` updates; returns the loss per step."""
+def train_toy(batch: ToyBatch, model: PipelineParams, steps: int) -> list[float]:
+    """Run the toy loop for ``steps`` updates with :class:`AdamState`'s
+    default recipe; returns the loss per step."""
     if steps < 1:
         raise ArgumentError(f"steps must be >= 1, got {steps}")
-    adam = AdamState(model.parameters(), lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    adam = AdamState(model.parameters())
     return [toy_train_step(batch, model, adam) for _ in range(steps)]

@@ -4,7 +4,10 @@ A library stores one record per reference clip, each holding five
 fixed-dimension emotion vectors (scene, face, text-self, text-react, audio)
 plus identifiers and an optional free-form emotion label used by the
 synthetic evaluation harness. The library keeps each modality's vectors in
-one array, and records view their rows (see :class:`FootageLibrary`).
+one array, and records view their rows (see :class:`FootageLibrary`). A
+library is built whole, from columns: by loading a binary file, ingesting
+JSON lines, synthesis, or subsampling another library. Retrieval then only
+reads it.
 
 Two persistence formats are provided:
 
@@ -111,10 +114,31 @@ def _row_vector(modality: Modality, row: np.ndarray) -> EmotionVector:
     return vec
 
 
-class FootageRecord:
-    """One reference-library sample: identifiers plus five emotion vectors.
+class _SpeakerColumn:
+    """The speaker of every library row as an integer code, so that a
+    speaker's rows are found with one array comparison."""
 
-    Once the record is in a library, each vector's ``values`` is a row view
+    __slots__ = ("codes", "_code_of")
+
+    def __init__(self, speaker_ids):
+        self._code_of: dict[str, int] = {}
+        self.codes = np.array([self.code(s) for s in speaker_ids], dtype=np.int64)
+
+    def code(self, speaker_id: str) -> int:
+        return self._code_of.setdefault(speaker_id, len(self._code_of))
+
+    def mask(self, speaker_id: str) -> np.ndarray:
+        code = self._code_of.get(speaker_id)
+        if code is None:
+            return np.zeros(self.codes.shape, dtype=bool)
+        return self.codes == code
+
+
+class FootageRecord:
+    """One row of a :class:`FootageLibrary`: identifiers plus five emotion
+    vectors.
+
+    The library makes its records. Each vector's ``values`` is a row view
     into the library's column for that modality, and setting ``speaker_id``
     also updates the library's speaker column.
     """
@@ -126,6 +150,7 @@ class FootageRecord:
 
     def __init__(
         self,
+        home: tuple[_SpeakerColumn, int],
         record_id: int,
         movie_id: str,
         speaker_id: str,
@@ -136,8 +161,8 @@ class FootageRecord:
         text_react: EmotionVector,
         audio: EmotionVector,
     ):
-        if not (0 <= int(record_id) < 1 << 64):
-            raise SchemaError(f"record_id must fit in 64 unsigned bits, got {record_id}")
+        #: (speaker column, row) of the record in its library
+        self._home = home
         self.record_id = record_id
         self.movie_id = movie_id
         self._speaker_id = speaker_id
@@ -147,8 +172,6 @@ class FootageRecord:
         self.text_self = text_self
         self.text_react = text_react
         self.audio = audio
-        #: (speaker column, row) once the record belongs to a library
-        self._home: tuple[_SpeakerColumn, int] | None = None
 
     @property
     def speaker_id(self) -> str:
@@ -157,9 +180,8 @@ class FootageRecord:
     @speaker_id.setter
     def speaker_id(self, value: str) -> None:
         self._speaker_id = value
-        if self._home is not None:
-            column, row = self._home
-            column.codes[row] = column.code(value)
+        column, row = self._home
+        column.codes[row] = column.code(value)
 
     def vector(self, modality: Modality) -> EmotionVector:
         return getattr(self, modality.value)
@@ -174,50 +196,6 @@ class FootageRecord:
             and self.emotion_label == other.emotion_label
             and all(self.vector(m) == other.vector(m) for m in MODALITY_ORDER)
         )
-
-
-def record_from_vectors(
-    record_id: int,
-    movie_id: str,
-    speaker_id: str,
-    emotion_label: str | None,
-    vectors: dict[Modality, np.ndarray],
-) -> FootageRecord:
-    """Ingestion path for precomputed vectors; stores the payloads unchanged."""
-    missing = [m.value for m in MODALITY_ORDER if m not in vectors]
-    if missing:
-        raise SchemaError(f"missing modalities in precomputed record: {missing}")
-    return FootageRecord(
-        record_id=record_id,
-        movie_id=movie_id,
-        speaker_id=speaker_id,
-        emotion_label=emotion_label,
-        scene=EmotionVector(Modality.SCENE, vectors[Modality.SCENE]),
-        face=EmotionVector(Modality.FACE, vectors[Modality.FACE]),
-        text_self=EmotionVector(Modality.TEXT_SELF, vectors[Modality.TEXT_SELF]),
-        text_react=EmotionVector(Modality.TEXT_REACT, vectors[Modality.TEXT_REACT]),
-        audio=EmotionVector(Modality.AUDIO, vectors[Modality.AUDIO]),
-    )
-
-
-class _SpeakerColumn:
-    """The speaker of every library row as an integer code, so that a
-    speaker's rows are found with one array comparison."""
-
-    __slots__ = ("codes", "_code_of")
-
-    def __init__(self, speaker_ids):
-        self._code_of: dict[str, int] = {}
-        self.codes = np.array([self.code(s) for s in speaker_ids], dtype=np.int64)
-
-    def code(self, speaker_id: str) -> int:
-        return self._code_of.setdefault(speaker_id, len(self._code_of))
-
-    def mask(self, speaker_id: str, n: int) -> np.ndarray:
-        code = self._code_of.get(speaker_id)
-        if code is None:
-            return np.zeros(n, dtype=bool)
-        return self.codes[:n] == code
 
 
 def _check_schema(schema: Schema) -> None:
@@ -239,10 +217,9 @@ class FootageLibrary:
     reads, and setting a record's ``speaker_id`` updates the speaker
     column. ``id_index`` maps a record id to its row.
 
-    :meth:`from_columns` adopts whole arrays at once; loading, ingestion,
-    synthesis and subsampling build libraries that way. :meth:`add` copies
-    one record in, growing the arrays geometrically; when they grow, the
-    views of the records already in the library move to the new arrays.
+    A library is built whole: :meth:`from_columns` adopts the arrays of
+    all its rows at once, and loading, ingestion, synthesis and subsampling
+    all go through it. ``FootageLibrary(schema)`` is the empty library.
     Retrieval only reads, so a built library is safe to share across
     concurrent readers.
     """
@@ -291,77 +268,30 @@ class FootageLibrary:
         for row, (record_id, movie_id, speaker_id, label, *rows) in enumerate(
             zip(record_ids, movie_ids, speaker_ids, labels, *columns)
         ):
+            if not 0 <= record_id < 1 << 64:
+                raise SchemaError(f"record_id must fit in 64 unsigned bits, got {record_id}")
             if record_id in lib.id_index:
                 raise SchemaError(f"duplicate record_id {record_id}")
-            rec = FootageRecord(
-                record_id, movie_id, speaker_id, label,
-                *(_row_vector(m, v) for m, v in zip(MODALITY_ORDER, rows)),
-            )
-            rec._home = (lib._speakers, row)
             lib.id_index[record_id] = row
-            lib.records.append(rec)
+            lib.records.append(FootageRecord(
+                (lib._speakers, row), record_id, movie_id, speaker_id, label,
+                *(_row_vector(m, v) for m, v in zip(MODALITY_ORDER, rows)),
+            ))
         lib._ids = np.array(record_ids, dtype=np.uint64)
         return lib
 
-    def add(self, record: FootageRecord) -> None:
-        """Append a copy of the record's vectors as a new row; ``record``
-        itself becomes that row, unless it already belongs to a library, in
-        which case a new record with its fields does."""
-        if record.record_id in self.id_index:
-            raise SchemaError(f"duplicate record_id {record.record_id}")
-        for m in MODALITY_ORDER:
-            got = record.vector(m).dim
-            want = self.schema[m]
-            if got != want:
-                raise SchemaError(
-                    f"dimension mismatch for {m.value} in record {record.record_id}: "
-                    f"got {got}, schema says {want}"
-                )
-        if record._home is not None:
-            record = FootageRecord(
-                record.record_id, record.movie_id, record.speaker_id, record.emotion_label,
-                *(record.vector(m) for m in MODALITY_ORDER),
-            )
-        row = len(self.records)
-        if row == self._ids.shape[0]:
-            self._grow(max(8, 2 * row))
-        for m in MODALITY_ORDER:
-            column = self._vectors[m]
-            column[row] = record.vector(m).values
-            setattr(record, m.value, _row_vector(m, column[row]))
-        self._ids[row] = record.record_id
-        self._speakers.codes[row] = self._speakers.code(record.speaker_id)
-        record._home = (self._speakers, row)
-        self.id_index[record.record_id] = row
-        self.records.append(record)
-
-    def _grow(self, capacity: int) -> None:
-        n = len(self.records)
-
-        def grown(old: np.ndarray) -> np.ndarray:
-            new = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
-            new[:n] = old[:n]
-            return new
-
-        for m in MODALITY_ORDER:
-            self._vectors[m] = grown(self._vectors[m])
-            for rec, row in zip(self.records, self._vectors[m]):
-                rec.vector(m).values = row
-        self._ids = grown(self._ids)
-        self._speakers.codes = grown(self._speakers.codes)
-
     def matrix(self, modality: Modality) -> np.ndarray:
         """The ``(N, d)`` array of the modality's vectors; row ``i`` is ``records[i]``."""
-        return self._vectors[modality][: len(self.records)]
+        return self._vectors[modality]
 
     @property
     def ids(self) -> np.ndarray:
         """Record ids in row order, as uint64."""
-        return self._ids[: len(self.records)]
+        return self._ids
 
     def speaker_mask(self, speaker_id: str) -> np.ndarray:
         """Boolean row mask of the records whose speaker is ``speaker_id``."""
-        return self._speakers.mask(speaker_id, len(self.records))
+        return self._speakers.mask(speaker_id)
 
     def lookup(self, record_id: int) -> FootageRecord:
         try:
@@ -507,6 +437,16 @@ def write_jsonl(lib: FootageLibrary, path) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
+def _require_utf8(text: str, where: str) -> None:
+    """Reject text that UTF-8 cannot encode: the lone surrogates that
+    undecodable bytes become, or that a ``\\ud800`` JSON escape decodes to."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FormatError(f"{where}: invalid UTF-8") from None
+
+
 _JSONL_FIELDS = ("record_id", "movie_id", "speaker_id", *(m.value for m in MODALITY_ORDER))
 
 
@@ -523,11 +463,7 @@ def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             where = f"{path}:{lineno}"
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise FormatError(f"{where}: invalid UTF-8") from None
+            _require_utf8(line, where)
             line = line.strip()
             if not line:
                 continue
@@ -568,9 +504,12 @@ def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
                         f"got {vec.shape[0]}, schema says {schema[m]}"
                     )
                 rows[m].append(vec)
+            movie, speaker = str(obj["movie_id"]), str(obj["speaker_id"])
+            for field, text in (("movie_id", movie), ("speaker_id", speaker), ("emotion_label", label)):
+                _require_utf8(text or "", f"{where}: {field}")
             ids.append(record_id)
-            movies.append(str(obj["movie_id"]))
-            speakers.append(str(obj["speaker_id"]))
+            movies.append(movie)
+            speakers.append(speaker)
             labels.append(label)
     if schema is None:
         raise FormatError(f"{path}: no records and no schema given")

@@ -3,49 +3,32 @@
 import numpy as np
 import pytest
 
-from emodub.library import (
-    EmotionVector,
-    FootageLibrary,
-    FootageRecord,
-    Modality,
-    MODALITY_ORDER,
-)
-
-
-def make_record(record_id, vectors, speaker_id="spk0", movie_id="m0", label=None):
-    """Build a record from a {modality: array} mapping."""
-    return FootageRecord(
-        record_id=record_id,
-        movie_id=movie_id,
-        speaker_id=speaker_id,
-        emotion_label=label,
-        scene=EmotionVector(Modality.SCENE, vectors[Modality.SCENE]),
-        face=EmotionVector(Modality.FACE, vectors[Modality.FACE]),
-        text_self=EmotionVector(Modality.TEXT_SELF, vectors[Modality.TEXT_SELF]),
-        text_react=EmotionVector(Modality.TEXT_REACT, vectors[Modality.TEXT_REACT]),
-        audio=EmotionVector(Modality.AUDIO, vectors[Modality.AUDIO]),
-    )
+from emodub.library import FootageLibrary, MODALITY_ORDER
 
 
 def random_library(rng: np.random.Generator, n: int, dims=None, speakers=3) -> FootageLibrary:
-    """Library of n records with standard-normal vectors (test-side randomness)."""
+    """Library of n records with standard-normal vectors (test-side randomness).
+
+    Draw order: record by record, each modality's vector and then the speaker.
+    """
     if dims is None:
         dims = {m: 8 for m in MODALITY_ORDER}
     elif isinstance(dims, int):
         dims = {m: dims for m in MODALITY_ORDER}
-    lib = FootageLibrary(dict(dims))
-    for i in range(n):
-        vectors = {m: rng.normal(size=dims[m]) for m in MODALITY_ORDER}
-        lib.add(
-            make_record(
-                i,
-                vectors,
-                speaker_id=f"spk{rng.integers(speakers)}",
-                movie_id=f"mov{i % 4}",
-                label=f"lab{i % 3}",
-            )
-        )
-    return lib
+    rows = {m: [] for m in MODALITY_ORDER}
+    speaker_ids = []
+    for _ in range(n):
+        for m in MODALITY_ORDER:
+            rows[m].append(rng.normal(size=dims[m]))
+        speaker_ids.append(f"spk{rng.integers(speakers)}")
+    return FootageLibrary.from_columns(
+        dict(dims),
+        list(range(n)),
+        [f"mov{i % 4}" for i in range(n)],
+        speaker_ids,
+        [f"lab{i % 3}" for i in range(n)],
+        {m: np.array(rows[m]).reshape(n, dims[m]) for m in MODALITY_ORDER},
+    )
 
 
 @pytest.fixture

@@ -135,10 +135,15 @@ class TestIngest:
         return runner.invoke(main, ["ingest", "--jsonl", str(jsonl), "--out", str(tmp_path / "o.mrfl")])
 
     def test_invalid_utf8_is_data_error(self, runner, tmp_path, rng):
-        result = self.ingest_lines(
-            runner, tmp_path, rng, lambda line: line.replace(b'"movie_id": "', b'"movie_id": "\xff')
-        )
-        assert_error_exit(result, 3, "edited.jsonl:1: invalid UTF-8")
+        # an undecodable byte, and a valid JSON escape that decodes to a lone surrogate
+        for inserted, message in (
+            (b"\xff", "edited.jsonl:1: invalid UTF-8"),
+            (b"\\ud800", "edited.jsonl:1: movie_id: invalid UTF-8"),
+        ):
+            result = self.ingest_lines(
+                runner, tmp_path, rng, lambda line: line.replace(b'"movie_id": "', b'"movie_id": "' + inserted)
+            )
+            assert_error_exit(result, 3, message)
 
     def test_non_integer_record_id_is_data_error(self, runner, tmp_path, rng):
         result = self.ingest_lines(
@@ -153,6 +158,13 @@ class TestIngest:
                 runner, tmp_path, rng, lambda line: line.replace(b'"face": [', b'"face": [' + entry + b", ")
             )
             assert_error_exit(result, 3, "edited.jsonl:1: face holds a non-numeric entry")
+
+    def test_record_id_out_of_range_is_data_error(self, runner, tmp_path, rng):
+        for record_id in (b"18446744073709551616", b"-1"):  # 2**64 and -1
+            result = self.ingest_lines(
+                runner, tmp_path, rng, lambda line: line.replace(b'"record_id": 0', b'"record_id": ' + record_id)
+            )
+            assert_error_exit(result, 3, "record_id must fit in 64 unsigned bits")
 
 
 class TestRetrieve:
@@ -259,6 +271,12 @@ class TestEncode:
         feats = doc["stages"][0]["features"]
         assert len(feats) == 3 and len(feats[0]) == 8
 
+    def test_bad_dim_is_usage_error(self, runner, tmp_path):
+        lib_path = gen_lib(runner, tmp_path / "lib.mrfl")
+        for dim in ("0", "-2"):
+            result = runner.invoke(main, ["encode", "--lib", str(lib_path), "--query-id", "0", "--dim", dim])
+            assert_error_exit(result, 2, "parameter sizes must be >= 1")
+
 
 class TestTrainToy:
     def test_loss_csv_and_checkpoint(self, runner, tmp_path):
@@ -283,6 +301,11 @@ class TestTrainToy:
         b = run_ok(runner, ["train-toy", "--seed", "4", "--steps", "10", "--dim", "16"])
         assert a.output == b.output
 
+    def test_bad_sizes_are_usage_errors(self, runner):
+        for flags in (["--dim", "0"], ["--mel-bins", "0"]):
+            result = runner.invoke(main, ["train-toy", "--steps", "2", *flags])
+            assert_error_exit(result, 2, "parameter sizes must be >= 1")
+
 
 class TestGradCheckCommand:
     def test_passes_at_default_operating_point(self, runner):
@@ -294,6 +317,15 @@ class TestGradCheckCommand:
             main, ["grad-check", "--dim", "6", "--length", "3", "--k", "1", "--tol", "0"]
         )
         assert result.exit_code == 4
+
+    def test_bad_dim_is_usage_error(self, runner):
+        result = runner.invoke(main, ["grad-check", "--dim", "0"])
+        assert_error_exit(result, 2, "parameter sizes must be >= 1")
+
+    def test_non_positive_eps_is_usage_error(self, runner):
+        for eps in ("0", "-1e-5"):
+            result = runner.invoke(main, ["grad-check", "--dim", "2", "--length", "2", "--k", "1", "--eps", eps])
+            assert_error_exit(result, 2, "finite-difference step must be > 0")
 
 
 class TestSweeps:

@@ -15,14 +15,13 @@ from emodub.library import (
     MODALITY_ORDER,
     load_library,
     read_jsonl,
-    record_from_vectors,
     save_library,
     synthetic_extract,
     uniform_schema,
     write_jsonl,
 )
 
-from conftest import make_record, random_library
+from conftest import random_library
 
 # Frozen offline from the documented PRNG algorithm: seed=7, key="a", scene, dim=8.
 EXPECTED_SCENE_7A = [
@@ -84,29 +83,35 @@ class TestEmotionVector:
         assert a == EmotionVector(Modality.FACE, [0.0, 1.0])
 
 
-def extracted_vectors(seed, content_key, dim):
-    """One record's vectors from the synthetic extractor, keyed by content."""
-    return {m: synthetic_extract(seed, content_key, m, dim).values for m in MODALITY_ORDER}
+def extracted_columns(seed, content_keys, dim):
+    """Per-modality vector arrays with one synthetic-extractor row per content key."""
+    return {
+        m: np.array([synthetic_extract(seed, key, m, dim).values for key in content_keys])
+        for m in MODALITY_ORDER
+    }
 
 
 class TestBuildRecord:
     def test_duplicate_id_rejected(self):
-        lib = FootageLibrary(uniform_schema(4))
-        lib.add(record_from_vectors(1, "m", "s", None, extracted_vectors(0, "a", 4)))
         with pytest.raises(SchemaError, match="duplicate"):
-            lib.add(record_from_vectors(1, "m", "s", None, extracted_vectors(0, "b", 4)))
+            FootageLibrary.from_columns(
+                uniform_schema(4), [1, 1], ["m"] * 2, ["s"] * 2, [None] * 2,
+                extracted_columns(0, ["a", "b"], 4),
+            )
 
     def test_wrong_extractor_dim_rejected(self):
-        lib = FootageLibrary(uniform_schema(4))
-        rec = record_from_vectors(1, "m", "s", None, extracted_vectors(0, "a", 6))  # dim 6 into dim 4
         with pytest.raises(SchemaError, match="dimension mismatch"):
-            lib.add(rec)
+            FootageLibrary.from_columns(
+                uniform_schema(4), [1], ["m"], ["s"], [None],
+                extracted_columns(0, ["a"], 6),  # dim 6 into dim 4
+            )
 
     def test_precomputed_vectors_stored_unchanged(self, rng):
-        vectors = {m: rng.normal(size=5) for m in MODALITY_ORDER}
-        rec = record_from_vectors(9, "m", "s", "lab", vectors)
+        vectors = {m: rng.normal(size=(1, 5)) for m in MODALITY_ORDER}
+        payloads = {m: v.tobytes() for m, v in vectors.items()}
+        lib = FootageLibrary.from_columns(uniform_schema(5), [9], ["m"], ["s"], ["lab"], vectors)
         for m in MODALITY_ORDER:
-            assert rec.vector(m).values.tobytes() == vectors[m].tobytes()
+            assert lib.records[0].vector(m).values.tobytes() == payloads[m]
 
 
 class TestIndexConsistency:
@@ -145,9 +150,8 @@ class TestBinaryRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unicode_and_empty_strings(self, rng, tmp_path):
-        lib = FootageLibrary(uniform_schema(3))
-        vectors = {m: rng.normal(size=3) for m in MODALITY_ORDER}
-        lib.add(make_record(5, vectors, speaker_id="", movie_id="ドラマ", label=None))
+        vectors = {m: rng.normal(size=(1, 3)) for m in MODALITY_ORDER}
+        lib = FootageLibrary.from_columns(uniform_schema(3), [5], ["ドラマ"], [""], [None], vectors)
         path = tmp_path / "uni.mrfl"
         save_library(lib, path)
         loaded = load_library(path)

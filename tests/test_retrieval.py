@@ -25,7 +25,7 @@ from emodub.retrieval import (
     text_criterion,
 )
 
-from conftest import make_record, random_library
+from conftest import random_library
 
 
 def vec(values, modality=Modality.SCENE):
@@ -158,16 +158,19 @@ class TestRetrieveModality:
         assert_matches_oracle(got, want)
 
     def test_tie_break_by_ascending_id(self, rng):
-        lib = random_library(rng, 1)
-        base = lib.records[0]
-        # two extra records with scene vectors identical to the query's
-        from conftest import make_record
-
-        for rid in (7, 5):
-            vectors = {m: rng.normal(size=8) for m in MODALITY_ORDER}
-            vectors[Modality.SCENE] = base.scene.values.copy()
-            lib.add(make_record(rid, vectors))
-        q = Query.from_record(base, exclude_self=False)
+        base = random_library(rng, 1).records[0]
+        # records 7 and 5 with scene vectors (modality 0) identical to the query's
+        extra = rng.normal(size=(2, len(MODALITY_ORDER), 8))
+        extra[:, 0] = base.scene.values
+        lib = FootageLibrary.from_columns(
+            {m: 8 for m in MODALITY_ORDER},
+            [0, 7, 5],
+            [base.movie_id, "m0", "m0"],
+            [base.speaker_id, "spk0", "spk0"],
+            [base.emotion_label, None, None],
+            {m: np.vstack([base.vector(m).values, extra[:, j]]) for j, m in enumerate(MODALITY_ORDER)},
+        )
+        q = Query.from_record(lib.records[0], exclude_self=False)
         got = retrieve_modality(lib, q, "scene", k=3)
         # records 0, 5, 7 all score exactly 1.0 under cosine; ids ascend
         assert [rid for rid, _ in got] == [0, 5, 7]
@@ -328,10 +331,11 @@ class TestNearTies:
         n = len(tables[Modality.SCENE])
         for table in tables.values():
             r.shuffle(table)
-        lib = FootageLibrary({m: dim for m in MODALITY_ORDER})
-        for i, rid in enumerate(r.permutation(n).tolist()):
-            vectors = {m: tables[m][i] for m in MODALITY_ORDER}
-            lib.add(make_record(rid, vectors, speaker_id=f"spk{r.integers(2)}"))
+        ids = r.permutation(n).tolist()
+        speakers = [f"spk{r.integers(2)}" for _ in ids]
+        lib = FootageLibrary.from_columns(
+            {m: dim for m in MODALITY_ORDER}, ids, ["m0"] * n, speakers, [None] * n, tables
+        )
         q = Query.from_record(lib.records[int(r.integers(n))], exclude_self=exclude_self)
         got = retrieve_modality(lib, q, channel, k, metric, mode)
         want = brute_force_rank(lib, q, channel, k, metric, mode)
