@@ -382,9 +382,11 @@ def uniform_init(rng: SplitMix64, rows: int, cols: int, d_in: int) -> np.ndarray
             f"parameter sizes must be >= 1, got rows={rows}, cols={cols}, d_in={d_in}"
         )
     bound = math.sqrt(1.0 / d_in)
-    return np.array(
-        [[rng.next_uniform(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-    )
+    # lo + (hi - lo) * f with lo = -bound, hi = bound, in place (+ and * commute exactly).
+    out = rng.floats(rows * cols).reshape(rows, cols)
+    out *= bound - -bound
+    out += -bound
+    return out
 
 
 @dataclass

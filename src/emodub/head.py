@@ -140,8 +140,7 @@ def stub_aligned_sequence(seed: int, length: int, dim: int) -> Tensor:
     if length < 1:
         raise ArgumentError(f"sequence length must be >= 1, got {length}")
     rng = stream(seed, "aligned")
-    data = np.array([[rng.next_signed_unit() for _ in range(dim)] for _ in range(length)])
-    return Tensor(data)
+    return Tensor((2.0 * rng.floats(length * dim) - 1.0).reshape(length, dim))
 
 
 def toy_mel_head(fused: Tensor, params: HeadParams) -> Tensor:
@@ -211,7 +210,7 @@ def make_toy_batch(
     """
     retrieved = retrieve_all(lib, query, k, metric, mode)
     rng = stream(seed, "mel-target")
-    target = np.array([[rng.next_signed_unit() for _ in range(n_mel)] for _ in range(length)])
+    target = (2.0 * rng.floats(length * n_mel) - 1.0).reshape(length, n_mel)
     return ToyBatch(
         scene=query.scene.values,
         face=query.face.values,

@@ -102,7 +102,7 @@ def synthetic_extract(seed: int, content_key: str, modality: Modality, dim: int)
     """
     _check_dim(dim, minimum=2)
     rng = stream(seed, content_key, modality.value)
-    return EmotionVector(modality, [rng.next_signed_unit() for _ in range(dim)])
+    return EmotionVector(modality, 2.0 * rng.floats(dim) - 1.0)
 
 
 def _row_vector(modality: Modality, row: np.ndarray) -> EmotionVector:
@@ -447,17 +447,26 @@ def _require_utf8(text: str, where: str) -> None:
             raise FormatError(f"{where}: invalid UTF-8") from None
 
 
+#: The Python types :func:`json.loads` gives JSON numbers (``bool`` is not one).
+_JSON_NUMBERS = frozenset((int, float))
 _JSONL_FIELDS = ("record_id", "movie_id", "speaker_id", *(m.value for m in MODALITY_ORDER))
 
 
 def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
     """Ingest precomputed vectors; schema inferred from the first record if absent.
 
-    A malformed line raises :class:`FormatError` naming ``path:line``.
+    A malformed line raises :class:`FormatError` naming ``path:line``:
+    ``record_id`` must be a JSON integer in ``[0, 2**64)`` and vector
+    entries JSON numbers (booleans and numeric strings are rejected, not
+    converted). A repeated ``record_id`` raises :class:`SchemaError`
+    naming its second line.
     """
     if schema is not None:
         _check_schema(schema)
     ids, movies, speakers, labels = [], [], [], []
+    # The ids read so far; dropped before the library builds its own id index.
+    # Their line numbers are not kept: 10^4 more small objects raised peak RSS.
+    seen: set[int] = set()
     rows: dict[Modality, list[np.ndarray]] = {m: [] for m in MODALITY_ORDER}
     # Undecodable bytes become lone surrogates here, which no valid UTF-8 text holds.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -479,21 +488,25 @@ def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
             label = obj.get("emotion_label")
             if label is not None and not isinstance(label, str):
                 raise FormatError(f"{where}: emotion_label must be a string or null")
-            try:
-                record_id = int(obj["record_id"])
-            except (TypeError, ValueError, OverflowError):
-                raise FormatError(
-                    f"{where}: record_id {obj['record_id']!r} is not an integer"
-                ) from None
+            record_id = obj["record_id"]
+            if type(record_id) is not int:  # a JSON integer; bool is not one
+                raise FormatError(f"{where}: record_id {record_id!r} is not an integer")
+            if not 0 <= record_id < 1 << 64:
+                raise FormatError(f"{where}: record_id must fit in 64 unsigned bits, got {record_id}")
+            if record_id in seen:
+                raise SchemaError(f"{where}: duplicate record_id {record_id}")
+            seen.add(record_id)
             parsed = {}
             for m in MODALITY_ORDER:
-                try:
-                    vec = np.asarray(obj[m.value], dtype=np.float64)
-                except (TypeError, ValueError, OverflowError):
-                    raise FormatError(f"{where}: {m.value} holds a non-numeric entry") from None
-                if vec.ndim != 1:
+                values = obj[m.value]
+                if not isinstance(values, list):
                     raise FormatError(f"{where}: {m.value} is not a flat list of numbers")
-                parsed[m] = vec
+                if not _JSON_NUMBERS.issuperset(map(type, values)):
+                    raise FormatError(f"{where}: {m.value} holds a non-numeric entry")
+                try:
+                    parsed[m] = np.asarray(values, dtype=np.float64)
+                except OverflowError:  # an integer beyond float64
+                    raise FormatError(f"{where}: {m.value} holds a non-numeric entry") from None
             if schema is None:
                 schema = {m: vec.shape[0] for m, vec in parsed.items()}
                 _check_schema(schema)
@@ -511,6 +524,7 @@ def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
             movies.append(movie)
             speakers.append(speaker)
             labels.append(label)
+    del seen
     if schema is None:
         raise FormatError(f"{path}: no records and no schema given")
     vectors = {m: np.array(rows[m]).reshape(len(ids), schema[m]) for m in MODALITY_ORDER}

@@ -15,27 +15,46 @@ reproduce every draw:
 * stream keying (see :func:`stream`): ``h = mix64(seed)``; for each token,
   take its bytes (UTF-8 for strings, 8-byte little-endian for ints), then
   ``h = mix64(h ^ len(bytes))`` followed by ``h = mix64(h ^ b)`` per byte.
-* float in ``[0, 1)``: ``u64 / 2**64``; signed unit in ``[-1, 1)``:
-  ``2 * float - 1``. Both use exact IEEE-754 operations.
+* float: ``u64 / 2**64``, the u64 rounded to the nearest float64 (ties to
+  even) and scaled exactly. This lies in ``[0, 1)`` except for the top
+  ``2**10`` outputs, which round up to exactly ``1.0``.
+
+Bulk draws (:meth:`SplitMix64.floats`) equal ``n`` scalar draws bit for
+bit and leave the stream where those ``n`` draws would. They compute state
+``i`` as ``state + i * 0x9E3779B97F4A7C15`` and run :func:`mix64` on numpy
+uint64 arrays, whose arithmetic wraps mod 2**64, in chunks of 4,096
+draws written into one preallocated output, so the uint64 temporaries
+stay a few tens of kilobytes whatever ``n`` is. Callers derive
+every other range with exact IEEE-754 operations on the floats, e.g.
+``2 * f - 1`` for a signed unit.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ArgumentError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO64 = 2.0**64
+_CHUNK = 4096
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer: avalanche a 64-bit value."""
+def mix64(z):
+    """SplitMix64 finalizer: avalanche a 64-bit value, or each entry of a
+    uint64 array in place (one temporary per step keeps bulk draws lean)."""
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z &= _MASK64
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= _MASK64
+    z ^= z >> 31
+    return z
 
 
 class SplitMix64:
@@ -51,17 +70,18 @@ class SplitMix64:
         self._state = (self._state + _GOLDEN) & _MASK64
         return mix64(self._state)
 
-    def next_float(self) -> float:
-        """Uniform in [0, 1)."""
-        return self.next_u64() / _TWO64
-
-    def next_signed_unit(self) -> float:
-        """Uniform in [-1, 1)."""
-        return 2.0 * self.next_float() - 1.0
-
-    def next_uniform(self, lo: float, hi: float) -> float:
-        """Uniform in [lo, hi)."""
-        return lo + (hi - lo) * self.next_float()
+    def floats(self, n: int) -> np.ndarray:
+        """The next ``n`` outputs as float64 ``u64 / 2**64``, bit-identical to
+        ``n`` calls of ``next_u64() / 2**64``; a pending gaussian spare is kept."""
+        out = np.empty(n)
+        for start in range(0, n, _CHUNK):
+            m = min(_CHUNK, n - start)
+            z = np.arange(1, m + 1, dtype=np.uint64)
+            z *= _GOLDEN
+            z += self._state
+            np.divide(mix64(z), _TWO64, out=out[start : start + m])
+            self._state = (self._state + m * _GOLDEN) & _MASK64
+        return out
 
     def next_below(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""

@@ -10,6 +10,7 @@ surrogate signal, not a reproduction of any speech-model metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,8 @@ def generate_clustered_library(spec: ClusterSpec) -> FootageLibrary:
             f"cluster count {spec.clusters} exceeds dimension {spec.dim}; "
             "orthogonal centroid placement needs clusters <= dim"
         )
-    if spec.separation < 0.0:
-        raise ArgumentError(f"separation must be >= 0, got {spec.separation}")
+    if not (math.isfinite(spec.separation) and spec.separation >= 0.0):
+        raise ArgumentError(f"separation must be finite and >= 0, got {spec.separation}")
     if spec.speakers < 1:
         raise ArgumentError(f"speaker count must be >= 1, got {spec.speakers}")
     radius = spec.separation / np.sqrt(2.0)

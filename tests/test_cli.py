@@ -91,6 +91,15 @@ class TestGenSynthetic:
         assert_error_exit(result, 2, "invalid MRFL_DIM_OVERRIDE entry 'abc'")
 
 
+    def test_non_finite_or_negative_separation_is_usage_error(self, runner, tmp_path):
+        for value in ("nan", "inf", "-inf", "-1"):
+            result = runner.invoke(
+                main, ["gen-synthetic", "--out", str(tmp_path / "x.mrfl"), "--separation", value]
+            )
+            assert_error_exit(result, 2, "separation must be finite and >= 0")
+        assert not (tmp_path / "x.mrfl").exists()
+
+
 class TestIngest:
     def test_jsonl_to_binary(self, runner, tmp_path, rng):
         from conftest import random_library
@@ -159,12 +168,44 @@ class TestIngest:
             )
             assert_error_exit(result, 3, "edited.jsonl:1: face holds a non-numeric entry")
 
+    def test_record_id_that_json_does_not_type_as_integer_is_data_error(self, runner, tmp_path, rng):
+        # each of these used to be converted by int() and ingest as id 1, 1, 7 and 2
+        for record_id, shown in ((b"1.5", "1.5"), (b"true", "True"), (b'"7"', "'7'"), (b"2.0", "2.0")):
+            result = self.ingest_lines(
+                runner, tmp_path, rng, lambda line: line.replace(b'"record_id": 0', b'"record_id": ' + record_id)
+            )
+            assert_error_exit(result, 3, f"edited.jsonl:1: record_id {shown} is not an integer")
+
+    def test_vector_entry_that_is_not_a_json_number_is_data_error(self, runner, tmp_path, rng):
+        # a numeric string and a bool used to be converted to 1.5 and 1.0
+        for entry in (b'"1.5"', b"true", b"null", b"[1.0]"):
+            result = self.ingest_lines(
+                runner, tmp_path, rng, lambda line: line.replace(b'"face": [', b'"face": [' + entry + b", ")
+            )
+            assert_error_exit(result, 3, "edited.jsonl:1: face holds a non-numeric entry")
+
+    def test_vector_that_is_not_a_list_is_data_error(self, runner, tmp_path, rng):
+        for value in (b'"0.5"', b"0.5", b"{}"):
+            result = self.ingest_lines(
+                runner, tmp_path, rng, lambda line: line.replace(b'"face": [', b'"face": ' + value + b', "x": [')
+            )
+            assert_error_exit(result, 3, "edited.jsonl:1: face is not a flat list of numbers")
+
+    def test_duplicate_record_id_names_second_line(self, runner, tmp_path, rng):
+        from conftest import random_library
+
+        jsonl = tmp_path / "dup.jsonl"
+        write_jsonl(random_library(rng, 3), jsonl)
+        jsonl.write_bytes(jsonl.read_bytes().replace(b'"record_id": 2', b'"record_id": 0'))
+        result = runner.invoke(main, ["ingest", "--jsonl", str(jsonl), "--out", str(tmp_path / "o.mrfl")])
+        assert_error_exit(result, 3, "dup.jsonl:3: duplicate record_id 0")
+
     def test_record_id_out_of_range_is_data_error(self, runner, tmp_path, rng):
         for record_id in (b"18446744073709551616", b"-1"):  # 2**64 and -1
             result = self.ingest_lines(
                 runner, tmp_path, rng, lambda line: line.replace(b'"record_id": 0', b'"record_id": ' + record_id)
             )
-            assert_error_exit(result, 3, "record_id must fit in 64 unsigned bits")
+            assert_error_exit(result, 3, "edited.jsonl:1: record_id must fit in 64 unsigned bits")
 
 
 class TestRetrieve:
@@ -305,6 +346,12 @@ class TestTrainToy:
         for flags in (["--dim", "0"], ["--mel-bins", "0"]):
             result = runner.invoke(main, ["train-toy", "--steps", "2", *flags])
             assert_error_exit(result, 2, "parameter sizes must be >= 1")
+
+
+    def test_non_finite_separation_is_usage_error(self, runner):
+        for value in ("nan", "inf"):
+            result = runner.invoke(main, ["train-toy", "--steps", "2", "--separation", value])
+            assert_error_exit(result, 2, "separation must be finite and >= 0")
 
 
 class TestGradCheckCommand:

@@ -1,0 +1,69 @@
+"""Golden SHA-256 digests of seeded draws.
+
+These outputs use only SplitMix64 and exact IEEE-754 operations, so their
+bytes do not depend on the platform, numpy version or BLAS. The digests were
+recorded from the scalar per-entry draw; any change to how parameters,
+stub sequences, mel targets or synthetic vectors are drawn must reproduce
+them bit for bit.
+"""
+
+import hashlib
+
+import numpy as np
+
+from emodub.head import PipelineParams, make_toy_batch, stub_aligned_sequence
+from emodub.library import Modality, synthetic_extract
+from emodub.retrieval import Query
+from emodub.rng import stream
+from emodub.synthetic import ClusterSpec, generate_clustered_library
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a, dtype="<f8")
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def small_library():
+    return generate_clustered_library(ClusterSpec(n=12, clusters=3, separation=8.0, dim=4, seed=0))
+
+
+def test_pipeline_init_dim64():
+    model = PipelineParams.init_for_library(small_library(), 64, stream(0, "params"), n_mel=80)
+    params = model.parameters()
+    names = hashlib.sha256("\n".join(p.name for p in params).encode()).hexdigest()
+    assert names == NAMES_DIM64
+    assert digest(*(p.data for p in params)) == PARAMS_DIM64
+
+
+def test_stub_aligned_sequence():
+    assert digest(stub_aligned_sequence(3, 8, 64).data) == STUB_3_8_64
+
+
+def test_toy_batch_mel_target():
+    lib = small_library()
+    batch = make_toy_batch(lib, Query.from_record(lib.records[0]), 5, 7, 16, 80, k=2)
+    assert digest(batch.target_mel) == MEL_TARGET_5
+
+
+def test_synthetic_extract():
+    vectors = [
+        synthetic_extract(seed, key, modality, dim).values
+        for seed, key, modality, dim in [
+            (7, "a", Modality.SCENE, 8),
+            (0, "clip-001", Modality.FACE, 64),
+            (2**40 + 3, "ünïcode", Modality.TEXT_REACT, 2),
+            (11, "", Modality.AUDIO, 257),
+        ]
+    ]
+    assert digest(*vectors) == SYNTHETIC_EXTRACT
+
+
+NAMES_DIM64 = "04c4a5d61d481112fa32e9bd7dd45a4cddaae5b842a617ec667cd9414f81a942"
+PARAMS_DIM64 = "97db654312294d492b377e7549106e56c5e685d4355cb3ebae5fbca84f52544e"
+STUB_3_8_64 = "91ece463477f6523e5f154d6aa32c403abc4133240d9fede0202478e6f9adefb"
+MEL_TARGET_5 = "5df7973d716fbe7dcfdd35c5a7ce139412be760d249f727839531856684df0e4"
+SYNTHETIC_EXTRACT = "38b44d823fa55f8f3bebd225281d3d953313ac3b23637db8ba93a6c4c640fb99"

@@ -5,10 +5,12 @@ independently of the package code; the frozen constants were computed
 offline from the same description before the package was written.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emodub.errors import ArgumentError
-from emodub.rng import SplitMix64, mix64, stream
+from emodub.rng import _CHUNK, SplitMix64, mix64, stream
 
 M64 = (1 << 64) - 1
 
@@ -78,12 +80,68 @@ def test_int_tokens_key_streams():
 
 
 def test_float_ranges():
-    gen = SplitMix64(123)
-    floats = [gen.next_float() for _ in range(1000)]
-    assert all(0.0 <= f < 1.0 for f in floats)
-    gen = SplitMix64(123)
-    units = [gen.next_signed_unit() for _ in range(1000)]
-    assert all(-1.0 <= u < 1.0 for u in units)
+    floats = SplitMix64(123).floats(1000)
+    assert floats.dtype == np.float64 and floats.shape == (1000,)
+    assert ((0.0 <= floats) & (floats < 1.0)).all()
+    units = 2.0 * SplitMix64(123).floats(1000) - 1.0
+    assert ((-1.0 <= units) & (units < 1.0)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, M64),
+    n=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]),
+)
+def test_bulk_floats_equal_scalar_draws(seed, n):
+    bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+    expected = np.array([scalar.next_u64() / 2**64 for _ in range(n)])
+    assert bulk.floats(n).tobytes() == expected.tobytes()
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, M64), n=st.sampled_from([0, 1, _CHUNK + 1]))
+def test_bulk_draw_keeps_gaussian_spare(seed, n):
+    ref = SplitMix64(seed)
+    ref.next_gaussian()
+    spare = ref.next_gaussian()
+    skipped = np.array([ref.next_u64() / 2**64 for _ in range(n)])
+    gen = SplitMix64(seed)
+    gen.next_gaussian()
+    assert gen.floats(n).tobytes() == skipped.tobytes()
+    assert gen.next_gaussian() == spare
+    assert gen.next_u64() == ref.next_u64()
+
+
+def unshift(y, s):
+    """Invert ``y = x ^ (x >> s)`` on 64-bit values."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def unmix64(z):
+    """The state whose :func:`mix64` is ``z``."""
+    z = unshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 2**64)) & M64
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & M64
+    return unshift(z, 30)
+
+
+@pytest.mark.parametrize(
+    "u",
+    [0, 1, M64, 2**53 + 1, 2**63 + 2**10, 2**63 + 3 * 2**10, 2**64 - 2**10, 2**64 - 2**10 - 1],
+)
+@pytest.mark.parametrize("position", [0, 5, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 3])
+def test_bulk_float_rounding_matches_python(u, position):
+    # Round-to-nearest-even ties: 2**53 + 1, 2**63 + 2**10 and 2**63 + 3 * 2**10
+    # sit halfway between float64 neighbours; the top 2**10 outputs round to 1.0.
+    assert mix64(unmix64(u)) == u
+    state = (unmix64(u) - (position + 1) * 0x9E3779B97F4A7C15) & M64
+    out = SplitMix64(state).floats(position + 1)
+    assert out[position].hex() == (u / 2**64).hex()
 
 
 def test_next_below_bounds_and_rejection():
