@@ -319,6 +319,8 @@ def _build_toy_fixture(seed, k, dim, mel_bins, length, lib_size, clusters, separ
 @_handle_errors
 def cmd_grad_check(seed, dim, length, k, mel_bins, eps, tol):
     """Finite-difference check of the full pipeline gradient."""
+    if not tol > 0.0:
+        raise ArgumentError(f"gradient tolerance must be > 0, got {tol}")
     batch, model = _build_toy_fixture(
         seed, k, dim, mel_bins, length, lib_size=12, clusters=3, separation=8.0, vec_dim=4,
         metric=Metric.COSINE,

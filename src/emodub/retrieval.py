@@ -7,29 +7,20 @@ similarities. Every hit also carries the candidate's stored audio vector,
 matched by index lookup, so downstream consumers get the direct audio
 signal for each indirect hit.
 
-A channel is searched in three steps over the library's column arrays
-(see :class:`~emodub.library.FootageLibrary`):
+Every score has one definition, down to the order of its float64
+operations: each inner product or squared norm adds the elementwise
+products left to right over the d dimensions (:func:`_sum`), each product
+and addition rounded once, with no fused multiply-add; the square root
+and the division follow. :func:`similarity` and :func:`text_criterion`
+evaluate it on Python floats. A channel scan runs the same operations on
+the columns of the library's N×d array, one dimension at a time across
+all candidates, so each candidate gets exactly the bits
+:func:`similarity` gives it alone, whatever the BLAS or the CPU. The
+pool's top K are ordered by (score desc, record_id asc).
 
-1. *Scan*: one matrix-vector product per modality scores every candidate,
-   and each fast score comes with a bound on its distance from the scalar
-   :func:`similarity` (or :func:`text_criterion`) of the same pair, derived
-   from the float64 rounding error of a dot product (see
-   :func:`_fast_scores`).
-2. *Band*: with ``t`` the K-th largest of (fast score - bound) over the
-   candidate pool, the band is every candidate whose fast score + bound
-   reaches ``t``. No candidate outside it can be in the top K. If any fast
-   score or bound is non-finite, the band is the whole pool.
-3. *Re-score*: the band is scored again with the scalar functions and
-   ordered by (score descending, record_id ascending).
-
-The re-score is needed because the matrix product sums in another order
-than the scalar path, so its scores can differ in the last bits: returning
-them would change the 17-digit scores of the ``retrieve`` CSV, and
-near-ties could change places against a brute-force sort. The scalar
-functions therefore stay the reference definitions, and every ranking
-equals a full sort of the pool by them, errors included: a zero-norm
-candidate under cosine gives a non-finite bound, so the whole pool is
-re-scored and :func:`similarity` raises as it would in a full scan.
+Errors are those of a full scalar scan of the pool, at its first rejected
+row: under cosine a zero squared norm is an ``ArgumentError``, and a NaN
+score (from sums that overflow) a ``NumericError``, so no NaN is sorted.
 """
 
 from __future__ import annotations
@@ -40,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ArgumentError, SchemaError
+from .errors import ArgumentError, NumericError, SchemaError
 from .library import EmotionVector, FootageLibrary, FootageRecord, Modality
 
 #: The three retrieval channels, in documented order.
@@ -58,30 +49,40 @@ class Mode(Enum):
     SPEAKER_SPECIFIC = "specific"
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.dot(a, b))
+def _sum(terms):
+    """The terms added left to right, each addition rounded once.
+
+    The terms are Python floats, or fresh arrays holding one term per
+    candidate (the first is updated in place): numpy's elementwise add
+    rounds like Python's float add, so every candidate gets the bits of its
+    own scalar sum. Python's ``sum`` is compensated from 3.12 on.
+    """
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
 
 
 def similarity(metric: Metric, a: EmotionVector, b: EmotionVector) -> float:
     """Score a pair of vectors; higher is always better.
 
-    Cosine: dot(a, b) / (|a| * |b|), requires both norms > 0.
+    Cosine: dot(a, b) / (|a| * |b|), requires both squared norms > 0.
     Dot: plain inner product. NegEuclidean: negated L2 distance, so the
-    max-K interface is shared by all three metrics.
+    max-K interface is shared by all three metrics. This is the reference
+    definition, evaluated on Python floats (see the module docstring).
     """
-    va, vb = a.values, b.values
-    if va.shape[0] != vb.shape[0]:
-        raise SchemaError(f"similarity dim mismatch: {va.shape[0]} vs {vb.shape[0]}")
+    va, vb = a.values.tolist(), b.values.tolist()
+    if len(va) != len(vb):
+        raise SchemaError(f"similarity dim mismatch: {len(va)} vs {len(vb)}")
     if metric is Metric.COSINE:
-        na = math.sqrt(_dot(va, va))
-        nb = math.sqrt(_dot(vb, vb))
-        if na == 0.0 or nb == 0.0:
+        aa, bb = _sum(x * x for x in va), _sum(y * y for y in vb)
+        if aa == 0.0 or bb == 0.0:
             raise ArgumentError("cosine similarity is undefined for a zero vector")
-        return _dot(va, vb) / (na * nb)
+        return _sum(x * y for x, y in zip(va, vb)) / (math.sqrt(aa) * math.sqrt(bb))
     if metric is Metric.DOT:
-        return _dot(va, vb)
-    diff = va - vb
-    return -math.sqrt(_dot(diff, diff))
+        return _sum(x * y for x, y in zip(va, vb))
+    return -math.sqrt(_sum(d * d for d in (x - y for x, y in zip(va, vb))))
 
 
 def text_criterion(
@@ -119,30 +120,18 @@ class Query:
         )
 
     def validate(self, lib: FootageLibrary, metric: Metric) -> None:
-        pairs = (
-            (self.scene, Modality.SCENE),
-            (self.face, Modality.FACE),
-            (self.text_self, Modality.TEXT_SELF),
-            (self.text_react, Modality.TEXT_REACT),
-        )
-        for vec, modality in pairs:
+        for modality in (Modality.SCENE, Modality.FACE, Modality.TEXT_SELF, Modality.TEXT_REACT):
+            vec = getattr(self, modality.value)
             want = lib.schema[modality]
             if vec.dim != want:
                 raise SchemaError(
                     f"query {modality.value} dim {vec.dim} does not match schema dim {want}"
                 )
-            if metric is Metric.COSINE and not np.any(vec.values):
+            if metric is Metric.COSINE and _sum(x * x for x in vec.values.tolist()) == 0.0:
                 raise ArgumentError(
-                    f"query {modality.value} is all-zero; undefined under cosine"
+                    f"cosine similarity is undefined for a zero vector: query {modality.value}"
                 )
 
-
-_U = 2.0**-53  # unit roundoff of float64
-_ETA = 2.0**-1074  # smallest subnormal; bounds the error of one underflowing operation
-# Squared norms in [_TINY, _HUGE] keep every cosine partial sum finite and
-# every underflow far below the cosine bound.
-_TINY = 2.0**-900
-_HUGE = 2.0**1000
 
 #: The modalities each channel scores: one vector, or the text halves.
 _CHANNEL_MODALITIES: dict[str, tuple[Modality, ...]] = {
@@ -152,88 +141,34 @@ _CHANNEL_MODALITIES: dict[str, tuple[Modality, ...]] = {
 }
 
 
-def _overflow(x: np.ndarray, c: float) -> np.ndarray:
-    """``inf`` where the non-negative sum ``x`` is within a factor ``1 + c``
-    of overflowing, else 0."""
-    return np.where(np.isfinite(x * (1.0 + c)), 0.0, np.inf)
+def _channel_scores(lib: FootageLibrary, query: Query, channel: str, metric: Metric):
+    """Every library row's score in the channel, bit for bit that of
+    :func:`similarity` or :func:`text_criterion`, and under cosine which
+    rows have a zero squared norm."""
+    scores, zero = [], np.zeros(len(lib), dtype=bool)
+    for modality in _CHANNEL_MODALITIES[channel]:
+        q = getattr(query, modality.value).values.tolist()
+        columns = lib.matrix(modality).T  # columns[j]: entry j of every row
+        if metric is Metric.NEG_EUCLIDEAN:
+            scores.append(-np.sqrt(_sum(d * d for d in (x - c for x, c in zip(q, columns)))))
+            continue
+        dot = _sum(x * c for x, c in zip(q, columns))
+        if metric is Metric.COSINE:
+            squared = _sum(c * c for c in columns)
+            zero |= squared == 0.0
+            dot = dot / (math.sqrt(_sum(x * x for x in q)) * np.sqrt(squared))
+        scores.append(dot)
+    return (scores[0] if len(scores) == 1 else 0.5 * (scores[0] + scores[1])), zero
 
 
-def _fast_scores(metric: Metric, rows: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of ``q`` against every row, and per row a bound on the
-    distance to ``similarity(metric, q, row)``.
-
-    Any float64 evaluation of a d-term dot product, in any order and with or
-    without fused multiply-adds, lies within ``g * sum|q_i r_i| + d * eta``
-    of the exact value, where ``g = d*u / (1 - d*u)``, ``u`` is the unit
-    roundoff and ``eta`` the smallest subnormal. The matrix product and the
-    scalar path both obey it, so they differ by at most twice that; each
-    bound below is at least twice that again, which also covers the
-    rounding of the bound and band arithmetic. Per metric:
-
-    * dot: ``c * sum|q_i r_i| + 4 d eta`` with ``c = 4 (d + 2) u``;
-    * euclid: the differences are the scalar path's own, and the squared
-      distance obeys the sum bound, so ``c * dist + 4 sqrt(d eta)``;
-    * cosine: both evaluations lie within ``(2d + 4) u`` of the exact
-      cosine while every squared norm is in ``[_TINY, _HUGE]``, so
-      ``8 (d + 4) u``, and ``inf`` outside that range (zero norms included).
-
-    The dot and euclid bounds are ``inf`` where a sum could overflow.
-    """
-    d = q.shape[0]
-    c = 4 * (d + 2) * _U
-    if metric is Metric.DOT:
-        size = np.abs(rows) @ np.abs(q)
-        return rows @ q, c * size + _overflow(size, c) + 4 * d * _ETA
-    if metric is Metric.NEG_EUCLIDEAN:
-        diff = q - rows
-        squared = np.einsum("ij,ij->i", diff, diff)
-        dist = np.sqrt(squared)
-        return -dist, c * dist + _overflow(squared, c) + 4 * math.sqrt(d * _ETA)
-    squared = np.einsum("ij,ij->i", rows, rows)
-    q_squared = float(np.dot(q, q))
-    fast = (rows @ q) / (math.sqrt(q_squared) * np.sqrt(squared))
-    in_range = (squared >= _TINY) & (squared <= _HUGE) & (_TINY <= q_squared <= _HUGE)
-    return fast, np.where(in_range, 8 * (d + 4) * _U, np.inf)
-
-
-def _channel_scan(lib: FootageLibrary, query: Query, modalities, metric: Metric):
-    """Fast scores and bounds of one channel for every library row."""
-    parts = [_fast_scores(metric, lib.matrix(m), getattr(query, m.value).values) for m in modalities]
-    if len(parts) == 1:
-        return parts[0]
-    (f_self, b_self), (f_react, b_react) = parts
-    # the scalar path rounds the sum and the halving once more each
-    bound = b_self + b_react + 2 * _U * (np.abs(f_self) + np.abs(f_react)) + 2 * _ETA
-    return 0.5 * (f_self + f_react), bound
-
-
-def _candidate_rows(lib: FootageLibrary, query: Query, mode: Mode) -> np.ndarray:
-    """Ascending library rows of the candidate pool."""
-    if mode is Mode.SPEAKER_SPECIFIC:
-        keep = lib.speaker_mask(query.speaker_id)
-    else:
-        keep = np.ones(len(lib), dtype=bool)
+def _pool_mask(lib: FootageLibrary, query: Query, mode: Mode) -> np.ndarray:
+    """Boolean row mask of the candidate pool."""
+    keep = lib.speaker_mask(query.speaker_id) if mode is Mode.SPEAKER_SPECIFIC else np.ones(len(lib), dtype=bool)
     for record_id in query.exclude_ids:
         row = lib.id_index.get(record_id)
         if row is not None:
             keep[row] = False
-    return np.flatnonzero(keep)
-
-
-def _band(fast: np.ndarray, bound: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the candidates that can be in the top ``k``: all of
-    them when any fast score or bound is non-finite."""
-    if not (np.isfinite(fast).all() and np.isfinite(bound).all()):
-        return np.arange(fast.size)
-    floor = fast - bound
-    kth = np.partition(floor, floor.size - k)[floor.size - k]
-    return np.flatnonzero(fast + bound >= kth)
-
-
-def _reference_score(metric: Metric, query_vectors, rec: FootageRecord, modalities) -> float:
-    if len(modalities) == 1:
-        return similarity(metric, query_vectors[0], rec.vector(modalities[0]))
-    return text_criterion(metric, *query_vectors, *(rec.vector(m) for m in modalities))
+    return keep
 
 
 def retrieve_modality(
@@ -249,30 +184,36 @@ def retrieve_modality(
     Candidates are all records minus ``query.exclude_ids``, restricted to
     the query's speaker under SPEAKER_SPECIFIC. Returns fewer than K pairs
     only when the candidate set is smaller than K; an empty candidate set
-    yields an empty list. Scores and order are those of a full sort of the
-    candidates by the scalar reference functions (see the module docstring).
+    yields an empty list. Scores, order and errors are those of a full sort
+    of the candidates by :func:`similarity` or :func:`text_criterion` (see
+    the module docstring).
     """
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
     if mode is Mode.SPEAKER_SPECIFIC and query.speaker_id is None:
         raise ArgumentError("speaker-specific retrieval requires query.speaker_id")
-    modalities = _CHANNEL_MODALITIES.get(channel)
-    if modalities is None:
+    if channel not in _CHANNEL_MODALITIES:
         raise ArgumentError(f"unknown retrieval channel {channel!r}")
     query.validate(lib, metric)
-    pool = _candidate_rows(lib, query, mode)
-    if pool.size == 0:
+    pool = _pool_mask(lib, query, mode)
+    k = min(k, int(np.count_nonzero(pool)))
+    if k == 0:
         return []
     with np.errstate(all="ignore"):
-        fast, bound = _channel_scan(lib, query, modalities, metric)
-        band = pool[_band(fast[pool], bound[pool], min(k, pool.size))]
-    query_vectors = [getattr(query, m.value) for m in modalities]
-    scored = [
-        (_reference_score(metric, query_vectors, lib.records[row], modalities), record_id)
-        for row, record_id in zip(band.tolist(), lib.ids[band].tolist())
-    ]
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    return [(rid, score) for score, rid in scored[:k]]
+        scores, zero = _channel_scores(lib, query, channel, metric)
+    rejected = np.flatnonzero(pool & (zero | np.isnan(scores)))
+    if rejected.size:
+        record_id = lib.ids[rejected[0]]
+        if zero[rejected[0]]:
+            raise ArgumentError(f"cosine similarity is undefined for a zero vector: record {record_id}")
+        raise NumericError(f"{channel} score of record {record_id} is NaN: a sum overflows float64")
+    # rows outside the pool sink to -inf, below or tied with every pool score
+    scores = np.where(pool, scores, -np.inf)
+    kth = np.partition(scores, scores.size - k)[scores.size - k]
+    top = np.flatnonzero((scores >= kth) & pool)
+    ids, top_scores = lib.ids[top], scores[top]
+    order = np.lexsort((ids, -top_scores))[:k]
+    return list(zip(ids[order].tolist(), top_scores[order].tolist()))
 
 
 @dataclass
@@ -313,10 +254,8 @@ def retrieve_all(
             rec = lib.lookup(record_id)
             if channel == "text":
                 vec = np.concatenate([rec.text_self.values, rec.text_react.values])
-            elif channel == "scene":
-                vec = rec.scene.values
             else:
-                vec = rec.face.values
+                vec = getattr(rec, channel).values
             result.indirect_vectors[channel].append(vec)
             result.matched_audio[channel].append(rec.audio.values)
     return result

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -260,16 +261,24 @@ class TestRetrieve:
         assert_error_exit(result, 3, "record 0 movie is not valid UTF-8")
 
     def test_zero_norm_record_fails_cosine_only_inside_the_pool(self, runner, tmp_path):
-        lib = load_library(gen_lib(runner, tmp_path / "lib.mrfl", n=20))
-        zero = lib.records[5]
-        assert zero.speaker_id != lib.records[0].speaker_id
-        zero.scene.values[...] = 0.0
-        path = tmp_path / "zero.mrfl"
+        # record 5's scene entries: zero, squares that underflow to a zero
+        # norm, or an overflow that makes its cosine inf / inf (NaN, exit 4)
+        for value, code, message in ((0.0, 2, "zero vector"), (1e-170, 2, "zero vector"), (1.5e308, 4, "NaN")):
+            lib = load_library(gen_lib(runner, tmp_path / "lib.mrfl", n=20))
+            zero = lib.records[5]
+            assert zero.speaker_id != lib.records[0].speaker_id
+            zero.scene.values[...] = np.copysign(value, lib.records[0].scene.values)
+            path = tmp_path / "zero.mrfl"
+            save_library(lib, path)
+            args = ["retrieve", "--lib", str(path), "--query-id", "0", "--k", "3", "--metric", "cosine"]
+            assert_error_exit(runner.invoke(main, args), code, message)
+            result = run_ok(runner, [*args, "--mode", "specific"])
+            assert ",5," not in result.output
+        # a query whose squared norm underflows to 0 is rejected in either mode
+        lib.records[0].scene.values[...] = 1e-170
         save_library(lib, path)
-        args = ["retrieve", "--lib", str(path), "--query-id", "0", "--k", "3", "--metric", "cosine"]
-        assert_error_exit(runner.invoke(main, args), 2, "zero vector")
-        result = run_ok(runner, [*args, "--mode", "specific"])
-        assert ",5," not in result.output
+        for mode in ("agnostic", "specific"):
+            assert_error_exit(runner.invoke(main, [*args, "--mode", mode]), 2, "zero vector: query scene")
 
     def test_negative_num_queries_is_usage_error(self, runner, tmp_path):
         lib_path = gen_lib(runner, tmp_path / "lib.mrfl")
@@ -360,10 +369,12 @@ class TestGradCheckCommand:
         assert "passed" in result.output
 
     def test_impossible_tolerance_exits_numeric(self, runner):
+        # a step this coarse leaves a finite-difference error far above the tolerance
         result = runner.invoke(
-            main, ["grad-check", "--dim", "6", "--length", "3", "--k", "1", "--tol", "0"]
+            main, ["grad-check", "--dim", "6", "--length", "3", "--k", "1", "--eps", "0.1", "--tol", "1e-4"]
         )
         assert result.exit_code == 4
+        assert "gradient check FAILED" in result.output
 
     def test_bad_dim_is_usage_error(self, runner):
         result = runner.invoke(main, ["grad-check", "--dim", "0"])
@@ -373,6 +384,11 @@ class TestGradCheckCommand:
         for eps in ("0", "-1e-5"):
             result = runner.invoke(main, ["grad-check", "--dim", "2", "--length", "2", "--k", "1", "--eps", eps])
             assert_error_exit(result, 2, "finite-difference step must be > 0")
+
+    def test_non_positive_tol_is_usage_error(self, runner):
+        for tol in ("0", "-1e-4", "nan"):
+            result = runner.invoke(main, ["grad-check", "--dim", "2", "--length", "2", "--k", "1", "--tol", tol])
+            assert_error_exit(result, 2, "gradient tolerance must be > 0")
 
 
 class TestSweeps:

@@ -1,18 +1,21 @@
-"""Golden SHA-256 digests of seeded draws.
+"""Golden SHA-256 digests of seeded draws and of retrieval scores.
 
-These outputs use only SplitMix64 and exact IEEE-754 operations, so their
-bytes do not depend on the platform, numpy version or BLAS. The digests were
-recorded from the scalar per-entry draw; any change to how parameters,
-stub sequences, mel targets or synthetic vectors are drawn must reproduce
-them bit for bit.
+These outputs use only SplitMix64 and exact IEEE-754 operations in a fixed
+order, so their bytes do not depend on the platform, numpy version or BLAS.
+The draw digests were recorded from the scalar per-entry draw; any change
+to how parameters, stub sequences, mel targets or synthetic vectors are
+drawn must reproduce them bit for bit. The ``retrieve`` digest pins the
+17-digit scores of the fixed-order similarity (see ``emodub.retrieval``).
 """
 
 import hashlib
 
 import numpy as np
+from click.testing import CliRunner
 
+from emodub.cli import main
 from emodub.head import PipelineParams, make_toy_batch, stub_aligned_sequence
-from emodub.library import Modality, synthetic_extract
+from emodub.library import Modality, save_library, synthetic_extract
 from emodub.retrieval import Query
 from emodub.rng import stream
 from emodub.synthetic import ClusterSpec, generate_clustered_library
@@ -62,8 +65,24 @@ def test_synthetic_extract():
     assert digest(*vectors) == SYNTHETIC_EXTRACT
 
 
+def test_retrieve_csv(tmp_path):
+    lib = generate_clustered_library(ClusterSpec(n=40, clusters=3, separation=2.0, dim=4, seed=0, speakers=2))
+    save_library(lib, tmp_path / "lib.mrfl")
+    h = hashlib.sha256()
+    for metric in ("cosine", "dot", "euclid"):
+        for mode in ("agnostic", "specific"):
+            out = tmp_path / f"{metric}-{mode}.csv"
+            CliRunner().invoke(main, [
+                "retrieve", "--lib", str(tmp_path / "lib.mrfl"), "--num-queries", "6", "--k", "4",
+                "--metric", metric, "--mode", mode, "--out", str(out),
+            ], catch_exceptions=False)
+            h.update(out.read_bytes())
+    assert h.hexdigest() == RETRIEVE_CSV
+
+
 NAMES_DIM64 = "04c4a5d61d481112fa32e9bd7dd45a4cddaae5b842a617ec667cd9414f81a942"
 PARAMS_DIM64 = "97db654312294d492b377e7549106e56c5e685d4355cb3ebae5fbca84f52544e"
 STUB_3_8_64 = "91ece463477f6523e5f154d6aa32c403abc4133240d9fede0202478e6f9adefb"
 MEL_TARGET_5 = "5df7973d716fbe7dcfdd35c5a7ce139412be760d249f727839531856684df0e4"
 SYNTHETIC_EXTRACT = "38b44d823fa55f8f3bebd225281d3d953313ac3b23637db8ba93a6c4c640fb99"
+RETRIEVE_CSV = "6e8215cf5bafd755241c92e2078e1b5048781675118b700676c22f7011aed1e1"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emodub.errors import ArgumentError, SchemaError
+from emodub.errors import ArgumentError, EmodubError, NumericError, SchemaError
 from emodub.library import EmotionVector, FootageLibrary, Modality, MODALITY_ORDER
 from emodub.retrieval import (
     CHANNELS,
@@ -35,16 +35,24 @@ def vec(values, modality=Modality.SCENE):
 # --- independent scalar oracle ----------------------------------------------
 
 
+def left_to_right(terms):
+    """Plain float sum in index order (``sum`` is compensated on Python >= 3.12)."""
+    total, *rest = terms
+    for t in rest:
+        total += t
+    return total
+
+
 def oracle_similarity(metric, a, b):
     a, b = list(a), list(b)
-    dot = sum(x * y for x, y in zip(a, b))
+    dot = left_to_right([x * y for x, y in zip(a, b)])
     if metric is Metric.COSINE:
-        na = math.sqrt(sum(x * x for x in a))
-        nb = math.sqrt(sum(x * x for x in b))
+        na = math.sqrt(left_to_right([x * x for x in a]))
+        nb = math.sqrt(left_to_right([x * x for x in b]))
         return dot / (na * nb)
     if metric is Metric.DOT:
         return dot
-    return -math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+    return -math.sqrt(left_to_right([(x - y) * (x - y) for x, y in zip(a, b)]))
 
 
 def oracle_rank(lib, query, channel, k, metric, mode):
@@ -107,10 +115,12 @@ class TestSimilarity:
             similarity(Metric.DOT, vec([1, 2]), vec([1, 2, 3]))
 
     def test_zero_norm_under_cosine(self):
-        with pytest.raises(ArgumentError):
-            similarity(Metric.COSINE, vec([0.0, 0.0]), vec([1.0, 0.0]))
-        with pytest.raises(ArgumentError):
-            similarity(Metric.COSINE, vec([1.0, 0.0]), vec([0.0, 0.0]))
+        # 1e-170 squared underflows to 0: the squared norm decides, not the entries
+        for zero in ([0.0, 0.0], [1e-170, -1e-170]):
+            with pytest.raises(ArgumentError):
+                similarity(Metric.COSINE, vec(zero), vec([1.0, 0.0]))
+            with pytest.raises(ArgumentError):
+                similarity(Metric.COSINE, vec([1.0, 0.0]), vec(zero))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -122,7 +132,7 @@ class TestSimilarity:
         r = np.random.default_rng(seed)
         a, b = r.normal(size=dim), r.normal(size=dim)
         got = similarity(metric, vec(a), vec(b))
-        assert got == pytest.approx(oracle_similarity(metric, a, b), rel=1e-12, abs=1e-12)
+        assert struct.pack("<d", got) == struct.pack("<d", oracle_similarity(metric, a, b))
 
 
 class TestTextCriterion:
@@ -244,34 +254,55 @@ class TestRetrieveModality:
 
 class TestZeroNormCandidates:
     """Under cosine a zero-norm record in the scored pool raises, as the
-    scalar similarity does; outside the pool it is never scored."""
+    scalar similarity does, and a record whose score is NaN (its sums
+    overflow) raises NumericError; outside the pool neither is scored."""
 
     # the modality whose zero vector the channel scores
     ZEROED = {"scene": Modality.SCENE, "face": Modality.FACE, "text": Modality.TEXT_REACT}
 
-    def library(self, rng, channel):
+    # (entries of record 4's scored vector, error it raises in the pool): 1e-170
+    # squares underflow to a zero norm; 1.5e308 with the query's signs makes
+    # the dot product and the squared norm overflow, so the cosine is inf / inf
+    CASES = ((0.0, ArgumentError, "zero vector"), (1e-170, ArgumentError, "zero vector"),
+             (1.5e308, NumericError, "NaN"))
+
+    def library(self, rng, channel, value):
         lib = random_library(rng, 12, speakers=1)
-        lib.records[4].vector(self.ZEROED[channel]).values[...] = 0.0
+        query = lib.records[0].vector(self.ZEROED[channel]).values
+        lib.records[4].vector(self.ZEROED[channel]).values[...] = np.copysign(value, query)
         lib.records[4].speaker_id = "other"
         return lib
 
     @pytest.mark.parametrize("channel", CHANNELS)
     def test_zero_norm_record_in_pool_raises(self, rng, channel):
-        lib = self.library(rng, channel)
-        q = Query.from_record(lib.records[0])
-        with pytest.raises(ArgumentError, match="zero vector"):
-            retrieve_modality(lib, q, channel, k=3)
+        for value, error, message in self.CASES:
+            lib = self.library(rng, channel, value)
+            q = Query.from_record(lib.records[0])
+            with pytest.raises(error, match=message):
+                retrieve_modality(lib, q, channel, k=3)
 
     @pytest.mark.parametrize("channel", CHANNELS)
     def test_zero_norm_record_outside_pool_is_skipped(self, rng, channel):
-        lib = self.library(rng, channel)
-        excluded = Query.from_record(lib.records[0])
-        excluded.exclude_ids = frozenset({0, 4})
-        specific = Query.from_record(lib.records[0])
-        for q, mode in ((excluded, Mode.SPEAKER_AGNOSTIC), (specific, Mode.SPEAKER_SPECIFIC)):
-            got = retrieve_modality(lib, q, channel, k=3, mode=mode)
-            assert got == brute_force_rank(lib, q, channel, 3, Metric.COSINE, mode)
-            assert 4 not in [rid for rid, _ in got]
+        for value, _error, _message in self.CASES:
+            lib = self.library(rng, channel, value)
+            excluded = Query.from_record(lib.records[0])
+            excluded.exclude_ids = frozenset({0, 4})
+            specific = Query.from_record(lib.records[0])
+            for q, mode in ((excluded, Mode.SPEAKER_AGNOSTIC), (specific, Mode.SPEAKER_SPECIFIC)):
+                got = retrieve_modality(lib, q, channel, k=3, mode=mode)
+                assert got == brute_force_rank(lib, q, channel, 3, Metric.COSINE, mode)
+                assert 4 not in [rid for rid, _ in got]
+
+
+def reference_score(metric, query, rec, channel):
+    """The scalar reference score of one record; a NaN score is rejected."""
+    if channel == "text":
+        s = text_criterion(metric, query.text_self, query.text_react, rec.text_self, rec.text_react)
+    else:
+        s = similarity(metric, getattr(query, channel), getattr(rec, channel))
+    if math.isnan(s):
+        raise NumericError(f"record {rec.record_id} scores NaN")
+    return s
 
 
 def brute_force_rank(lib, query, channel, k, metric, mode):
@@ -282,13 +313,13 @@ def brute_force_rank(lib, query, channel, k, metric, mode):
             continue
         if mode is Mode.SPEAKER_SPECIFIC and rec.speaker_id != query.speaker_id:
             continue
-        if channel == "text":
-            s = text_criterion(metric, query.text_self, query.text_react, rec.text_self, rec.text_react)
-        else:
-            s = similarity(metric, getattr(query, channel), getattr(rec, channel))
-        scored.append((rec.record_id, s))
+        scored.append((rec.record_id, reference_score(metric, query, rec, channel)))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
+
+
+def bits(ranking):
+    return [(rid, struct.pack("<d", s)) for rid, s in ranking]
 
 
 def near_tie_rows(r, n_base, dim, big):
@@ -309,8 +340,6 @@ def near_tie_rows(r, n_base, dim, big):
 
 
 class TestNearTies:
-    # the scalar reference overflows on purpose for the big rows
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -337,11 +366,57 @@ class TestNearTies:
             {m: dim for m in MODALITY_ORDER}, ids, ["m0"] * n, speakers, [None] * n, tables
         )
         q = Query.from_record(lib.records[int(r.integers(n))], exclude_self=exclude_self)
-        got = retrieve_modality(lib, q, channel, k, metric, mode)
-        want = brute_force_rank(lib, q, channel, k, metric, mode)
-        assert [(rid, struct.pack("<d", s)) for rid, s in got] == [
-            (rid, struct.pack("<d", s)) for rid, s in want
-        ]
+        try:
+            want = brute_force_rank(lib, q, channel, k, metric, mode)
+        except EmodubError as exc:
+            with pytest.raises(EmodubError) as raised:
+                retrieve_modality(lib, q, channel, k, metric, mode)
+            assert type(raised.value) is type(exc)
+            return
+        assert bits(retrieve_modality(lib, q, channel, k, metric, mode)) == bits(want)
+
+
+class TestScanMatchesReference:
+    """The channel scan gives every pool row the bits of the scalar reference."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 33])
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_every_row_bit_for_bit(self, rng, dim, metric):
+        q = rng.normal(size=dim)
+        q += np.copysign(1.5, q)  # every |q_i| * 1.5e308 overflows
+        base = rng.normal(size=(30, dim))
+        rows = np.vstack([
+            base,
+            base * 2.0**520,  # products that overflow
+            base * 2.0**-520,  # products that underflow
+            base * 1e-160,  # subnormal squares
+            base * 1e153,  # squared norms near overflow
+            [np.copysign(1.5e308, q), -np.copysign(1.5e308, q)],  # dot +inf and -inf
+        ])
+        query = Query(*(vec(q, m) for m in MODALITY_ORDER[:4]))
+        for channel in CHANNELS:
+            tables = {m: rng.permutation(rows) for m in MODALITY_ORDER}
+            # keep the rows the reference scores: no zero norm and no NaN
+            keep = []
+            for row, rec in enumerate(library_of(tables).records):
+                try:
+                    reference_score(metric, query, rec, channel)
+                    keep.append(row)
+                except EmodubError:
+                    pass
+            lib = library_of({m: t[keep] for m, t in tables.items()})
+            want = brute_force_rank(lib, query, channel, len(lib), metric, Mode.SPEAKER_AGNOSTIC)
+            assert bits(retrieve_modality(lib, query, channel, len(lib), metric)) == bits(want)
+            if metric is not Metric.COSINE and channel != "text":
+                assert any(math.isinf(s) for _, s in want)
+
+
+def library_of(tables):
+    """A one-speaker library whose record ``i`` holds row ``i`` of each table."""
+    n, dim = tables[Modality.SCENE].shape
+    return FootageLibrary.from_columns(
+        {m: dim for m in MODALITY_ORDER}, list(range(n)), ["m0"] * n, ["spk0"] * n, [None] * n, tables
+    )
 
 
 class TestCosineScaleInvariance:
