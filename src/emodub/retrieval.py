@@ -12,15 +12,19 @@ operations: each inner product or squared norm adds the elementwise
 products left to right over the d dimensions (:func:`_sum`), each product
 and addition rounded once, with no fused multiply-add; the square root
 and the division follow. :func:`similarity` and :func:`text_criterion`
-evaluate it on Python floats. A channel scan runs the same operations on
-the columns of the library's N×d array, one dimension at a time across
-all candidates, so each candidate gets exactly the bits
-:func:`similarity` gives it alone, whatever the BLAS or the CPU. The
-pool's top K are ordered by (score desc, record_id asc).
+evaluate it on Python floats. The one scan, :func:`retrieve_block`,
+runs the same operations for a block of Q query rows at once: one
+dimension at a time, each query entry broadcast across the column of the
+library's N×d array, so every (query, candidate) pair gets exactly the
+bits :func:`similarity` gives it alone, whatever the BLAS, the CPU or Q.
+Each row's pool top K are ordered by (score desc, record_id asc).
+:func:`retrieve_modality` is its one-row case; ``evaluate_purity`` scans
+the library's own rows in blocks.
 
-Errors are those of a full scalar scan of the pool, at its first rejected
-row: under cosine a zero squared norm is an ``ArgumentError``, and a NaN
-score (from sums that overflow) a ``NumericError``, so no NaN is sorted.
+Errors are those of a scalar scan of each query's pool in turn, raised at
+the first (query, channel, candidate) it rejects: under cosine a zero
+squared norm is an ``ArgumentError``, and a NaN score (from sums that
+overflow) a ``NumericError``, so no NaN is sorted.
 """
 
 from __future__ import annotations
@@ -53,9 +57,9 @@ def _sum(terms):
     """The terms added left to right, each addition rounded once.
 
     The terms are Python floats, or fresh arrays holding one term per
-    candidate (the first is updated in place): numpy's elementwise add
-    rounds like Python's float add, so every candidate gets the bits of its
-    own scalar sum. Python's ``sum`` is compensated from 3.12 on.
+    (query, candidate) pair (the first is updated in place): numpy's
+    elementwise add rounds like Python's float add, so every pair gets the
+    bits of its own scalar sum. Python's ``sum`` is compensated from 3.12 on.
     """
     terms = iter(terms)
     total = next(terms)
@@ -96,6 +100,10 @@ def text_criterion(
     return 0.5 * (similarity(metric, q_self, r_self) + similarity(metric, q_react, r_react))
 
 
+#: The query's four vectors, in the order they are validated.
+QUERY_MODALITIES: tuple[Modality, ...] = (Modality.SCENE, Modality.FACE, Modality.TEXT_SELF, Modality.TEXT_REACT)
+
+
 @dataclass
 class Query:
     """The target utterance's own emotion vectors, used as retrieval queries."""
@@ -120,7 +128,7 @@ class Query:
         )
 
     def validate(self, lib: FootageLibrary, metric: Metric) -> None:
-        for modality in (Modality.SCENE, Modality.FACE, Modality.TEXT_SELF, Modality.TEXT_REACT):
+        for modality in QUERY_MODALITIES:
             vec = getattr(self, modality.value)
             want = lib.schema[modality]
             if vec.dim != want:
@@ -141,24 +149,115 @@ _CHANNEL_MODALITIES: dict[str, tuple[Modality, ...]] = {
 }
 
 
-def _channel_scores(lib: FootageLibrary, query: Query, channel: str, metric: Metric):
-    """Every library row's score in the channel, bit for bit that of
-    :func:`similarity` or :func:`text_criterion`, and under cosine which
-    rows have a zero squared norm."""
-    scores, zero = [], np.zeros(len(lib), dtype=bool)
-    for modality in _CHANNEL_MODALITIES[channel]:
-        q = getattr(query, modality.value).values.tolist()
-        columns = lib.matrix(modality).T  # columns[j]: entry j of every row
-        if metric is Metric.NEG_EUCLIDEAN:
-            scores.append(-np.sqrt(_sum(d * d for d in (x - c for x, c in zip(q, columns)))))
-            continue
-        dot = _sum(x * c for x, c in zip(q, columns))
-        if metric is Metric.COSINE:
-            squared = _sum(c * c for c in columns)
-            zero |= squared == 0.0
-            dot = dot / (math.sqrt(_sum(x * x for x in q)) * np.sqrt(squared))
-        scores.append(dot)
-    return (scores[0] if len(scores) == 1 else 0.5 * (scores[0] + scores[1])), zero
+def squared_norms(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of a (Q, d) array, its products added
+    left to right: bit for bit the cosine normaliser of :func:`similarity`.
+    A sum that overflows is +inf."""
+    with np.errstate(over="ignore"):
+        return _sum(c * c for c in rows.T)
+
+
+def _top_k(scores: np.ndarray, pool: np.ndarray, ids: np.ndarray, k: int):
+    """``(rows, cols, scores)`` of each row's top min(K, pool size) pool
+    columns, in (row asc, score desc, id asc) order."""
+    n = scores.shape[1]
+    k = min(k, n)
+    if k == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
+    # columns outside the pool sink to -inf, below or tied with every pool score
+    scores = np.where(pool, scores, -np.inf)
+    # a row whose pool is smaller than K has -inf at column n - K, so its
+    # whole pool survives
+    kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
+    flat = np.flatnonzero((scores >= kth) & pool)
+    rows, cols = np.divmod(flat, n)
+    top_scores = scores.ravel()[flat]
+    order = np.lexsort((ids[cols], -top_scores, rows))
+    # survivors are grouped by row before and after the sort, so a sorted
+    # position's rank in its row is its distance from the row's first position
+    keep = order[np.arange(rows.size) - np.searchsorted(rows, rows) < k]
+    return rows[keep], cols[keep], top_scores[keep]
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ArgumentError(f"k must be >= 1, got {k}")
+
+
+def retrieve_block(
+    lib: FootageLibrary,
+    queries: dict[Modality, np.ndarray],
+    pool: np.ndarray,
+    k: int,
+    metric: Metric = Metric.COSINE,
+    channels: tuple[str, ...] = CHANNELS,
+    norms: dict[Modality, np.ndarray] | None = None,
+    query_norms: dict[Modality, np.ndarray] | None = None,
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Top-K of Q query rows against every library row, per channel.
+
+    ``queries`` maps each modality the channels read to a (Q, d) array of
+    query vectors, and ``pool`` is the (Q, N) boolean mask of each query's
+    candidates. Returns, per channel, ``(rows, cols, scores)``: the query
+    row, library row and score of each row's top min(K, pool size) hits,
+    in (query row, score desc, record_id asc) order.
+
+    Under cosine, ``norms`` and ``query_norms`` may hold the
+    :func:`squared_norms` of the library's and the queries' vectors per
+    modality. Missing library norms are computed next to the modality's
+    dot products, while its array is still in cache.
+
+    Every score is that of :func:`similarity` or :func:`text_criterion`
+    (see the module docstring). Errors are those of a loop over the query
+    rows, each running a scalar scan of its pool in each channel in turn:
+    at the first query row with a fault, a zero query vector under cosine
+    (the first such modality), else at its first channel with a rejected
+    pool row, that row's zero squared norm under cosine (``ArgumentError``)
+    or NaN score (``NumericError``). An empty pool yields no hits and no
+    error.
+    """
+    _check_k(k)
+    cosine = metric is Metric.COSINE
+    norms, query_norms = norms or {}, query_norms or {}
+    found, rejected, zeros, zero_queries = {}, {}, {}, {}
+    with np.errstate(all="ignore"):
+        for channel in channels:
+            scores, zero = [], np.zeros(len(lib), dtype=bool)
+            for modality in _CHANNEL_MODALITIES[channel]:
+                # q[j]: entry j of every query, as a column; one query's
+                # entries as Python floats, which numpy broadcasts faster
+                q = queries[modality].T[:, :, None] if len(pool) != 1 else queries[modality][0].tolist()
+                columns = lib.matrix(modality).T  # columns[j]: entry j of every library row
+                if metric is Metric.NEG_EUCLIDEAN:
+                    scores.append(-np.sqrt(_sum(d * d for d in (x - c for x, c in zip(q, columns)))))
+                    continue
+                dot = _sum(x * c for x, c in zip(q, columns))
+                if cosine:
+                    squared = norms[modality] if modality in norms else _sum(c * c for c in columns)
+                    query_squared = query_norms.get(modality)
+                    if query_squared is None:
+                        query_squared = squared_norms(queries[modality])
+                    zero |= squared == 0.0
+                    zero_queries[modality] = query_squared == 0.0
+                    dot = dot / (np.sqrt(query_squared)[:, None] * np.sqrt(squared))
+                scores.append(dot)
+            scores = (scores[0] if len(scores) == 1 else 0.5 * (scores[0] + scores[1])).reshape(pool.shape)
+            rejected[channel], zeros[channel] = pool & (zero | np.isnan(scores)), zero
+            found[channel] = _top_k(scores, pool, lib.ids, k)
+    faults = [*rejected.values(), *zero_queries.values()]
+    if any(f.any() for f in faults):
+        row = min(int(np.argmax(f.reshape(len(pool), -1).any(axis=1))) for f in faults if f.any())
+        for modality in QUERY_MODALITIES:
+            if modality in zero_queries and zero_queries[modality][row]:
+                raise ArgumentError(f"cosine similarity is undefined for a zero vector: query {modality.value}")
+        for channel, channel_rejected in rejected.items():
+            cols = np.flatnonzero(channel_rejected[row])
+            if cols.size:
+                record_id = lib.ids[cols[0]]
+                if zeros[channel][cols[0]]:
+                    raise ArgumentError(f"cosine similarity is undefined for a zero vector: record {record_id}")
+                raise NumericError(f"{channel} score of record {record_id} is NaN: a sum overflows float64")
+    return found
 
 
 def _pool_mask(lib: FootageLibrary, query: Query, mode: Mode) -> np.ndarray:
@@ -169,6 +268,28 @@ def _pool_mask(lib: FootageLibrary, query: Query, mode: Mode) -> np.ndarray:
         if row is not None:
             keep[row] = False
     return keep
+
+
+def _check_query(lib, query, channels, k, metric, mode) -> None:
+    """The per-query checks, in order: k, speaker, channel, then
+    :meth:`Query.validate`."""
+    _check_k(k)
+    if mode is Mode.SPEAKER_SPECIFIC and query.speaker_id is None:
+        raise ArgumentError("speaker-specific retrieval requires query.speaker_id")
+    for channel in channels:
+        if channel not in _CHANNEL_MODALITIES:
+            raise ArgumentError(f"unknown retrieval channel {channel!r}")
+    query.validate(lib, metric)
+
+
+@dataclass
+class _CheckedQuery(Query):
+    """A query :func:`retrieve_all` has checked once for one library,
+    metric and mode, with its pool mask, which each of its per-channel
+    :func:`retrieve_modality` calls reuses."""
+
+    checked_for: tuple = ()
+    pool: np.ndarray | None = None
 
 
 def retrieve_modality(
@@ -184,36 +305,23 @@ def retrieve_modality(
     Candidates are all records minus ``query.exclude_ids``, restricted to
     the query's speaker under SPEAKER_SPECIFIC. Returns fewer than K pairs
     only when the candidate set is smaller than K; an empty candidate set
-    yields an empty list. Scores, order and errors are those of a full sort
-    of the candidates by :func:`similarity` or :func:`text_criterion` (see
-    the module docstring).
+    yields an empty list. This is the one-row case of
+    :func:`retrieve_block`: scores, order and errors are those of a full
+    sort of the candidates by :func:`similarity` or :func:`text_criterion`.
     """
-    if k < 1:
-        raise ArgumentError(f"k must be >= 1, got {k}")
-    if mode is Mode.SPEAKER_SPECIFIC and query.speaker_id is None:
-        raise ArgumentError("speaker-specific retrieval requires query.speaker_id")
-    if channel not in _CHANNEL_MODALITIES:
-        raise ArgumentError(f"unknown retrieval channel {channel!r}")
-    query.validate(lib, metric)
-    pool = _pool_mask(lib, query, mode)
-    k = min(k, int(np.count_nonzero(pool)))
-    if k == 0:
-        return []
-    with np.errstate(all="ignore"):
-        scores, zero = _channel_scores(lib, query, channel, metric)
-    rejected = np.flatnonzero(pool & (zero | np.isnan(scores)))
-    if rejected.size:
-        record_id = lib.ids[rejected[0]]
-        if zero[rejected[0]]:
-            raise ArgumentError(f"cosine similarity is undefined for a zero vector: record {record_id}")
-        raise NumericError(f"{channel} score of record {record_id} is NaN: a sum overflows float64")
-    # rows outside the pool sink to -inf, below or tied with every pool score
-    scores = np.where(pool, scores, -np.inf)
-    kth = np.partition(scores, scores.size - k)[scores.size - k]
-    top = np.flatnonzero((scores >= kth) & pool)
-    ids, top_scores = lib.ids[top], scores[top]
-    order = np.lexsort((ids, -top_scores))[:k]
-    return list(zip(ids[order].tolist(), top_scores[order].tolist()))
+    if isinstance(query, _CheckedQuery) and query.checked_for[0] is lib and query.checked_for[1:] == (metric, mode):
+        pool = query.pool
+    else:
+        _check_query(lib, query, (channel,), k, metric, mode)
+        pool = _pool_mask(lib, query, mode)[None, :]
+    queries = {m: getattr(query, m.value).values[None, :] for m in _CHANNEL_MODALITIES[channel]}
+    query_norms = None
+    if metric is Metric.COSINE:
+        # one row's squared norms on Python floats: the same bits, at a
+        # tenth of the cost of numpy on one-element arrays
+        query_norms = {m: np.array([_sum(x * x for x in q[0].tolist())]) for m, q in queries.items()}
+    _rows, cols, scores = retrieve_block(lib, queries, pool, k, metric, (channel,), query_norms=query_norms)[channel]
+    return list(zip(lib.ids[cols].tolist(), scores.tolist()))
 
 
 @dataclass
@@ -245,10 +353,21 @@ def retrieve_all(
     metric: Metric = Metric.COSINE,
     mode: Mode = Mode.SPEAKER_AGNOSTIC,
 ) -> RetrievalResult:
-    """Run all three channels and gather indirect vectors and matched audio."""
+    """Run all three channels and gather indirect vectors and matched audio.
+
+    The query is checked and its pool built once; each channel is then
+    ranked by :func:`retrieve_modality`, which reuses them. Rankings and
+    errors are those of three independent :func:`retrieve_modality` calls
+    in :data:`CHANNELS` order.
+    """
+    _check_query(lib, query, CHANNELS, k, metric, mode)
+    checked = _CheckedQuery(
+        query.scene, query.face, query.text_self, query.text_react, query.speaker_id, query.exclude_ids,
+        checked_for=(lib, metric, mode), pool=_pool_mask(lib, query, mode)[None, :],
+    )
     result = RetrievalResult.empty()
     for channel in CHANNELS:
-        ranking = retrieve_modality(lib, query, channel, k, metric, mode)
+        ranking = retrieve_modality(lib, checked, channel, k, metric, mode)
         result.rankings[channel] = ranking
         for record_id, _score in ranking:
             rec = lib.lookup(record_id)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .library import FootageLibrary, MODALITY_ORDER, Schema, uniform_schema
-from .retrieval import CHANNELS, Metric, Mode, Query, retrieve_all
+from .retrieval import QUERY_MODALITIES, Metric, Mode, Query, retrieve_all, retrieve_block, squared_norms
 from .rng import stream
 
 
@@ -90,6 +90,17 @@ class PurityResult:
     queries: int
 
 
+#: Query rows per block of :func:`evaluate_purity` are sized so that each
+#: (rows, N) temporary holds about this many floats, whatever N is.
+BLOCK_FLOATS = 1 << 16
+
+
+def _codes(values) -> np.ndarray:
+    """Integer codes under which two entries are equal exactly when the values are."""
+    code_of: dict = {}
+    return np.array([code_of.setdefault(v, len(code_of)) for v in values], dtype=np.int64)
+
+
 def evaluate_purity(
     lib: FootageLibrary,
     k: int,
@@ -101,19 +112,42 @@ def evaluate_purity(
     Each query excludes its own record. Purity pools hits across the three
     channels: (hits sharing the query's label) / (total retrieved). Queries
     whose candidate pool is empty contribute nothing to either count.
+
+    The library's rows are the queries, scored in blocks of about
+    ``BLOCK_FLOATS / N`` rows by one :func:`~emodub.retrieval.retrieve_block`
+    each, so no N×N matrix is built. The pool of a row is every other row,
+    of the same speaker under SPEAKER_SPECIFIC. Results and errors are those
+    of :func:`~emodub.retrieval.retrieve_all` called for each record in
+    turn: the hits are the same, the scores are added to ``mean_score`` in
+    the same (query, channel, rank) order, and the error raised is the one
+    at the first (query, channel, candidate) that loop rejects.
     """
-    hits = 0
-    total = 0
+    n = len(lib)
+    labels = _codes(r.emotion_label for r in lib.records)
+    speakers = [r.speaker_id for r in lib.records]
+    specific = mode is Mode.SPEAKER_SPECIFIC
+    # under SPEAKER_SPECIFIC a query without a speaker ends the loop
+    stop = speakers.index(None) if specific and None in speakers else n
+    codes = _codes(speakers)
+    queries = {m: lib.matrix(m) for m in QUERY_MODALITIES}
+    norms = {m: squared_norms(q) for m, q in queries.items()} if metric is Metric.COSINE else None
+    block = max(1, BLOCK_FLOATS // max(n, 1))
+    hits = total = 0
     score_sum = 0.0
-    for rec in lib.records:
-        query = Query.from_record(rec)
-        result = retrieve_all(lib, query, k, metric, mode)
-        for channel in CHANNELS:
-            for record_id, score in result.rankings[channel]:
-                total += 1
-                score_sum += score
-                if lib.lookup(record_id).emotion_label == rec.emotion_label:
-                    hits += 1
+    for start in range(0, stop, block):
+        end = min(start + block, stop)
+        pool = codes[start:end, None] == codes if specific else np.ones((end - start, n), dtype=bool)
+        pool[np.arange(end - start), np.arange(start, end)] = False
+        found = retrieve_block(lib, {m: q[start:end] for m, q in queries.items()}, pool, k, metric, norms=norms)
+        query_rows, hit_rows, scores = (np.concatenate(parts) for parts in zip(*found.values()))
+        hits += int(np.count_nonzero(labels[start + query_rows] == labels[hit_rows]))
+        total += hit_rows.size
+        # channels are concatenated in order, so a stable sort by query row
+        # gives the (query, channel, rank) order of the per-record loop
+        for score in scores[np.argsort(query_rows, kind="stable")].tolist():
+            score_sum += score
+    if stop < n:  # the speakerless query fails as retrieve_all fails it
+        retrieve_all(lib, Query.from_record(lib.records[stop]), k, metric, mode)
     purity = hits / total if total else 0.0
     mean_score = score_sum / total if total else 0.0
-    return PurityResult(purity=purity, mean_score=mean_score, retrieved=total, queries=len(lib.records))
+    return PurityResult(purity=purity, mean_score=mean_score, retrieved=total, queries=n)

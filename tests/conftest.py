@@ -31,6 +31,23 @@ def random_library(rng: np.random.Generator, n: int, dims=None, speakers=3) -> F
     )
 
 
+def near_tie_rows(r, n_base, dim, big):
+    """Rows that score equal or one rounding apart against each other:
+    copies of each base row scaled by 2**j and by 3, copies one ulp away,
+    exact duplicates, and with ``big`` rows near 1e150, rows whose
+    products, squares or differences overflow, and rows whose squares are
+    subnormal."""
+    rows = []
+    for base in r.normal(size=(n_base, dim)):
+        rows += [base, base * 2.0 ** int(r.integers(-4, 5)), base * 3.0, base.copy()]
+        rows += [np.nextafter(base, np.inf), np.nextafter(base, -np.inf)]
+        if big:
+            huge = base * 1e150
+            rows += [huge, np.nextafter(huge, np.inf), huge * 3.0, base * 1e200]
+            rows += [np.where(base >= 0, 1.5e308, -1.5e308), base * 1e-160, base * 3e-160]
+    return np.array(rows)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -5,7 +5,9 @@ order, so their bytes do not depend on the platform, numpy version or BLAS.
 The draw digests were recorded from the scalar per-entry draw; any change
 to how parameters, stub sequences, mel targets or synthetic vectors are
 drawn must reproduce them bit for bit. The ``retrieve`` digest pins the
-17-digit scores of the fixed-order similarity (see ``emodub.retrieval``).
+17-digit scores of the fixed-order similarity (see ``emodub.retrieval``);
+the sweep digest pins the CSVs of the three sweeps on a library large
+enough that ``evaluate_purity`` scans it in more than one row block.
 """
 
 import hashlib
@@ -80,9 +82,30 @@ def test_retrieve_csv(tmp_path):
     assert h.hexdigest() == RETRIEVE_CSV
 
 
+def test_sweep_csvs(tmp_path):
+    lib = generate_clustered_library(
+        ClusterSpec(n=320, clusters=3, separation=2.0, dim=4, seed=0, speakers=2)
+    )
+    save_library(lib, tmp_path / "lib.mrfl")
+    h = hashlib.sha256()
+    for args in (
+        ["sweep-topk", "--k", "1,3", "--metric", "cosine"],
+        ["sweep-topk", "--k", "2", "--metric", "euclid", "--mode", "specific"],
+        ["sweep-metric", "--k", "1,4"],
+        ["sweep-scale", "--fractions", "0.5,1.0", "--k", "3", "--metric", "dot"],
+    ):
+        out = tmp_path / "sweep.csv"
+        CliRunner().invoke(
+            main, [*args, "--lib", str(tmp_path / "lib.mrfl"), "--out", str(out)], catch_exceptions=False
+        )
+        h.update(out.read_bytes())
+    assert h.hexdigest() == SWEEP_CSV
+
+
 NAMES_DIM64 = "04c4a5d61d481112fa32e9bd7dd45a4cddaae5b842a617ec667cd9414f81a942"
 PARAMS_DIM64 = "97db654312294d492b377e7549106e56c5e685d4355cb3ebae5fbca84f52544e"
 STUB_3_8_64 = "91ece463477f6523e5f154d6aa32c403abc4133240d9fede0202478e6f9adefb"
 MEL_TARGET_5 = "5df7973d716fbe7dcfdd35c5a7ce139412be760d249f727839531856684df0e4"
 SYNTHETIC_EXTRACT = "38b44d823fa55f8f3bebd225281d3d953313ac3b23637db8ba93a6c4c640fb99"
 RETRIEVE_CSV = "6e8215cf5bafd755241c92e2078e1b5048781675118b700676c22f7011aed1e1"
+SWEEP_CSV = "9a838066c8be003455ae89f11c941c11e1b7fe5c5f68e063ce24094420b0221e"

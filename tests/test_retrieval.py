@@ -25,7 +25,7 @@ from emodub.retrieval import (
     text_criterion,
 )
 
-from conftest import random_library
+from conftest import near_tie_rows, random_library
 
 
 def vec(values, modality=Modality.SCENE):
@@ -322,23 +322,6 @@ def bits(ranking):
     return [(rid, struct.pack("<d", s)) for rid, s in ranking]
 
 
-def near_tie_rows(r, n_base, dim, big):
-    """Rows that score equal or one rounding apart against each other:
-    copies of each base row scaled by 2**j and by 3, copies one ulp away,
-    exact duplicates, and with ``big`` rows near 1e150, rows whose
-    products, squares or differences overflow, and rows whose squares are
-    subnormal."""
-    rows = []
-    for base in r.normal(size=(n_base, dim)):
-        rows += [base, base * 2.0 ** int(r.integers(-4, 5)), base * 3.0, base.copy()]
-        rows += [np.nextafter(base, np.inf), np.nextafter(base, -np.inf)]
-        if big:
-            huge = base * 1e150
-            rows += [huge, np.nextafter(huge, np.inf), huge * 3.0, base * 1e200]
-            rows += [np.where(base >= 0, 1.5e308, -1.5e308), base * 1e-160, base * 3e-160]
-    return np.array(rows)
-
-
 class TestNearTies:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -465,6 +448,27 @@ class TestCosineScaleInvariance:
 
 
 class TestRetrieveAll:
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_same_as_one_retrieve_modality_per_channel(self, rng, metric, mode):
+        """Checking the query and building its pool once changes no ranking
+        and no error: the error is that of the first channel to raise."""
+        lib = random_library(rng, 20, dims=4, speakers=2)
+        lib.records[9].scene.values[...] = 1e-170  # a zero norm under cosine
+        lib.records[11].text_react.values[...] = np.copysign(1.5e308, lib.records[0].text_react.values)
+        lib.records[5].speaker_id = None
+
+        def outcome(fn):
+            try:
+                return fn()
+            except EmodubError as exc:
+                return type(exc), str(exc)
+
+        for row, k in ((0, 3), (5, 3), (9, 3), (11, 25), (2, 0)):
+            q = Query.from_record(lib.records[row])
+            want = outcome(lambda: {c: retrieve_modality(lib, q, c, k, metric, mode) for c in CHANNELS})
+            assert outcome(lambda: retrieve_all(lib, q, k, metric, mode).rankings) == want
+
     def test_three_channels_with_matched_audio(self, rng):
         lib = random_library(rng, 50)
         q = Query.from_record(lib.records[3])

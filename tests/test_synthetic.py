@@ -1,11 +1,18 @@
 """Clustered synthetic libraries and the purity surrogate."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from emodub.errors import ArgumentError
-from emodub.retrieval import Metric, Mode
-from emodub.synthetic import ClusterSpec, evaluate_purity, generate_clustered_library
+from emodub import synthetic
+from emodub.errors import ArgumentError, EmodubError
+from emodub.library import FootageLibrary, Modality, MODALITY_ORDER
+from emodub.retrieval import CHANNELS, Metric, Mode, Query, retrieve_modality
+from emodub.synthetic import ClusterSpec, PurityResult, evaluate_purity, generate_clustered_library
+
+from conftest import near_tie_rows, random_library
 
 
 class TestGeneration:
@@ -90,3 +97,146 @@ class TestPurity:
         agnostic = evaluate_purity(lib, k=3, mode=Mode.SPEAKER_AGNOSTIC)
         assert specific.purity == 1.0
         assert specific.purity >= agnostic.purity
+
+
+# --- the block scan against a per-record loop -------------------------------
+
+
+def per_record_purity(lib, k, metric, mode):
+    """``evaluate_purity`` as a loop of one-row scans: each record queries
+    each channel in turn, and the scores add up in (query, channel, rank)
+    order."""
+    hits = total = 0
+    score_sum = 0.0
+    for rec in lib.records:
+        query = Query.from_record(rec)
+        for channel in CHANNELS:
+            for record_id, score in retrieve_modality(lib, query, channel, k, metric, mode):
+                total += 1
+                score_sum += score
+                hits += lib.lookup(record_id).emotion_label == rec.emotion_label
+    return PurityResult(
+        purity=hits / total if total else 0.0,
+        mean_score=score_sum / total if total else 0.0,
+        retrieved=total,
+        queries=len(lib.records),
+    )
+
+
+def outcome(fn, *args, block_floats=synthetic.BLOCK_FLOATS):
+    """The result with its floats as bits, or the class and message of the
+    EmodubError raised, with ``evaluate_purity`` blocks of about
+    ``block_floats`` floats."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthetic, "BLOCK_FLOATS", block_floats)
+        try:
+            res = fn(*args)
+        except EmodubError as exc:
+            return type(exc), str(exc)
+    return struct.pack("<dd", res.purity, res.mean_score), res.retrieved, res.queries
+
+
+def assert_block_matches_loop(lib, k, metric, mode, block_floats=synthetic.BLOCK_FLOATS):
+    want = outcome(per_record_purity, lib, k, metric, mode)
+    assert outcome(evaluate_purity, lib, k, metric, mode, block_floats=block_floats) == want
+    return want
+
+
+class TestBlockParity:
+    @pytest.mark.parametrize("k", [1, 3, 40])  # 40 exceeds every pool
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_every_metric_mode_and_k(self, rng, metric, mode, k):
+        lib = random_library(rng, 30, dims=4, speakers=3)
+        assert_block_matches_loop(lib, k, metric, mode)
+        # one and two query rows per block
+        assert_block_matches_loop(lib, k, metric, mode, block_floats=1)
+        assert_block_matches_loop(lib, k, metric, mode, block_floats=60)
+
+    @pytest.mark.parametrize("metric,mode", [(Metric.COSINE, Mode.SPEAKER_AGNOSTIC),
+                                             (Metric.COSINE, Mode.SPEAKER_SPECIFIC),
+                                             (Metric.NEG_EUCLIDEAN, Mode.SPEAKER_AGNOSTIC)])
+    def test_library_spanning_row_blocks(self, metric, mode):
+        lib = generate_clustered_library(ClusterSpec(n=300, clusters=3, separation=2.0, dim=4, speakers=2))
+        assert len(lib) > synthetic.BLOCK_FLOATS // len(lib)  # at least two blocks
+        assert_block_matches_loop(lib, 4, metric, mode)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_speaker_with_one_record_has_an_empty_pool(self, rng, metric):
+        lib = random_library(rng, 20, dims=4, speakers=2)
+        lib.records[7].speaker_id = "solo"
+        specific = assert_block_matches_loop(lib, 3, metric, Mode.SPEAKER_SPECIFIC, block_floats=40)
+        agnostic = assert_block_matches_loop(lib, 3, metric, Mode.SPEAKER_AGNOSTIC, block_floats=40)
+        assert specific[1] == 19 * 3 * 3 and agnostic[1] == 20 * 3 * 3
+
+    def test_k_below_one_is_rejected(self, rng):
+        lib = random_library(rng, 5, dims=4)
+        with pytest.raises(ArgumentError, match="k must be >= 1, got 0"):
+            evaluate_purity(lib, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_base=st.integers(1, 3),
+        dim=st.integers(2, 6),
+        big=st.booleans(),
+        k=st.integers(1, 12),
+        metric=st.sampled_from(list(Metric)),
+        mode=st.sampled_from(list(Mode)),
+        block_floats=st.sampled_from([1, 50, 1 << 16]),
+    )
+    def test_near_tie_libraries(self, seed, n_base, dim, big, k, metric, mode, block_floats):
+        r = np.random.default_rng(seed)
+        tables = {m: near_tie_rows(r, n_base, dim, big) for m in MODALITY_ORDER}
+        n = len(tables[Modality.SCENE])
+        for table in tables.values():
+            r.shuffle(table)
+        lib = FootageLibrary.from_columns(
+            {m: dim for m in MODALITY_ORDER}, r.permutation(n).tolist(), ["m0"] * n,
+            [f"spk{r.integers(2)}" for _ in range(n)], [f"lab{r.integers(3)}" for _ in range(n)], tables,
+        )
+        assert_block_matches_loop(lib, k, metric, mode, block_floats)
+
+
+class TestErrorParity:
+    """A faulty row raises what the per-record loop raises, at the same
+    (query, channel, candidate), or nothing where the loop raises nothing."""
+
+    # 1e-170 squares to a zero norm, 1.5e308 (with row 0's signs) overflows
+    # the sums into a NaN cosine, and 0.0 is a zero vector outright
+    @pytest.mark.parametrize("value", [1e-170, 1.5e308, 0.0])
+    @pytest.mark.parametrize("row", [0, 6])  # met first as a query, or as a candidate
+    @pytest.mark.parametrize("alone", [False, True])  # outside every specific-mode pool
+    @pytest.mark.parametrize("modality", [Modality.SCENE, Modality.TEXT_REACT])
+    def test_faulty_row(self, rng, value, row, alone, modality):
+        lib = random_library(rng, 12, dims=4, speakers=2)
+        values = lib.records[row].vector(modality).values
+        values[...] = np.copysign(value, lib.records[0].vector(modality).values)
+        if alone:
+            lib.records[row].speaker_id = "alone"
+        for metric in Metric:
+            for mode in Mode:
+                assert_block_matches_loop(lib, 3, metric, mode)
+                assert_block_matches_loop(lib, 3, metric, mode, block_floats=12)
+
+    def test_errors_raised(self, rng):
+        lib = random_library(rng, 12, dims=4, speakers=2)
+        lib.records[6].scene.values[...] = 1e-170
+        with pytest.raises(ArgumentError, match="zero vector: record 6"):
+            evaluate_purity(lib, 3)
+        lib.records[0].face.values[...] = 0.0
+        with pytest.raises(ArgumentError, match="zero vector: query face"):
+            evaluate_purity(lib, 3)
+        lib = random_library(rng, 12, dims=4, speakers=2)
+        lib.records[6].text_react.values[...] = np.copysign(1.5e308, lib.records[0].text_react.values)
+        with pytest.raises(EmodubError, match="text score of record 6 is NaN"):
+            evaluate_purity(lib, 3)
+        lib.records[6].speaker_id = "alone"  # its own pool is empty; nobody else scores it
+        assert evaluate_purity(lib, 3, mode=Mode.SPEAKER_SPECIFIC).retrieved == 11 * 3 * 3
+
+    def test_query_without_speaker_under_specific_mode(self, rng):
+        lib = random_library(rng, 12, dims=4, speakers=2)
+        lib.records[6].speaker_id = None
+        assert_block_matches_loop(lib, 3, Metric.COSINE, Mode.SPEAKER_SPECIFIC, block_floats=24)
+        with pytest.raises(ArgumentError, match="requires query.speaker_id"):
+            evaluate_purity(lib, 3, mode=Mode.SPEAKER_SPECIFIC)
