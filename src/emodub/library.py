@@ -3,11 +3,9 @@
 A library stores one record per reference clip, each holding five
 fixed-dimension emotion vectors (scene, face, text-self, text-react, audio)
 plus identifiers and an optional free-form emotion label used by the
-synthetic evaluation harness. The library keeps each modality's vectors in
-one array, and records view their rows (see :class:`FootageLibrary`). A
-library is built whole, from columns: by loading a binary file, ingesting
-JSON lines, synthesis, or subsampling another library. Retrieval then only
-reads it.
+synthetic evaluation harness. The library is its columns, and records
+are row views made on access (see :class:`FootageLibrary`). A library is
+built whole, from columns, and retrieval then only reads it.
 
 Two persistence formats are provided:
 
@@ -21,7 +19,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
+from collections.abc import Sequence
 from enum import Enum
 from pathlib import Path
 
@@ -105,86 +105,38 @@ def synthetic_extract(seed: int, content_key: str, modality: Modality, dim: int)
     return EmotionVector(modality, 2.0 * rng.floats(dim) - 1.0)
 
 
-def _row_vector(modality: Modality, row: np.ndarray) -> EmotionVector:
-    """An :class:`EmotionVector` over one row of a library column, which the
-    library has already validated as a whole."""
-    vec = EmotionVector.__new__(EmotionVector)
-    vec.modality = modality
-    vec.values = row
-    return vec
-
-
-class _SpeakerColumn:
-    """The speaker of every library row as an integer code, so that a
-    speaker's rows are found with one array comparison."""
-
-    __slots__ = ("codes", "_code_of")
-
-    def __init__(self, speaker_ids):
-        self._code_of: dict[str, int] = {}
-        self.codes = np.array([self.code(s) for s in speaker_ids], dtype=np.int64)
-
-    def code(self, speaker_id: str) -> int:
-        return self._code_of.setdefault(speaker_id, len(self._code_of))
-
-    def mask(self, speaker_id: str) -> np.ndarray:
-        code = self._code_of.get(speaker_id)
-        if code is None:
-            return np.zeros(self.codes.shape, dtype=bool)
-        return self.codes == code
-
-
 class FootageRecord:
-    """One row of a :class:`FootageLibrary`: identifiers plus five emotion
-    vectors.
+    """Row ``row`` of a :class:`FootageLibrary`, made when accessed; every
+    field reads the library's columns. Each vector's ``values`` is a row view
+    of its modality's column, so an in-place write reaches the library, and
+    setting ``speaker_id`` writes the speaker column."""
 
-    The library makes its records. Each vector's ``values`` is a row view
-    into the library's column for that modality, and setting ``speaker_id``
-    also updates the library's speaker column.
-    """
+    __slots__ = ("library", "row")
 
-    __slots__ = (
-        "record_id", "movie_id", "_speaker_id", "emotion_label",
-        "scene", "face", "text_self", "text_react", "audio", "_home",
+    def __init__(self, library: "FootageLibrary", row: int):
+        self.library = library
+        self.row = row
+
+    record_id = property(lambda self: int(self.library.ids[self.row]))
+    movie_id = property(lambda self: self.library.movie_ids[self.row])
+    emotion_label = property(lambda self: self.library.emotion_labels[self.row])
+    speaker_id = property(
+        lambda self: self.library.speaker_names[self.library.speaker_codes[self.row]],
+        lambda self, value: self.library._set_speaker(self.row, value),
     )
 
-    def __init__(
-        self,
-        home: tuple[_SpeakerColumn, int],
-        record_id: int,
-        movie_id: str,
-        speaker_id: str,
-        emotion_label: str | None,
-        scene: EmotionVector,
-        face: EmotionVector,
-        text_self: EmotionVector,
-        text_react: EmotionVector,
-        audio: EmotionVector,
-    ):
-        #: (speaker column, row) of the record in its library
-        self._home = home
-        self.record_id = record_id
-        self.movie_id = movie_id
-        self._speaker_id = speaker_id
-        self.emotion_label = None if emotion_label == "" else emotion_label
-        self.scene = scene
-        self.face = face
-        self.text_self = text_self
-        self.text_react = text_react
-        self.audio = audio
-
-    @property
-    def speaker_id(self) -> str:
-        return self._speaker_id
-
-    @speaker_id.setter
-    def speaker_id(self, value: str) -> None:
-        self._speaker_id = value
-        column, row = self._home
-        column.codes[row] = column.code(value)
-
     def vector(self, modality: Modality) -> EmotionVector:
-        return getattr(self, modality.value)
+        # the library validated its columns whole, so the row needs no check
+        vec = EmotionVector.__new__(EmotionVector)
+        vec.modality = modality
+        vec.values = self.library.matrix(modality)[self.row]
+        return vec
+
+    scene = property(lambda self: self.vector(Modality.SCENE))
+    face = property(lambda self: self.vector(Modality.FACE))
+    text_self = property(lambda self: self.vector(Modality.TEXT_SELF))
+    text_react = property(lambda self: self.vector(Modality.TEXT_REACT))
+    audio = property(lambda self: self.vector(Modality.AUDIO))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FootageRecord):
@@ -198,6 +150,22 @@ class FootageRecord:
         )
 
 
+class _Records(Sequence):
+    """The rows of a library as :class:`FootageRecord` views made on access."""
+
+    __slots__ = ("_lib",)
+
+    def __init__(self, lib: "FootageLibrary"):
+        self._lib = lib
+
+    def __len__(self) -> int:
+        return len(self._lib)
+
+    def __getitem__(self, index) -> FootageRecord:
+        # a range checks the index and counts a negative one from the end
+        return FootageRecord(self._lib, range(len(self._lib))[operator.index(index)])
+
+
 def _check_schema(schema: Schema) -> None:
     for m in MODALITY_ORDER:
         if m not in schema:
@@ -206,106 +174,115 @@ def _check_schema(schema: Schema) -> None:
 
 
 class FootageLibrary:
-    """Ordered collection of footage records, stored by column.
+    """Ordered collection of footage records: its columns, in record order.
 
-    Each modality's vectors live in one C-contiguous ``(N, d)`` float64
-    array (:meth:`matrix`), record ids in a uint64 array (:attr:`ids`) and
-    speakers in an integer code array (:meth:`speaker_mask`), all in record
-    order. ``records[i]`` is row ``i``: its five ``EmotionVector.values``
-    are row views into the modality arrays, so an in-place write through
-    ``values`` (``rec.scene.values *= 2``) is what the next retrieval
-    reads, and setting a record's ``speaker_id`` updates the speaker
-    column. ``id_index`` maps a record id to its row.
-
-    A library is built whole: :meth:`from_columns` adopts the arrays of
-    all its rows at once, and loading, ingestion, synthesis and subsampling
-    all go through it. ``FootageLibrary(schema)`` is the empty library.
-    Retrieval only reads, so a built library is safe to share across
-    concurrent readers.
+    One C-contiguous ``(N, d)`` float64 array per modality (:meth:`matrix`),
+    record ids as uint64 (:attr:`ids`; :attr:`id_index` maps an id to its
+    row), movie ids and labels as lists, and speakers as integer codes into
+    a name table, so a speaker's rows are one array comparison
+    (:meth:`speaker_mask`). ``records[i]`` and :meth:`lookup` make a
+    :class:`FootageRecord` row view on access; writes through it reach the
+    columns. A library is built whole by :meth:`from_columns`, which loading,
+    ingestion, synthesis and subsampling all call; ``FootageLibrary(schema)``
+    is the empty library. Retrieval only reads, so a built library is safe
+    to share across concurrent readers.
     """
 
     def __init__(self, schema: Schema):
         _check_schema(schema)
         self.schema = schema
-        self.records: list[FootageRecord] = []
-        self.id_index: dict[int, int] = {}
         self._vectors = {m: np.empty((0, schema[m])) for m in MODALITY_ORDER}
-        self._ids = np.empty(0, dtype=np.uint64)
-        self._speakers = _SpeakerColumn(())
+        self.ids = np.empty(0, dtype=np.uint64)
+        self.id_index: dict[int, int] = {}
+        self.movie_ids: list[str] = []
+        self.emotion_labels: list[str | None] = []
+        self.speaker_codes = np.empty(0, dtype=np.int64)
+        self.speaker_names: list[str] = []
+        self._code_of: dict[str, int] = {}
 
     @classmethod
     def from_columns(
-        cls,
-        schema: Schema,
-        record_ids: list[int],
-        movie_ids: list[str],
-        speaker_ids: list[str],
-        labels: list[str | None],
-        vectors: dict[Modality, np.ndarray],
+        cls, schema: Schema, record_ids: list[int], movie_ids: list[str], speaker_ids: list[str],
+        labels: list[str | None], vectors: dict[Modality, np.ndarray],
     ) -> "FootageLibrary":
-        """The library whose row ``i`` is ``record_ids[i]``, ``movie_ids[i]``,
-        ..., ``vectors[m][i]``. Each ``vectors[m]`` must have shape
-        ``(N, schema[m])``; float64 C-contiguous arrays are adopted, not copied.
-        """
+        """The library whose row ``i`` is ``record_ids[i]``, ..., ``vectors[m][i]``.
+        Each ``vectors[m]`` must have shape ``(N, schema[m])``; float64
+        C-contiguous arrays are adopted, not copied. An empty label is ``None``."""
         lib = cls(schema)
         n = len(record_ids)
         for m in MODALITY_ORDER:
             arr = np.require(vectors[m], np.float64, ["C", "W"])
             if arr.shape != (n, schema[m]):
-                raise SchemaError(
-                    f"dimension mismatch for {m.value}: got shape {arr.shape}, "
-                    f"schema says ({n}, {schema[m]})"
-                )
+                shapes = f"got shape {arr.shape}, schema says ({n}, {schema[m]})"
+                raise SchemaError(f"dimension mismatch for {m.value}: {shapes}")
             bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
             if bad.size:
-                raise SchemaError(
-                    f"emotion vector for {m.value} in record {record_ids[bad[0]]} "
-                    "contains non-finite values"
-                )
+                where = f"{m.value} in record {record_ids[bad[0]]}"
+                raise SchemaError(f"emotion vector for {where} contains non-finite values")
             lib._vectors[m] = arr
-        lib._speakers = _SpeakerColumn(speaker_ids)
-        columns = [lib._vectors[m] for m in MODALITY_ORDER]
-        for row, (record_id, movie_id, speaker_id, label, *rows) in enumerate(
-            zip(record_ids, movie_ids, speaker_ids, labels, *columns)
-        ):
-            if not 0 <= record_id < 1 << 64:
-                raise SchemaError(f"record_id must fit in 64 unsigned bits, got {record_id}")
-            if record_id in lib.id_index:
-                raise SchemaError(f"duplicate record_id {record_id}")
-            lib.id_index[record_id] = row
-            lib.records.append(FootageRecord(
-                (lib._speakers, row), record_id, movie_id, speaker_id, label,
-                *(_row_vector(m, v) for m, v in zip(MODALITY_ORDER, rows)),
-            ))
-        lib._ids = np.array(record_ids, dtype=np.uint64)
+        if n and not (min(record_ids) >= 0 and max(record_ids) < 1 << 64):
+            bad_id = next(i for i in record_ids if not 0 <= i < 1 << 64)
+            raise SchemaError(f"record_id must fit in 64 unsigned bits, got {bad_id}")
+        lib.id_index = dict(zip(record_ids, range(n)))
+        if len(lib.id_index) < n:
+            seen: set[int] = set()
+            for record_id in record_ids:
+                if record_id in seen:
+                    raise SchemaError(f"duplicate record_id {record_id}")
+                seen.add(record_id)
+        lib.ids = np.array(record_ids, dtype=np.uint64)
+        lib.movie_ids = list(movie_ids)
+        lib.emotion_labels = [None if label == "" else label for label in labels]
+        code_of = lib._code_of
+        lib.speaker_codes = np.array([code_of.setdefault(s, len(code_of)) for s in speaker_ids], dtype=np.int64)
+        lib.speaker_names = list(code_of)
         return lib
+
+    @property
+    def records(self) -> _Records:
+        """The rows as :class:`FootageRecord` views, made on access."""
+        return _Records(self)
 
     def matrix(self, modality: Modality) -> np.ndarray:
         """The ``(N, d)`` array of the modality's vectors; row ``i`` is ``records[i]``."""
         return self._vectors[modality]
 
     @property
-    def ids(self) -> np.ndarray:
-        """Record ids in row order, as uint64."""
-        return self._ids
+    def speaker_ids(self) -> list[str]:
+        """The speaker of every row, as a new list."""
+        names = self.speaker_names
+        return [names[code] for code in self.speaker_codes.tolist()]
+
+    def _set_speaker(self, row: int, speaker_id: str) -> None:
+        code = self._code_of.setdefault(speaker_id, len(self.speaker_names))
+        if code == len(self.speaker_names):
+            self.speaker_names.append(speaker_id)
+        self.speaker_codes[row] = code
 
     def speaker_mask(self, speaker_id: str) -> np.ndarray:
         """Boolean row mask of the records whose speaker is ``speaker_id``."""
-        return self._speakers.mask(speaker_id)
+        return self.speaker_codes == self._code_of.get(speaker_id, -1)  # codes are >= 0
 
     def lookup(self, record_id: int) -> FootageRecord:
         try:
-            return self.records[self.id_index[record_id]]
+            return FootageRecord(self, self.id_index[record_id])
         except KeyError:
             raise KeyError(f"record_id {record_id} not in library") from None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.ids.shape[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FootageLibrary):
             return NotImplemented
-        return self.schema == other.schema and self.records == other.records
+        return (
+            self.schema == other.schema
+            and np.array_equal(self.ids, other.ids)
+            and self.movie_ids == other.movie_ids
+            and self.speaker_ids == other.speaker_ids
+            and self.emotion_labels == other.emotion_labels
+            and all(self.matrix(m).tobytes() == other.matrix(m).tobytes() for m in MODALITY_ORDER)
+        )
 
     def subsample(self, fraction: float, seed: int) -> "FootageLibrary":
         """Uniform sample without replacement of ceil(fraction * N) records.
@@ -316,15 +293,15 @@ class FootageLibrary:
         """
         if not (0.0 < fraction <= 1.0):
             raise ArgumentError(f"fraction must be in (0, 1], got {fraction}")
-        n = len(self.records)
+        n = len(self)
         rows = sample_indices(n, math.ceil(fraction * n), stream(seed, "subsample"))
-        picked = [self.records[i] for i in rows]
+        names = self.speaker_names
         return FootageLibrary.from_columns(
             dict(self.schema),
-            [r.record_id for r in picked],
-            [r.movie_id for r in picked],
-            [r.speaker_id for r in picked],
-            [r.emotion_label for r in picked],
+            self.ids[rows].tolist(),
+            [self.movie_ids[i] for i in rows],
+            [names[code] for code in self.speaker_codes[rows].tolist()],
+            [self.emotion_labels[i] for i in rows],
             {m: self.matrix(m)[rows] for m in MODALITY_ORDER},
         )
 
@@ -362,16 +339,17 @@ def save_library(lib: FootageLibrary, path) -> None:
     as empty); five vector payloads as raw little-endian float64 in schema
     order.
     """
-    buf = bytearray()
-    buf += _MAGIC
-    buf += struct.pack("<I", _VERSION)
-    buf += struct.pack("<5I", *(lib.schema[m] for m in MODALITY_ORDER))
-    buf += struct.pack("<Q", len(lib.records))
+    buf = bytearray(struct.pack("<4sI5IQ", _MAGIC, _VERSION, *(lib.schema[m] for m in MODALITY_ORDER), len(lib)))
+    codes = lib.speaker_codes.tolist()
+    speakers = {code: pack_string(lib.speaker_names[code]) for code in set(codes)}  # each one in use, once
     payloads = np.hstack([lib.matrix(m) for m in MODALITY_ORDER]).astype("<f8", copy=False)
-    for rec, payload in zip(lib.records, payloads):
-        buf += struct.pack("<Q", rec.record_id)
-        for s in (rec.movie_id, rec.speaker_id, rec.emotion_label or ""):
-            buf += pack_string(s)
+    for record_id, movie, code, label, payload in zip(
+        lib.ids.tolist(), lib.movie_ids, codes, lib.emotion_labels, payloads
+    ):
+        buf += struct.pack("<Q", record_id)
+        buf += pack_string(movie)
+        buf += speakers[code]
+        buf += pack_string(label or "")
         buf += payload.tobytes()
     Path(path).write_bytes(bytes(buf))
 
@@ -399,23 +377,45 @@ def load_library(path) -> FootageLibrary:
 
 def _read_records(r: Reader, count: int, dims: tuple[int, ...]) -> tuple:
     """Ids, movies, speakers, labels and per-modality vector arrays of
-    ``count`` records."""
-    width = sum(dims)
+    ``count`` records, read in one pass over the file's bytes."""
+    width = 8 * sum(dims)
     # id, three string lengths and the vectors: a smaller file cannot hold them
-    if count * (20 + 8 * width) > r.remaining:
+    if count * (20 + width) > r.remaining:
         raise FormatError(f"{r.path}: truncated payload: {count} records do not fit")
-    vectors = {m: np.empty((count, d)) for m, d in zip(MODALITY_ORDER, dims)}
-    edges = np.cumsum((0, *dims)).tolist()
-    slots = [(vectors[m], lo, hi) for m, lo, hi in zip(MODALITY_ORDER, edges, edges[1:])]
-    ids, movies, speakers, labels = [], [], [], []
+    data, pos, view = r.data, r.pos, memoryview(r.data)
+    id_and_length, length = struct.Struct("<QI").unpack_from, struct.Struct("<I").unpack_from
+    ids, movies, speakers, labels, payloads = [], [], [], [], []
     for i in range(count):
-        ids.append(r.unpack("<Q", f"record {i} id")[0])
-        movies.append(r.string(f"record {i} movie"))
-        speakers.append(r.string(f"record {i} speaker"))
-        labels.append(r.string(f"record {i} label") or None)
-        payload = np.frombuffer(r.take(8 * width, f"record {i} vectors"), dtype="<f8")
-        for column, lo, hi in slots:
-            column[i] = payload[lo:hi]
+        start = pos
+        try:
+            record_id, n = id_and_length(data, pos)
+            pos += 12 + n
+            movie = data[pos - n : pos]
+            (n,) = length(data, pos)
+            pos += 4 + n
+            speaker = data[pos - n : pos]
+            (n,) = length(data, pos)
+            pos += 4 + n
+            label = data[pos - n : pos]
+            pos += width
+            if pos > len(data):
+                raise ValueError("record cut short")
+            movies.append(movie.decode("utf-8"))
+            speakers.append(speaker.decode("utf-8"))
+            labels.append(label.decode("utf-8"))
+        except (struct.error, ValueError):  # UnicodeDecodeError is a ValueError
+            # the checked reader reads the record again and raises the error naming its field
+            r.pos = start
+            r.unpack("<Q", f"record {i} id")
+            for field in ("movie", "speaker", "label"):
+                r.string(f"record {i} {field}")
+            r.take(width, f"record {i} vectors")
+        ids.append(record_id)
+        payloads.append(view[pos - width : pos])
+    r.pos = pos
+    block = np.frombuffer(b"".join(payloads), dtype="<f8").reshape(count, width // 8)
+    edges = np.cumsum((0, *dims)).tolist()
+    vectors = {m: block[:, lo:hi].copy() for m, lo, hi in zip(MODALITY_ORDER, edges, edges[1:])}
     return ids, movies, speakers, labels, vectors
 
 
@@ -424,16 +424,13 @@ def _read_records(r: Reader, count: int, dims: tuple[int, ...]) -> tuple:
 
 def write_jsonl(lib: FootageLibrary, path) -> None:
     """One record per line as a JSON object; floats use shortest round-trip repr."""
+    columns = [lib.matrix(m) for m in MODALITY_ORDER]
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in lib.records:
-            obj = {
-                "record_id": rec.record_id,
-                "movie_id": rec.movie_id,
-                "speaker_id": rec.speaker_id,
-                "emotion_label": rec.emotion_label,
-            }
-            for m in MODALITY_ORDER:
-                obj[m.value] = rec.vector(m).values.tolist()
+        for record_id, movie, speaker, label, *rows in zip(
+            lib.ids.tolist(), lib.movie_ids, lib.speaker_ids, lib.emotion_labels, *columns
+        ):
+            obj = {"record_id": record_id, "movie_id": movie, "speaker_id": speaker, "emotion_label": label}
+            obj.update(zip(_MODALITY_NAMES, (row.tolist() for row in rows)))
             fh.write(json.dumps(obj) + "\n")
 
 
@@ -449,7 +446,8 @@ def _require_utf8(text: str, where: str) -> None:
 
 #: The Python types :func:`json.loads` gives JSON numbers (``bool`` is not one).
 _JSON_NUMBERS = frozenset((int, float))
-_JSONL_FIELDS = ("record_id", "movie_id", "speaker_id", *(m.value for m in MODALITY_ORDER))
+_MODALITY_NAMES = tuple(m.value for m in MODALITY_ORDER)
+_JSONL_FIELDS = ("record_id", "movie_id", "speaker_id", *_MODALITY_NAMES)
 
 
 def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
@@ -467,7 +465,9 @@ def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
     # The ids read so far; dropped before the library builds its own id index.
     # Their line numbers are not kept: 10^4 more small objects raised peak RSS.
     seen: set[int] = set()
-    rows: dict[Modality, list[np.ndarray]] = {m: [] for m in MODALITY_ORDER}
+    # per modality, in MODALITY_ORDER: positions, not Modality keys, which hash slowly
+    rows: list[list[np.ndarray]] = [[] for _ in MODALITY_ORDER]
+    dims: tuple[int, ...] | None = None if schema is None else tuple(schema[m] for m in MODALITY_ORDER)
     # Undecodable bytes become lone surrogates here, which no valid UTF-8 text holds.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -496,27 +496,27 @@ def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
             if record_id in seen:
                 raise SchemaError(f"{where}: duplicate record_id {record_id}")
             seen.add(record_id)
-            parsed = {}
-            for m in MODALITY_ORDER:
-                values = obj[m.value]
+            parsed = []
+            for name in _MODALITY_NAMES:
+                values = obj[name]
                 if not isinstance(values, list):
-                    raise FormatError(f"{where}: {m.value} is not a flat list of numbers")
+                    raise FormatError(f"{where}: {name} is not a flat list of numbers")
                 if not _JSON_NUMBERS.issuperset(map(type, values)):
-                    raise FormatError(f"{where}: {m.value} holds a non-numeric entry")
+                    raise FormatError(f"{where}: {name} holds a non-numeric entry")
                 try:
-                    parsed[m] = np.asarray(values, dtype=np.float64)
+                    parsed.append(np.asarray(values, dtype=np.float64))
                 except OverflowError:  # an integer beyond float64
-                    raise FormatError(f"{where}: {m.value} holds a non-numeric entry") from None
-            if schema is None:
-                schema = {m: vec.shape[0] for m, vec in parsed.items()}
-                _check_schema(schema)
-            for m, vec in parsed.items():
-                if vec.shape[0] != schema[m]:
+                    raise FormatError(f"{where}: {name} holds a non-numeric entry") from None
+            if dims is None:
+                dims = tuple(vec.shape[0] for vec in parsed)
+                _check_schema(dict(zip(MODALITY_ORDER, dims)))
+            for name, dim, vec, column in zip(_MODALITY_NAMES, dims, parsed, rows):
+                if vec.shape[0] != dim:
                     raise SchemaError(
-                        f"dimension mismatch for {m.value} in record {record_id}: "
-                        f"got {vec.shape[0]}, schema says {schema[m]}"
+                        f"dimension mismatch for {name} in record {record_id}: "
+                        f"got {vec.shape[0]}, schema says {dim}"
                     )
-                rows[m].append(vec)
+                column.append(vec)
             movie, speaker = str(obj["movie_id"]), str(obj["speaker_id"])
             for field, text in (("movie_id", movie), ("speaker_id", speaker), ("emotion_label", label)):
                 _require_utf8(text or "", f"{where}: {field}")
@@ -525,7 +525,7 @@ def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
             speakers.append(speaker)
             labels.append(label)
     del seen
-    if schema is None:
+    if dims is None:
         raise FormatError(f"{path}: no records and no schema given")
-    vectors = {m: np.array(rows[m]).reshape(len(ids), schema[m]) for m in MODALITY_ORDER}
-    return FootageLibrary.from_columns(dict(schema), ids, movies, speakers, labels, vectors)
+    vectors = {m: np.array(column).reshape(len(ids), d) for m, d, column in zip(MODALITY_ORDER, dims, rows)}
+    return FootageLibrary.from_columns(dict(zip(MODALITY_ORDER, dims)), ids, movies, speakers, labels, vectors)

@@ -366,15 +366,14 @@ def retrieve_all(
         checked_for=(lib, metric, mode), pool=_pool_mask(lib, query, mode)[None, :],
     )
     result = RetrievalResult.empty()
+    audio = lib.matrix(Modality.AUDIO)
     for channel in CHANNELS:
         ranking = retrieve_modality(lib, checked, channel, k, metric, mode)
         result.rankings[channel] = ranking
+        columns = [lib.matrix(m) for m in _CHANNEL_MODALITIES[channel]]
         for record_id, _score in ranking:
-            rec = lib.lookup(record_id)
-            if channel == "text":
-                vec = np.concatenate([rec.text_self.values, rec.text_react.values])
-            else:
-                vec = getattr(rec, channel).values
-            result.indirect_vectors[channel].append(vec)
-            result.matched_audio[channel].append(rec.audio.values)
+            row = lib.id_index[record_id]
+            halves = [column[row] for column in columns]
+            result.indirect_vectors[channel].append(np.concatenate(halves) if len(halves) > 1 else halves[0])
+            result.matched_audio[channel].append(audio[row])
     return result

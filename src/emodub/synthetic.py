@@ -123,12 +123,13 @@ def evaluate_purity(
     at the first (query, channel, candidate) that loop rejects.
     """
     n = len(lib)
-    labels = _codes(r.emotion_label for r in lib.records)
-    speakers = [r.speaker_id for r in lib.records]
+    labels = _codes(lib.emotion_labels)
+    codes = lib.speaker_codes
     specific = mode is Mode.SPEAKER_SPECIFIC
-    # under SPEAKER_SPECIFIC a query without a speaker ends the loop
-    stop = speakers.index(None) if specific and None in speakers else n
-    codes = _codes(speakers)
+    stop = n
+    if specific:  # a query without a speaker ends the loop
+        unset = np.flatnonzero(lib.speaker_mask(None))
+        stop = int(unset[0]) if unset.size else n
     queries = {m: lib.matrix(m) for m in QUERY_MODALITIES}
     norms = {m: squared_norms(q) for m, q in queries.items()} if metric is Metric.COSINE else None
     block = max(1, BLOCK_FLOATS // max(n, 1))

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from emodub.autodiff import load_checkpoint
 from emodub.cli import main
+from emodub.errors import FormatError
 from emodub.library import load_library, save_library, write_jsonl
 
 
@@ -251,6 +252,18 @@ class TestRetrieve:
         bad.write_bytes(b"NOPE" + b"\x00" * 40)
         result = runner.invoke(main, ["retrieve", "--lib", str(bad), "--query-id", "0"])
         assert result.exit_code == 3
+
+    def test_every_truncation_of_a_library_is_data_error(self, runner, tmp_path):
+        data = gen_lib(runner, tmp_path / "lib.mrfl", n=3, clusters=2, extra=("--dim", "2")).read_bytes()
+        cut = tmp_path / "cut.mrfl"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(FormatError, match="truncated|bad magic"):
+                load_library(cut)
+            result = runner.invoke(main, ["retrieve", "--lib", str(cut), "--query-id", "0"])
+            assert result.exit_code == 3, (size, result.output)
+            assert "error:" in result.output and ("truncated" in result.output or "bad magic" in result.output)
+            assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_invalid_utf8_in_library_is_data_error(self, runner, tmp_path):
         lib_path = gen_lib(runner, tmp_path / "lib.mrfl")

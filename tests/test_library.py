@@ -1,5 +1,6 @@
 """Footage library: extraction, construction, serialization, subsampling."""
 
+import gc
 import json
 import math
 
@@ -11,6 +12,7 @@ from emodub.errors import ArgumentError, FormatError, SchemaError
 from emodub.library import (
     EmotionVector,
     FootageLibrary,
+    FootageRecord,
     Modality,
     MODALITY_ORDER,
     load_library,
@@ -20,6 +22,8 @@ from emodub.library import (
     uniform_schema,
     write_jsonl,
 )
+from emodub.retrieval import Mode
+from emodub.synthetic import evaluate_purity
 
 from conftest import random_library
 
@@ -118,12 +122,71 @@ class TestIndexConsistency:
     def test_lookup_returns_own_record(self, rng):
         lib = random_library(rng, 40)
         for rec in lib.records:
-            assert lib.lookup(rec.record_id) is rec
+            found = lib.lookup(rec.record_id)
+            assert found.row == rec.row and found == rec
 
     def test_lookup_missing_raises(self, rng):
         lib = random_library(rng, 3)
         with pytest.raises(KeyError):
             lib.lookup(999)
+
+
+def row_objects() -> int:
+    gc.collect()
+    return sum(isinstance(o, (FootageRecord, EmotionVector)) for o in gc.get_objects())
+
+
+class TestRecordViews:
+    def test_loading_builds_no_record_objects(self, rng, tmp_path):
+        path = tmp_path / "lib.mrfl"
+        save_library(random_library(rng, 50), path)
+        before = row_objects()
+        lib = load_library(path)
+        assert row_objects() == before
+        assert len(lib) == 50
+
+    def test_records_take_numpy_and_negative_indices(self, rng):
+        lib = random_library(rng, 6)
+        ids = lib.ids.tolist()
+        for i in range(6):
+            assert lib.records[np.int64(i)].record_id == ids[i]
+            assert lib.records[np.uint8(i)].row == i
+            assert lib.records[i - 6].row == i
+        assert lib.records[-1] == lib.lookup(ids[-1])
+        for bad in (6, -7):
+            with pytest.raises(IndexError):
+                lib.records[bad]
+        with pytest.raises(TypeError):
+            lib.records[1.0]
+        assert len(lib.records) == 6
+        assert [r.record_id for r in lib.records] == ids
+
+    def test_speaker_write_through_a_transient_view(self, rng, tmp_path):
+        lib = random_library(rng, 12, dims=4, speakers=2)
+        old = lib.records[3].speaker_id
+        lib.records[3].speaker_id = "solo"
+        assert lib.records[3].speaker_id == "solo"
+        assert np.flatnonzero(lib.speaker_mask("solo")).tolist() == [3]
+        assert not lib.speaker_mask(old)[3]
+        speakers = lib.speaker_ids
+        pools = [speakers.count(s) - 1 for s in speakers]
+        want = 3 * sum(min(3, pool) for pool in pools)
+        assert evaluate_purity(lib, 3, mode=Mode.SPEAKER_SPECIFIC).retrieved == want
+        path = tmp_path / "lib.mrfl"
+        save_library(lib, path)
+        loaded = load_library(path)
+        assert loaded.records[3].speaker_id == "solo" and loaded == lib
+        assert path.read_bytes().count(b"solo") == 1
+
+        lib.records[-1].speaker_id = None
+        assert np.flatnonzero(lib.speaker_mask(None)).tolist() == [11]
+        with pytest.raises(ArgumentError, match="requires query.speaker_id"):
+            evaluate_purity(lib, 3, mode=Mode.SPEAKER_SPECIFIC)
+        lib.records[-1].speaker_id = "late"
+        assert not lib.speaker_mask(None).any()
+        save_library(lib, path)
+        assert load_library(path).records[11].speaker_id == "late"
+        assert evaluate_purity(lib, 3, mode=Mode.SPEAKER_SPECIFIC).retrieved == want - 3 * min(3, pools[11])
 
 
 class TestBinaryRoundTrip:
