@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -307,13 +307,17 @@ def shift_rows(a, offset: int) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
+#: slope of :func:`leaky_relu` on negative inputs
+LEAKY_SLOPE = 0.2
+
+
+def leaky_relu(a) -> Tensor:
     a = as_tensor(a)
     positive = a.data > 0
-    out = np.where(positive, a.data, slope * a.data)
+    out = np.where(positive, a.data, LEAKY_SLOPE * a.data)
 
     def backward(g):
-        _accum(a, g * np.where(positive, 1.0, slope))
+        _accum(a, g * np.where(positive, 1.0, LEAKY_SLOPE))
 
     return _make(out, (a,), backward)
 
@@ -389,8 +393,29 @@ def uniform_init(rng: SplitMix64, rows: int, cols: int, d_in: int) -> np.ndarray
     return out
 
 
+class Params:
+    """Base of the parameter-set dataclasses.
+
+    ``parameters()`` lists the :class:`Parameter` fields in declaration
+    order, recursing into nested parameter sets and lists of them; other
+    fields (head counts, widths) are skipped. Declaration order is the
+    order ``init`` draws in and the order checkpoints are written in.
+    """
+
+    def parameters(self) -> list[Parameter]:
+        out: list[Parameter] = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, Parameter):
+                    out.append(item)
+                elif isinstance(item, Params):
+                    out.extend(item.parameters())
+        return out
+
+
 @dataclass
-class LinearParams:
+class LinearParams(Params):
     """Weights and bias of an affine map ``x @ weight + bias``."""
 
     weight: Parameter
@@ -407,25 +432,14 @@ class LinearParams:
     def d_in(self) -> int:
         return self.weight.rows
 
-    @property
-    def d_out(self) -> int:
-        return self.weight.cols
-
-    def parameters(self) -> list[Parameter]:
-        return [self.weight, self.bias]
-
 
 def linear(x, weight: Parameter | Tensor, bias: Parameter | Tensor) -> Tensor:
     """Affine map ``x @ weight + bias`` with the bias broadcast over rows."""
     return add(matmul(x, weight), bias)
 
 
-def apply_linear(x, params: LinearParams) -> Tensor:
-    return linear(x, params.weight, params.bias)
-
-
 @dataclass
-class CrossAttentionParams:
+class CrossAttentionParams(Params):
     """Learned projections of one cross-attention block (square, bias-free)."""
 
     wq: Parameter
@@ -449,9 +463,6 @@ class CrossAttentionParams:
     @property
     def dim(self) -> int:
         return self.wq.rows
-
-    def parameters(self) -> list[Parameter]:
-        return [self.wq, self.wk, self.wv, self.wo]
 
 
 def cross_attention(
@@ -499,7 +510,7 @@ def cross_attention(
 
 
 @dataclass
-class Conv1dParams:
+class Conv1dParams(Params):
     """Width-preserving 1-D convolution along the sequence axis.
 
     The rank-3 kernel (width x d_in x d_out) is stored as a single matrix of
@@ -511,8 +522,6 @@ class Conv1dParams:
     kernel: Parameter
     bias: Parameter
     width: int
-    d_in: int
-    d_out: int
 
     @classmethod
     def init(cls, name: str, d_in: int, d_out: int, rng: SplitMix64, width: int = 1) -> "Conv1dParams":
@@ -522,12 +531,7 @@ class Conv1dParams:
             kernel=Parameter(uniform_init(rng, width * d_in, d_out, d_in), f"{name}.kernel"),
             bias=Parameter(uniform_init(rng, 1, d_out, d_in), f"{name}.bias"),
             width=width,
-            d_in=d_in,
-            d_out=d_out,
         )
-
-    def parameters(self) -> list[Parameter]:
-        return [self.kernel, self.bias]
 
 
 def conv1d(x, params: Conv1dParams) -> Tensor:
@@ -538,14 +542,15 @@ def conv1d(x, params: Conv1dParams) -> Tensor:
     With width 1 this reduces to exactly ``linear(x, kernel, bias)``.
     """
     x = as_tensor(x)
-    if x.cols != params.d_in:
-        raise ShapeError(f"conv1d input dim {x.cols}, kernel expects {params.d_in}")
+    d_in = params.kernel.rows // params.width
+    if x.cols != d_in:
+        raise ShapeError(f"conv1d input dim {x.cols}, kernel expects {d_in}")
     if params.width == 1:
         return linear(x, params.kernel, params.bias)
     half = params.width // 2
     acc = None
     for t in range(params.width):
-        tap = slice_rows(params.kernel, t * params.d_in, (t + 1) * params.d_in)
+        tap = slice_rows(params.kernel, t * d_in, (t + 1) * d_in)
         term = matmul(shift_rows(x, half - t), tap)
         acc = term if acc is None else add(acc, term)
     return add(acc, params.bias)
@@ -565,26 +570,21 @@ def collect_parameters(params: Iterable[Parameter]) -> list[Parameter]:
 
 
 class AdamState:
-    """Adam with bias correction; defaults follow the training recipe
-    (beta1=0.9, beta2=0.98, eps=1e-9, lr=0.00625).
+    """Adam with bias correction under the fixed training recipe
+    (Kingma and Ba, ICLR 2015, with lr=0.00625, beta1=0.9, beta2=0.98,
+    eps=1e-9).
 
     ``step`` applies ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` to every
     parameter and then zeroes its gradient buffer.
     """
 
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 0.00625,
-        beta1: float = 0.9,
-        beta2: float = 0.98,
-        eps: float = 1e-9,
-    ):
+    lr = 0.00625
+    beta1 = 0.9
+    beta2 = 0.98
+    eps = 1e-9
+
+    def __init__(self, params: Iterable[Parameter]):
         self.params = collect_parameters(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -609,13 +609,12 @@ def grad_check(
     loss_fn: Callable[[], Tensor],
     params: Sequence[Parameter],
     eps: float = 1e-5,
-    atol: float = 1e-8,
 ) -> float:
     """Max elementwise relative error between reverse-mode and central
     finite-difference gradients.
 
     Per entry the error is ``|fd - g| / max(|fd|, |g|)``, with deviations at
-    or below the absolute floor ``atol`` counting as zero (they are
+    or below the absolute floor 1e-8 counting as zero (they are
     indistinguishable from finite-difference roundoff). ``loss_fn`` must
     rebuild its graph on every call and be deterministic.
     """
@@ -650,7 +649,7 @@ def grad_check(
                 fd = (lo_hi - lo_lo) / (2.0 * eps)
                 g = grad[i, j]
                 diff = abs(fd - g)
-                rel = 0.0 if diff <= atol else diff / max(abs(fd), abs(g))
+                rel = 0.0 if diff <= 1e-8 else diff / max(abs(fd), abs(g))
                 if rel > worst:
                     worst = rel
     for p in params:

@@ -299,12 +299,16 @@ def cmd_train_toy(seed, steps, k, dim, mel_bins, length, lib_size, clusters, sep
 
 
 def _build_toy_fixture(seed, k, dim, mel_bins, length, lib_size, clusters, separation, vec_dim, metric):
-    """The shipped deterministic training fixture: library, batch, fresh params."""
+    """The shipped deterministic training fixture: library, batch, fresh params.
+
+    The parameters come first, so a bad size fails their size check; the
+    streams are independent, so the order changes no draw.
+    """
     spec = ClusterSpec(n=lib_size, clusters=clusters, separation=separation, dim=vec_dim, seed=seed)
     lib = generate_clustered_library(spec)
+    model = PipelineParams.init_for_library(lib, dim, stream(seed, "params"), n_mel=mel_bins)
     query = Query.from_record(lib.records[0])
     batch = make_toy_batch(lib, query, seed, length, dim, mel_bins, k=k, metric=metric)
-    model = PipelineParams.init_for_library(lib, dim, stream(seed, "params"), n_mel=mel_bins)
     return batch, model
 
 

@@ -41,13 +41,14 @@ import numpy as np
 from .autodiff import (
     LinearParams,
     Parameter,
+    Params,
     Tensor,
     add,
-    apply_linear,
     as_tensor,
     concat_cols,
     concat_rows,
     leaky_relu,
+    linear,
     masked_softmax_rows,
     matmul,
     slice_cols,
@@ -153,7 +154,7 @@ def check_edge_kinds(graph: EmotionGraph) -> None:
 
 
 @dataclass
-class ProjectionParams:
+class ProjectionParams(Params):
     """Per-channel linear maps from raw emotion vectors to node features.
 
     The text projection takes the concatenated self+react vector; the audio
@@ -194,18 +195,6 @@ class ProjectionParams:
             rng,
         )
 
-    @property
-    def out_dim(self) -> int:
-        return self.scene.d_out
-
-    def parameters(self) -> list[Parameter]:
-        return (
-            self.scene.parameters()
-            + self.face.parameters()
-            + self.text.parameters()
-            + self.audio.parameters()
-        )
-
 
 def project_input(raw, proj: LinearParams) -> Tensor:
     """Project one raw vector to a 1 x d node feature row."""
@@ -214,69 +203,45 @@ def project_input(raw, proj: LinearParams) -> Tensor:
         raise SchemaError(f"raw input must be a single row, got shape {row.shape}")
     if row.cols != proj.d_in:
         raise SchemaError(f"raw input dim {row.cols} does not match projection dim {proj.d_in}")
-    return apply_linear(row, proj)
+    return linear(row, proj.weight, proj.bias)
 
 
 @dataclass
-class GAEHeadParams:
+class GAEHeadParams(Params):
     weight: Parameter  # d x d_head
     attn: Parameter  # 1 x 2*d_head
 
 
 @dataclass
-class GAEParams:
-    """Graph attention encoder parameters.
+class GAEParams(Params):
+    """Graph attention encoder parameters: one attention layer.
 
-    ``layers[i]`` holds the attention heads of layer i; head outputs are
-    concatenated back to width d, so d must be divisible by the head count.
-    The same parameter set is reused across all three stages.
+    Head outputs are concatenated back to width d, so d must be divisible
+    by the head count. The same parameter set is reused across all three
+    stages. Parameters are named ``gae.layer0.head{h}.*``, the names that
+    existing checkpoints hold.
     """
 
-    layers: list[list[GAEHeadParams]]
-    slope: float = 0.2
-    activation: str = "identity"  # or "leaky_relu"
+    heads: list[GAEHeadParams]
 
     @classmethod
-    def init(
-        cls,
-        dim: int,
-        rng: SplitMix64,
-        num_layers: int = 1,
-        heads: int = 1,
-        slope: float = 0.2,
-        activation: str = "identity",
-    ) -> "GAEParams":
+    def init(cls, dim: int, rng: SplitMix64, heads: int = 1) -> "GAEParams":
         if heads < 1 or dim % heads != 0:
             raise ConfigError(f"head count {heads} must divide dim {dim}")
-        if num_layers < 1:
-            raise ConfigError(f"need at least one layer, got {num_layers}")
-        if activation not in ("identity", "leaky_relu"):
-            raise ConfigError(f"unknown activation {activation!r}")
         d_head = dim // heads
-        layers = []
-        for li in range(num_layers):
-            layer = []
-            for hi in range(heads):
-                prefix = f"gae.layer{li}.head{hi}"
-                layer.append(
-                    GAEHeadParams(
-                        weight=Parameter(uniform_init(rng, dim, d_head, dim), f"{prefix}.weight"),
-                        attn=Parameter(uniform_init(rng, 1, 2 * d_head, dim), f"{prefix}.attn"),
-                    )
+        return cls(
+            heads=[
+                GAEHeadParams(
+                    weight=Parameter(uniform_init(rng, dim, d_head, dim), f"gae.layer0.head{h}.weight"),
+                    attn=Parameter(uniform_init(rng, 1, 2 * d_head, dim), f"gae.layer0.head{h}.attn"),
                 )
-            layers.append(layer)
-        return cls(layers=layers, slope=slope, activation=activation)
+                for h in range(heads)
+            ]
+        )
 
     @property
     def dim(self) -> int:
-        return self.layers[0][0].weight.rows
-
-    def parameters(self) -> list[Parameter]:
-        out = []
-        for layer in self.layers:
-            for head in layer:
-                out.extend([head.weight, head.attn])
-        return out
+        return self.heads[0].weight.rows
 
 
 def gae_encode(
@@ -289,8 +254,9 @@ def gae_encode(
     Per node i the attention neighborhood is N(i) plus a self-loop; scores
     are ``leaky_relu(attn . [W h_i | W h_j])``, normalized by softmax over
     the neighborhood, and the new feature is the attention-weighted sum of
-    projected neighbor features. Returns the encoded graph, plus the list
-    of attention matrices (one per layer and head) when requested.
+    projected neighbor features; head outputs are concatenated. Returns
+    the encoded graph, plus the list of attention matrices (one per head)
+    when requested.
     """
     if graph.node_count == 0:
         raise ArgumentError("cannot encode an empty graph")
@@ -299,32 +265,26 @@ def gae_encode(
             f"feature dim {graph.features.cols} does not match encoder dim {params.dim}"
         )
     mask = graph.adjacency_mask()
-    h = graph.features
     attention_maps: list[np.ndarray] = []
-    for layer in params.layers:
-        head_outs = []
-        for head in layer:
-            wh = matmul(h, head.weight)
-            d_head = head.weight.cols
-            a_src = slice_cols(head.attn, 0, d_head)
-            a_dst = slice_cols(head.attn, d_head, 2 * d_head)
-            s_src = matmul(wh, transpose(a_src))  # n x 1
-            s_dst = matmul(wh, transpose(a_dst))  # n x 1
-            scores = leaky_relu(add(s_src, transpose(s_dst)), params.slope)
-            alpha = masked_softmax_rows(scores, mask)
-            attention_maps.append(alpha.data)
-            head_outs.append(matmul(alpha, wh))
-        merged = head_outs[0]
-        for part in head_outs[1:]:
-            merged = concat_cols(merged, part)
-        if params.activation == "leaky_relu":
-            merged = leaky_relu(merged, params.slope)
-        h = merged
+    head_outs = []
+    for head in params.heads:
+        wh = matmul(graph.features, head.weight)
+        d_head = head.weight.cols
+        a_src = slice_cols(head.attn, 0, d_head)
+        a_dst = slice_cols(head.attn, d_head, 2 * d_head)
+        s_src = matmul(wh, transpose(a_src))  # n x 1
+        s_dst = matmul(wh, transpose(a_dst))  # n x 1
+        alpha = masked_softmax_rows(leaky_relu(add(s_src, transpose(s_dst))), mask)
+        attention_maps.append(alpha.data)
+        head_outs.append(matmul(alpha, wh))
+    merged = head_outs[0]
+    for part in head_outs[1:]:
+        merged = concat_cols(merged, part)
     out = EmotionGraph(
         stage=graph.stage,
         nodes=list(graph.nodes),
         edges=list(graph.edges),
-        features=h,
+        features=merged,
         encoded=True,
     )
     return (out, attention_maps) if with_attention else out

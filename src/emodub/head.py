@@ -29,25 +29,25 @@ from .autodiff import (
     Conv1dParams,
     CrossAttentionParams,
     LinearParams,
-    Parameter,
+    Params,
     Tensor,
-    apply_linear,
     as_tensor,
     concat_cols,
     conv1d,
     cross_attention,
+    linear,
     mse,
 )
 from .errors import ArgumentError, NumericError, ShapeError
 from .graph import GAEParams, ProgressiveEncoding, ProjectionParams, progressive_encode
 from .library import FootageLibrary
-from .retrieval import Metric, Mode, Query, RetrievalResult, retrieve_all
+from .retrieval import Metric, Query, RetrievalResult, retrieve_all
 from .rng import SplitMix64, stream
 
 
 @dataclass
-class HeadParams:
-    """Three cross-attention blocks, four convolutions, and the mel head."""
+class HeadParams(Params):
+    """Three single-head cross-attention blocks, four convolutions, and the mel head."""
 
     ca_basic: CrossAttentionParams
     ca_indirect: CrossAttentionParams
@@ -59,37 +59,17 @@ class HeadParams:
     mel: LinearParams
 
     @classmethod
-    def init(
-        cls,
-        dim: int,
-        rng: SplitMix64,
-        n_mel: int = 80,
-        conv_width: int = 1,
-        heads: int = 1,
-    ) -> "HeadParams":
+    def init(cls, dim: int, rng: SplitMix64, n_mel: int = 80, conv_width: int = 1) -> "HeadParams":
         return cls(
-            ca_basic=CrossAttentionParams.init("head.ca_basic", dim, rng, heads),
-            ca_indirect=CrossAttentionParams.init("head.ca_indirect", dim, rng, heads),
-            ca_direct=CrossAttentionParams.init("head.ca_direct", dim, rng, heads),
+            ca_basic=CrossAttentionParams.init("head.ca_basic", dim, rng),
+            ca_indirect=CrossAttentionParams.init("head.ca_indirect", dim, rng),
+            ca_direct=CrossAttentionParams.init("head.ca_direct", dim, rng),
             conv_basic=Conv1dParams.init("head.conv_basic", 2 * dim, dim, rng, conv_width),
             conv_indirect=Conv1dParams.init("head.conv_indirect", 2 * dim, dim, rng, conv_width),
             conv_direct=Conv1dParams.init("head.conv_direct", 2 * dim, dim, rng, conv_width),
             conv_out=Conv1dParams.init("head.conv_out", 2 * dim, dim, rng, conv_width),
             mel=LinearParams.init("head.mel", dim, n_mel, rng),
         )
-
-    @property
-    def dim(self) -> int:
-        return self.ca_basic.dim
-
-    def parameters(self) -> list[Parameter]:
-        out = []
-        for block in (self.ca_basic, self.ca_indirect, self.ca_direct):
-            out.extend(block.parameters())
-        for conv in (self.conv_basic, self.conv_indirect, self.conv_direct, self.conv_out):
-            out.extend(conv.parameters())
-        out.extend(self.mel.parameters())
-        return out
 
 
 def aggregate(
@@ -145,11 +125,11 @@ def stub_aligned_sequence(seed: int, length: int, dim: int) -> Tensor:
 
 def toy_mel_head(fused: Tensor, params: HeadParams) -> Tensor:
     """Per-frame linear projection of the fused features to mel bins."""
-    return apply_linear(fused, params.mel)
+    return linear(fused, params.mel.weight, params.mel.bias)
 
 
 @dataclass
-class PipelineParams:
+class PipelineParams(Params):
     """All trainable parameters of the desk-scale pipeline."""
 
     proj: ProjectionParams
@@ -157,27 +137,14 @@ class PipelineParams:
     head: HeadParams
 
     @classmethod
-    def init_for_library(
-        cls,
-        lib: FootageLibrary,
-        dim: int,
-        rng: SplitMix64,
-        n_mel: int = 80,
-        conv_width: int = 1,
-        gae_layers: int = 1,
-        gae_heads: int = 1,
-        ca_heads: int = 1,
-    ) -> "PipelineParams":
+    def init_for_library(cls, lib: FootageLibrary, dim: int, rng: SplitMix64, n_mel: int = 80) -> "PipelineParams":
         """Fresh parameters sized to ``lib``'s schema, drawn from ``rng`` in
         the order projections, encoder, head."""
         return cls(
             proj=ProjectionParams.for_schema(lib.schema, dim, rng),
-            gae=GAEParams.init(dim, rng, num_layers=gae_layers, heads=gae_heads),
-            head=HeadParams.init(dim, rng, n_mel=n_mel, conv_width=conv_width, heads=ca_heads),
+            gae=GAEParams.init(dim, rng),
+            head=HeadParams.init(dim, rng, n_mel=n_mel),
         )
-
-    def parameters(self) -> list[Parameter]:
-        return self.proj.parameters() + self.gae.parameters() + self.head.parameters()
 
 
 @dataclass
@@ -201,14 +168,15 @@ def make_toy_batch(
     n_mel: int,
     k: int = 3,
     metric: Metric = Metric.COSINE,
-    mode: Mode = Mode.SPEAKER_AGNOSTIC,
 ) -> ToyBatch:
-    """Assemble a deterministic batch from a library query.
+    """Assemble a deterministic batch from a speaker-agnostic library query.
 
     The mel target is uniform in [-1, 1) from the stream keyed by
-    ``(seed, "mel-target")``.
+    ``(seed, "mel-target")``. The aligned stub is drawn first, so its
+    length check fires before the target is sized.
     """
-    retrieved = retrieve_all(lib, query, k, metric, mode)
+    retrieved = retrieve_all(lib, query, k, metric)
+    aligned = stub_aligned_sequence(seed, length, dim)
     rng = stream(seed, "mel-target")
     target = (2.0 * rng.floats(length * n_mel) - 1.0).reshape(length, n_mel)
     return ToyBatch(
@@ -216,7 +184,7 @@ def make_toy_batch(
         face=query.face.values,
         text_concat=np.concatenate([query.text_self.values, query.text_react.values]),
         retrieved=retrieved,
-        aligned=stub_aligned_sequence(seed, length, dim),
+        aligned=aligned,
         target_mel=target,
     )
 

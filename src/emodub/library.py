@@ -329,6 +329,14 @@ _MAGIC = b"MRFL"
 _VERSION = 1
 
 
+def _require_speakers(lib: FootageLibrary) -> None:
+    """Raise :class:`SchemaError` naming the first record without a speaker,
+    which neither ``.mrfl`` nor JSONL can store."""
+    unset = np.flatnonzero(lib.speaker_mask(None))
+    if unset.size:
+        raise SchemaError(f"record {lib.ids[unset[0]]} has no speaker_id; a library file cannot store it")
+
+
 def save_library(lib: FootageLibrary, path) -> None:
     """Write the binary library file.
 
@@ -337,8 +345,10 @@ def save_library(lib: FootageLibrary, path) -> None:
     Then per record: u64 record_id; three length-prefixed UTF-8 strings
     (movie, speaker, label; u32 lengths, empty allowed, absent label stored
     as empty); five vector payloads as raw little-endian float64 in schema
-    order.
+    order. A record without a speaker raises :class:`SchemaError` before
+    any byte is written.
     """
+    _require_speakers(lib)
     buf = bytearray(struct.pack("<4sI5IQ", _MAGIC, _VERSION, *(lib.schema[m] for m in MODALITY_ORDER), len(lib)))
     codes = lib.speaker_codes.tolist()
     speakers = {code: pack_string(lib.speaker_names[code]) for code in set(codes)}  # each one in use, once
@@ -423,7 +433,9 @@ def _read_records(r: Reader, count: int, dims: tuple[int, ...]) -> tuple:
 
 
 def write_jsonl(lib: FootageLibrary, path) -> None:
-    """One record per line as a JSON object; floats use shortest round-trip repr."""
+    """One record per line as a JSON object; floats use shortest round-trip
+    repr. A record without a speaker raises :class:`SchemaError` first."""
+    _require_speakers(lib)
     columns = [lib.matrix(m) for m in MODALITY_ORDER]
     with open(path, "w", encoding="utf-8") as fh:
         for record_id, movie, speaker, label, *rows in zip(
@@ -454,10 +466,10 @@ def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
     """Ingest precomputed vectors; schema inferred from the first record if absent.
 
     A malformed line raises :class:`FormatError` naming ``path:line``:
-    ``record_id`` must be a JSON integer in ``[0, 2**64)`` and vector
-    entries JSON numbers (booleans and numeric strings are rejected, not
-    converted). A repeated ``record_id`` raises :class:`SchemaError`
-    naming its second line.
+    ``record_id`` must be a JSON integer in ``[0, 2**64)``, ``movie_id``
+    and ``speaker_id`` JSON strings and vector entries JSON numbers;
+    nothing is converted. A repeated ``record_id`` raises
+    :class:`SchemaError` naming its second line.
     """
     if schema is not None:
         _check_schema(schema)
@@ -488,6 +500,10 @@ def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
             label = obj.get("emotion_label")
             if label is not None and not isinstance(label, str):
                 raise FormatError(f"{where}: emotion_label must be a string or null")
+            movie, speaker = obj["movie_id"], obj["speaker_id"]
+            for field, text in (("movie_id", movie), ("speaker_id", speaker)):
+                if not isinstance(text, str):
+                    raise FormatError(f"{where}: {field} must be a string, got {json.dumps(text)}")
             record_id = obj["record_id"]
             if type(record_id) is not int:  # a JSON integer; bool is not one
                 raise FormatError(f"{where}: record_id {record_id!r} is not an integer")
@@ -517,7 +533,6 @@ def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
                         f"got {vec.shape[0]}, schema says {dim}"
                     )
                 column.append(vec)
-            movie, speaker = str(obj["movie_id"]), str(obj["speaker_id"])
             for field, text in (("movie_id", movie), ("speaker_id", speaker), ("emotion_label", label)):
                 _require_utf8(text or "", f"{where}: {field}")
             ids.append(record_id)

@@ -73,6 +73,8 @@ class SplitMix64:
     def floats(self, n: int) -> np.ndarray:
         """The next ``n`` outputs as float64 ``u64 / 2**64``, bit-identical to
         ``n`` calls of ``next_u64() / 2**64``; a pending gaussian spare is kept."""
+        if n < 0:
+            raise ArgumentError(f"cannot draw a negative number of floats, got {n}")
         out = np.empty(n)
         for start in range(0, n, _CHUNK):
             m = min(_CHUNK, n - start)

@@ -32,7 +32,6 @@ class ClusterSpec:
     seed: int = 0
     speakers: int = 4
     speaker_per_cluster: bool = False
-    movies: int = 4
 
     def schema(self) -> Schema:
         return uniform_schema(self.dim)
@@ -44,7 +43,8 @@ def generate_clustered_library(spec: ClusterSpec) -> FootageLibrary:
     Cluster ``c`` lives at ``(separation / sqrt(2)) * e_c`` in every
     modality (``e_c`` the c-th standard basis vector), so pairwise centroid
     distances equal ``separation`` exactly; per-record noise is a standard
-    Gaussian from the documented stream. Labels are assigned round-robin.
+    Gaussian from the documented stream. Labels are assigned round-robin,
+    and so are the movie ids ``movie_0`` to ``movie_3``.
     Requires ``clusters <= dim`` to keep the placement exact.
     """
     if spec.n < 1:
@@ -75,7 +75,7 @@ def generate_clustered_library(spec: ClusterSpec) -> FootageLibrary:
     return FootageLibrary.from_columns(
         spec.schema(),
         list(range(spec.n)),
-        [f"movie_{i % spec.movies}" for i in range(spec.n)],
+        [f"movie_{i % 4}" for i in range(spec.n)],
         [f"speaker_{s}" for s in speakers],
         [f"cluster_{label}" for label in labels],
         {m: centroids + noise[:, j] for j, m in enumerate(MODALITY_ORDER)},

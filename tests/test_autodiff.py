@@ -210,7 +210,7 @@ class TestConv1d:
         weights = rng.normal(size=(4, 3))
         bias = rng.normal(size=(1, 3))
         params = Conv1dParams(
-            kernel=param(weights, "k"), bias=param(bias, "b"), width=1, d_in=4, d_out=3
+            kernel=param(weights, "k"), bias=param(bias, "b"), width=1
         )
         x = Tensor(rng.normal(size=(6, 4)))
         conv_out = conv1d(x, params)
@@ -224,8 +224,6 @@ class TestConv1d:
             kernel=param(kernel, "k"),
             bias=param(np.zeros((1, d_out)), "b"),
             width=3,
-            d_in=d_in,
-            d_out=d_out,
         )
         x = np.zeros((L, d_in))
         x[3, 1] = 1.0  # unit impulse in feature 1 at position 3
@@ -241,7 +239,7 @@ class TestConv1d:
         kernel = rng.normal(size=(3 * d_in, d_out))
         bias = rng.normal(size=(1, d_out))
         params = Conv1dParams(
-            kernel=param(kernel, "k"), bias=param(bias, "b"), width=3, d_in=d_in, d_out=d_out
+            kernel=param(kernel, "k"), bias=param(bias, "b"), width=3
         )
         x = rng.normal(size=(8, d_in))
         got = conv1d(Tensor(x), params).data
@@ -317,7 +315,7 @@ class TestGradCheck:
             elif op_name == "shift_neg":
                 y = shift_rows(a, -1)
             elif op_name == "leaky_relu":
-                y = leaky_relu(a, 0.2)
+                y = leaky_relu(a)
             elif op_name == "softmax":
                 y = softmax_rows(a)
             else:
@@ -419,7 +417,7 @@ class TestAdam:
         p = param(np.zeros((2, 2)), "p")
         p.grad[...] = g
         lr, eps = 0.00625, 1e-9
-        adam = AdamState([p], lr=lr, eps=eps)
+        adam = AdamState([p])
         adam.step()
         want = -lr * g / (np.abs(g) + eps)
         np.testing.assert_allclose(p.data, want, rtol=1e-12)
@@ -427,7 +425,7 @@ class TestAdam:
 
     def test_constant_gradient_update_magnitude_approaches_lr(self):
         p = param(np.zeros((1, 1)), "p")
-        adam = AdamState([p], lr=0.00625)
+        adam = AdamState([p])
         prev = 0.0
         for _ in range(50):
             p.grad[...] = 1.0
@@ -440,7 +438,7 @@ class TestAdam:
         # two steps with different gradients, checked against a by-hand recurrence
         beta1, beta2, lr, eps = 0.9, 0.98, 0.00625, 1e-9
         p = param(np.array([[1.0]]), "p")
-        adam = AdamState([p], lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        adam = AdamState([p])
         value, m, v = 1.0, 0.0, 0.0
         for t, g in enumerate([0.5, -1.25, 2.0], start=1):
             p.grad[...] = g

@@ -156,6 +156,20 @@ class TestIngest:
             )
             assert_error_exit(result, 3, message)
 
+    def test_non_string_movie_or_speaker_is_data_error(self, runner, tmp_path, rng):
+        # str() once converted these: a null speaker ingested as the speaker "None"
+        from conftest import random_library
+
+        jsonl = tmp_path / "text.jsonl"
+        write_jsonl(random_library(rng, 1), jsonl)
+        good = json.loads(jsonl.read_text())
+        for field in ("movie_id", "speaker_id"):
+            for value in (None, [1, 2], 7):
+                jsonl.write_text(json.dumps({**good, field: value}) + "\n")
+                result = runner.invoke(main, ["ingest", "--jsonl", str(jsonl), "--out", str(tmp_path / "o.mrfl")])
+                assert_error_exit(result, 3, f"text.jsonl:1: {field} must be a string, got {json.dumps(value)}")
+        assert not (tmp_path / "o.mrfl").exists()
+
     def test_non_integer_record_id_is_data_error(self, runner, tmp_path, rng):
         result = self.ingest_lines(
             runner, tmp_path, rng, lambda line: line.replace(b'"record_id": 0', b'"record_id": "abc"')
@@ -365,9 +379,15 @@ class TestTrainToy:
         assert a.output == b.output
 
     def test_bad_sizes_are_usage_errors(self, runner):
-        for flags in (["--dim", "0"], ["--mel-bins", "0"]):
+        for flags in (
+            ["--dim", "0"], ["--mel-bins", "0"], ["--dim", "-3"], ["--mel-bins", "-1"],
+            ["--length", "-1", "--mel-bins", "-1"],
+        ):
             result = runner.invoke(main, ["train-toy", "--steps", "2", *flags])
             assert_error_exit(result, 2, "parameter sizes must be >= 1")
+        for length in ("0", "-1"):
+            result = runner.invoke(main, ["train-toy", "--steps", "2", "--length", length])
+            assert_error_exit(result, 2, "sequence length must be >= 1")
 
 
     def test_non_finite_separation_is_usage_error(self, runner):
@@ -390,8 +410,11 @@ class TestGradCheckCommand:
         assert "gradient check FAILED" in result.output
 
     def test_bad_dim_is_usage_error(self, runner):
-        result = runner.invoke(main, ["grad-check", "--dim", "0"])
-        assert_error_exit(result, 2, "parameter sizes must be >= 1")
+        for flags in (["--dim", "0"], ["--dim", "-3"], ["--mel-bins", "-1"]):
+            result = runner.invoke(main, ["grad-check", *flags])
+            assert_error_exit(result, 2, "parameter sizes must be >= 1")
+        result = runner.invoke(main, ["grad-check", "--length", "-2"])
+        assert_error_exit(result, 2, "sequence length must be >= 1")
 
     def test_non_positive_eps_is_usage_error(self, runner):
         for eps in ("0", "-1e-5"):

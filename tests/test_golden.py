@@ -4,10 +4,14 @@ These outputs use only SplitMix64 and exact IEEE-754 operations in a fixed
 order, so their bytes do not depend on the platform, numpy version or BLAS.
 The draw digests were recorded from the scalar per-entry draw; any change
 to how parameters, stub sequences, mel targets or synthetic vectors are
-drawn must reproduce them bit for bit. The ``retrieve`` digest pins the
-17-digit scores of the fixed-order similarity (see ``emodub.retrieval``);
-the sweep digest pins the CSVs of the three sweeps on a library large
-enough that ``evaluate_purity`` scans it in more than one row block.
+drawn must reproduce them bit for bit. The Adam digest pins the bits of a
+five-step update, and the library digest the ``.mrfl`` bytes of a seeded
+clustered library (Gaussian noise, labels, speakers and movie ids); its
+Box-Muller noise also goes through the C library's ``log``, ``sin`` and
+``cos``. The ``retrieve`` digest pins the 17-digit scores of the
+fixed-order similarity (see ``emodub.retrieval``); the sweep digest
+pins the CSVs of the three sweeps on a library large enough that
+``evaluate_purity`` scans it in more than one row block.
 """
 
 import hashlib
@@ -15,6 +19,7 @@ import hashlib
 import numpy as np
 from click.testing import CliRunner
 
+from emodub.autodiff import AdamState, Parameter
 from emodub.cli import main
 from emodub.head import PipelineParams, make_toy_batch, stub_aligned_sequence
 from emodub.library import Modality, save_library, synthetic_extract
@@ -67,6 +72,27 @@ def test_synthetic_extract():
     assert digest(*vectors) == SYNTHETIC_EXTRACT
 
 
+def test_adam_five_steps():
+    rng = stream(0, "adam-golden")
+    params = [
+        Parameter(2.0 * rng.floats(r * c).reshape(r, c) - 1.0, f"p{i}")
+        for i, (r, c) in enumerate([(3, 4), (1, 5), (2, 2)])
+    ]
+    adam = AdamState(params)
+    trajectory = []
+    for step in range(5):
+        for i, p in enumerate(params):
+            p.grad += (2.0 * rng.floats(p.data.size).reshape(p.shape) - 1.0) * 10.0 ** (i - step)
+        adam.step()
+        trajectory += [p.data.copy() for p in params]
+    assert digest(*trajectory) == ADAM_5_STEPS
+
+
+def test_clustered_library_bytes(tmp_path):
+    save_library(generate_clustered_library(ClusterSpec(n=64, clusters=4, dim=8, seed=11)), tmp_path / "c.mrfl")
+    assert hashlib.sha256((tmp_path / "c.mrfl").read_bytes()).hexdigest() == CLUSTERED_64
+
+
 def test_retrieve_csv(tmp_path):
     lib = generate_clustered_library(ClusterSpec(n=40, clusters=3, separation=2.0, dim=4, seed=0, speakers=2))
     save_library(lib, tmp_path / "lib.mrfl")
@@ -109,3 +135,5 @@ MEL_TARGET_5 = "5df7973d716fbe7dcfdd35c5a7ce139412be760d249f727839531856684df0e4
 SYNTHETIC_EXTRACT = "38b44d823fa55f8f3bebd225281d3d953313ac3b23637db8ba93a6c4c640fb99"
 RETRIEVE_CSV = "6e8215cf5bafd755241c92e2078e1b5048781675118b700676c22f7011aed1e1"
 SWEEP_CSV = "9a838066c8be003455ae89f11c941c11e1b7fe5c5f68e063ce24094420b0221e"
+ADAM_5_STEPS = "64936ee5c2aa54e73575a632352564440f3cb409f83cc7d5014f694bafa1a37b"
+CLUSTERED_64 = "e5d8797efb202923282b31b1d7d027b271c515378638f3199f286a31db19801a"

@@ -102,7 +102,7 @@ class TestGAEEncode:
     def test_single_node_graph_is_projection_only(self):
         w = np.array([[1.0, 2.0], [0.5, -1.0]])
         params = GAEParams(
-            layers=[[GAEHeadParams(Parameter(w, "w"), Parameter(np.array([[0.3, -0.2, 0.5, 0.1]]), "a"))]]
+            heads=[GAEHeadParams(Parameter(w, "w"), Parameter(np.array([[0.3, -0.2, 0.5, 0.1]]), "a"))]
         )
         h = np.array([[2.0, -1.0]])
         g = EmotionGraph(GraphStage.BASIC, [GraphNode(BASIC, "scene")], [], Tensor(h))
@@ -129,7 +129,7 @@ class TestGAEEncode:
         nodes = [GraphNode(BASIC, c) for c in CHANNELS]
         edges = [(0, 1, BASIC), (0, 2, BASIC), (1, 2, BASIC)]
         g = EmotionGraph(GraphStage.BASIC, nodes, edges, Tensor(feats))
-        params = GAEParams(layers=[[GAEHeadParams(Parameter(w, "w"), Parameter(a_vec.reshape(1, -1), "a"))]], slope=slope)
+        params = GAEParams(heads=[GAEHeadParams(Parameter(w, "w"), Parameter(a_vec.reshape(1, -1), "a"))])
         got = gae_encode(g, params).features.data
 
         def lrelu(x):

@@ -314,6 +314,14 @@ class TestJsonl:
         with pytest.raises(FormatError, match="invalid JSON"):
             read_jsonl(path)
 
+    def test_speakerless_record_is_not_written(self, rng, tmp_path):
+        lib = random_library(rng, 4)
+        lib.records[2].speaker_id = None
+        for write, name in ((save_library, "lib.mrfl"), (write_jsonl, "lib.jsonl")):
+            with pytest.raises(SchemaError, match="record 2 has no speaker_id"):
+                write(lib, tmp_path / name)
+            assert not (tmp_path / name).exists()
+
     def test_empty_without_schema(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -113,6 +113,13 @@ def test_bulk_draw_keeps_gaussian_spare(seed, n):
     assert gen.next_u64() == ref.next_u64()
 
 
+def test_negative_bulk_draw_is_rejected():
+    gen = SplitMix64(5)
+    with pytest.raises(ArgumentError, match="negative number of floats"):
+        gen.floats(-1)
+    assert gen.next_u64() == SplitMix64(5).next_u64()  # the stream did not move
+
+
 def unshift(y, s):
     """Invert ``y = x ^ (x >> s)`` on 64-bit values."""
     x = y
