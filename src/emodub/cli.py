@@ -75,6 +75,11 @@ def _parse_number(convert, text: str, what: str):
         raise ArgumentError(f"invalid {what} {text!r}") from None
 
 
+#: The most K values a list may expand to; a longer range is refused before
+#: it is expanded, so ``1..100000000000`` is a usage error, not a MemoryError.
+MAX_K_VALUES = 1 << 20
+
+
 def _parse_k_list(text: str) -> list[int]:
     """Parse '3', '1,2,5', or '1..8' into a list of ints."""
     out: list[int] = []
@@ -85,6 +90,8 @@ def _parse_k_list(text: str) -> list[int]:
             lo, hi = _parse_number(int, lo_s, "K"), _parse_number(int, hi_s, "K")
             if hi < lo:
                 raise ArgumentError(f"empty K range {chunk!r}")
+            if len(out) + hi - lo + 1 > MAX_K_VALUES:
+                raise ArgumentError(f"K range {chunk!r} expands to more than {MAX_K_VALUES} values")
             out.extend(range(lo, hi + 1))
         elif chunk:
             out.append(_parse_number(int, chunk, "K"))

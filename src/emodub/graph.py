@@ -197,8 +197,13 @@ class ProjectionParams(Params):
 
 
 def project_input(raw, proj: LinearParams) -> Tensor:
-    """Project one raw vector to a 1 x d node feature row."""
-    row = as_tensor(raw)
+    """Project one raw vector to a 1 x d node feature row.
+
+    A library row is a strided view into its column-major array; it is
+    copied into a contiguous row first, so the product takes numpy's BLAS
+    path and gives the bits it gives any contiguous vector.
+    """
+    row = as_tensor(np.ascontiguousarray(raw))
     if row.rows != 1:
         raise SchemaError(f"raw input must be a single row, got shape {row.shape}")
     if row.cols != proj.d_in:

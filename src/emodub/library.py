@@ -3,9 +3,11 @@
 A library stores one record per reference clip, each holding five
 fixed-dimension emotion vectors (scene, face, text-self, text-react, audio)
 plus identifiers and an optional free-form emotion label used by the
-synthetic evaluation harness. The library is its columns, and records
-are row views made on access (see :class:`FootageLibrary`). A library is
-built whole, from columns, and retrieval then only reads it.
+synthetic evaluation harness. The library is its columns, each stored
+column-major so that retrieval reads every vector entry of all records as
+one contiguous run, and records are row views made on access (see
+:class:`FootageLibrary`). A library is built whole, from columns, and
+retrieval then only reads it.
 
 Two persistence formats are provided:
 
@@ -108,8 +110,9 @@ def synthetic_extract(seed: int, content_key: str, modality: Modality, dim: int)
 class FootageRecord:
     """Row ``row`` of a :class:`FootageLibrary`, made when accessed; every
     field reads the library's columns. Each vector's ``values`` is a row view
-    of its modality's column, so an in-place write reaches the library, and
-    setting ``speaker_id`` writes the speaker column."""
+    of its modality's column-major array (strided, not contiguous), so an
+    in-place write reaches the library, and setting ``speaker_id`` writes
+    the speaker column."""
 
     __slots__ = ("library", "row")
 
@@ -176,8 +179,11 @@ def _check_schema(schema: Schema) -> None:
 class FootageLibrary:
     """Ordered collection of footage records: its columns, in record order.
 
-    One C-contiguous ``(N, d)`` float64 array per modality (:meth:`matrix`),
-    record ids as uint64 (:attr:`ids`; :attr:`id_index` maps an id to its
+    One column-major (Fortran-contiguous) ``(N, d)`` float64 array per
+    modality (:meth:`matrix`): entry ``j`` of every record is one contiguous
+    run, the unit-stride pass retrieval makes per dimension. There is no
+    row-major copy; a row is a strided view. Beside them: record ids as
+    uint64 (:attr:`ids`; :attr:`id_index` maps an id to its
     row), movie ids and labels as lists, and speakers as integer codes into
     a name table, so a speaker's rows are one array comparison
     (:meth:`speaker_mask`). ``records[i]`` and :meth:`lookup` make a
@@ -191,7 +197,7 @@ class FootageLibrary:
     def __init__(self, schema: Schema):
         _check_schema(schema)
         self.schema = schema
-        self._vectors = {m: np.empty((0, schema[m])) for m in MODALITY_ORDER}
+        self._vectors = {m: np.empty((0, schema[m]), order="F") for m in MODALITY_ORDER}
         self.ids = np.empty(0, dtype=np.uint64)
         self.id_index: dict[int, int] = {}
         self.movie_ids: list[str] = []
@@ -206,12 +212,13 @@ class FootageLibrary:
         labels: list[str | None], vectors: dict[Modality, np.ndarray],
     ) -> "FootageLibrary":
         """The library whose row ``i`` is ``record_ids[i]``, ..., ``vectors[m][i]``.
-        Each ``vectors[m]`` must have shape ``(N, schema[m])``; float64
-        C-contiguous arrays are adopted, not copied. An empty label is ``None``."""
+        Each ``vectors[m]`` must have shape ``(N, schema[m])``; writable
+        float64 column-major arrays are adopted, not copied, and any other
+        array is copied once into one. An empty label is ``None``."""
         lib = cls(schema)
         n = len(record_ids)
         for m in MODALITY_ORDER:
-            arr = np.require(vectors[m], np.float64, ["C", "W"])
+            arr = np.require(vectors[m], np.float64, ["F", "W"])
             if arr.shape != (n, schema[m]):
                 shapes = f"got shape {arr.shape}, schema says ({n}, {schema[m]})"
                 raise SchemaError(f"dimension mismatch for {m.value}: {shapes}")
@@ -244,7 +251,9 @@ class FootageLibrary:
         return _Records(self)
 
     def matrix(self, modality: Modality) -> np.ndarray:
-        """The ``(N, d)`` array of the modality's vectors; row ``i`` is ``records[i]``."""
+        """The column-major ``(N, d)`` array of the modality's vectors; row
+        ``i`` is ``records[i]``, and column ``j`` (``matrix(m).T[j]``) is
+        contiguous."""
         return self._vectors[modality]
 
     @property
@@ -302,7 +311,8 @@ class FootageLibrary:
             [self.movie_ids[i] for i in rows],
             [names[code] for code in self.speaker_codes[rows].tolist()],
             [self.emotion_labels[i] for i in rows],
-            {m: self.matrix(m)[rows] for m in MODALITY_ORDER},
+            # rows of the transposed (d, N) view keep the copy column-major
+            {m: self.matrix(m).T[:, rows].T for m in MODALITY_ORDER},
         )
 
 
@@ -352,7 +362,10 @@ def save_library(lib: FootageLibrary, path) -> None:
     buf = bytearray(struct.pack("<4sI5IQ", _MAGIC, _VERSION, *(lib.schema[m] for m in MODALITY_ORDER), len(lib)))
     codes = lib.speaker_codes.tolist()
     speakers = {code: pack_string(lib.speaker_names[code]) for code in set(codes)}  # each one in use, once
-    payloads = np.hstack([lib.matrix(m) for m in MODALITY_ORDER]).astype("<f8", copy=False)
+    edges = np.cumsum((0, *(lib.schema[m] for m in MODALITY_ORDER))).tolist()
+    payloads = np.empty((len(lib), edges[-1]), dtype="<f8")  # row-major: a record's bytes are its row
+    for m, lo, hi in zip(MODALITY_ORDER, edges, edges[1:]):
+        payloads[:, lo:hi] = lib.matrix(m)
     for record_id, movie, code, label, payload in zip(
         lib.ids.tolist(), lib.movie_ids, codes, lib.emotion_labels, payloads
     ):
@@ -425,7 +438,7 @@ def _read_records(r: Reader, count: int, dims: tuple[int, ...]) -> tuple:
     r.pos = pos
     block = np.frombuffer(b"".join(payloads), dtype="<f8").reshape(count, width // 8)
     edges = np.cumsum((0, *dims)).tolist()
-    vectors = {m: block[:, lo:hi].copy() for m, lo, hi in zip(MODALITY_ORDER, edges, edges[1:])}
+    vectors = {m: block[:, lo:hi].copy(order="F") for m, lo, hi in zip(MODALITY_ORDER, edges, edges[1:])}
     return ids, movies, speakers, labels, vectors
 
 
@@ -542,5 +555,8 @@ def read_jsonl(path, schema: Schema | None = None) -> FootageLibrary:
     del seen
     if dims is None:
         raise FormatError(f"{path}: no records and no schema given")
-    vectors = {m: np.array(column).reshape(len(ids), d) for m, d, column in zip(MODALITY_ORDER, dims, rows)}
+    vectors = {
+        m: np.array(column, order="F").reshape(len(ids), d)  # column-major, as the library keeps it
+        for m, d, column in zip(MODALITY_ORDER, dims, rows)
+    }
     return FootageLibrary.from_columns(dict(zip(MODALITY_ORDER, dims)), ids, movies, speakers, labels, vectors)

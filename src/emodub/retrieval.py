@@ -17,6 +17,9 @@ runs the same operations for a block of Q query rows at once: one
 dimension at a time, each query entry broadcast across the column of the
 library's N×d array, so every (query, candidate) pair gets exactly the
 bits :func:`similarity` gives it alone, whatever the BLAS, the CPU or Q.
+The library stores each modality column-major, so each of those passes
+reads one contiguous run of N floats; a record's vectors are strided row
+views.
 Each row's pool top K are ordered by (score desc, record_id asc).
 :func:`retrieve_modality` is its one-row case; ``evaluate_purity`` scans
 the library's own rows in blocks.
@@ -227,7 +230,7 @@ def retrieve_block(
                 # q[j]: entry j of every query, as a column; one query's
                 # entries as Python floats, which numpy broadcasts faster
                 q = queries[modality].T[:, :, None] if len(pool) != 1 else queries[modality][0].tolist()
-                columns = lib.matrix(modality).T  # columns[j]: entry j of every library row
+                columns = lib.matrix(modality).T  # columns[j]: entry j of every library row, contiguous
                 if metric is Metric.NEG_EUCLIDEAN:
                     scores.append(-np.sqrt(_sum(d * d for d in (x - c for x, c in zip(q, columns)))))
                     continue

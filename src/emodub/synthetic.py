@@ -78,7 +78,7 @@ def generate_clustered_library(spec: ClusterSpec) -> FootageLibrary:
         [f"movie_{i % 4}" for i in range(spec.n)],
         [f"speaker_{s}" for s in speakers],
         [f"cluster_{label}" for label in labels],
-        {m: centroids + noise[:, j] for j, m in enumerate(MODALITY_ORDER)},
+        {m: np.add(centroids, noise[:, j], order="F") for j, m in enumerate(MODALITY_ORDER)},
     )
 
 

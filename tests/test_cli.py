@@ -320,6 +320,15 @@ class TestRetrieve:
             result = runner.invoke(main, [command, "--lib", str(lib_path), "--k", "x"])
             assert_error_exit(result, 2, "invalid K 'x'")
 
+    def test_huge_k_range_is_usage_error(self, runner, tmp_path):
+        # refused before expansion: 10^11 values would raise MemoryError
+        lib_path = gen_lib(runner, tmp_path / "lib.mrfl")
+        for command in ("sweep-topk", "sweep-metric"):
+            for k_list in ("1..100000000000", "1..1048577", "3,1..1048576"):
+                result = runner.invoke(main, [command, "--lib", str(lib_path), "--k", k_list])
+                assert_error_exit(result, 2, "expands to more than 1048576 values")
+                assert k_list.split(",")[-1] in result.output and "Traceback" not in result.output
+
 
 class TestEncode:
     def test_topology_document(self, runner, tmp_path):

@@ -12,6 +12,13 @@ Box-Muller noise also goes through the C library's ``log``, ``sin`` and
 fixed-order similarity (see ``emodub.retrieval``); the sweep digest
 pins the CSVs of the three sweeps on a library large enough that
 ``evaluate_purity`` scans it in more than one row block.
+
+The ``encode`` digest is the exception: its features go through BLAS
+matrix products, whose summation order depends on the OpenBLAS kernel the
+CPU selects. It must be one of the digests recorded for the five x86-64
+kernel families (``OPENBLAS_CORETYPE`` SkylakeX, Haswell, Sandybridge,
+Nehalem and Core2 and their aliases), so a changed bit under any of them
+still fails.
 """
 
 import hashlib
@@ -128,6 +135,21 @@ def test_sweep_csvs(tmp_path):
     assert h.hexdigest() == SWEEP_CSV
 
 
+def test_encode_json(tmp_path):
+    lib = generate_clustered_library(ClusterSpec(n=48, clusters=3, separation=2.0, dim=6, seed=3, speakers=2))
+    save_library(lib, tmp_path / "lib.mrfl")
+    h = hashlib.sha256()
+    for query_id in (5, 31):
+        for metric in ("cosine", "euclid"):
+            out = tmp_path / "encode.json"
+            CliRunner().invoke(main, [
+                "encode", "--lib", str(tmp_path / "lib.mrfl"), "--query-id", str(query_id), "--k", "3",
+                "--metric", metric, "--dim", "16", "--features", "--out", str(out),
+            ], catch_exceptions=False)
+            h.update(out.read_bytes())
+    assert h.hexdigest() in ENCODE_JSON
+
+
 NAMES_DIM64 = "04c4a5d61d481112fa32e9bd7dd45a4cddaae5b842a617ec667cd9414f81a942"
 PARAMS_DIM64 = "97db654312294d492b377e7549106e56c5e685d4355cb3ebae5fbca84f52544e"
 STUB_3_8_64 = "91ece463477f6523e5f154d6aa32c403abc4133240d9fede0202478e6f9adefb"
@@ -137,3 +159,11 @@ RETRIEVE_CSV = "6e8215cf5bafd755241c92e2078e1b5048781675118b700676c22f7011aed1e1
 SWEEP_CSV = "9a838066c8be003455ae89f11c941c11e1b7fe5c5f68e063ce24094420b0221e"
 ADAM_5_STEPS = "64936ee5c2aa54e73575a632352564440f3cb409f83cc7d5014f694bafa1a37b"
 CLUSTERED_64 = "e5d8797efb202923282b31b1d7d027b271c515378638f3199f286a31db19801a"
+#: one digest per OpenBLAS x86-64 kernel family (see the module docstring)
+ENCODE_JSON = frozenset({
+    "93ac482c64fd74bf3a16aca5598d11d3f6c77ae5f0ec476d05339ac53f03d8ae",  # SkylakeX, Cooperlake, SapphireRapids
+    "a45f5cb773f1248b87f39a1fcaa2ecbadf07bdff7cd3537e87d95abf71af9752",  # Haswell, Zen
+    "9a3089dea92d05426241dbed6bd87c38fafe4496be64bfd765bd81a3f575c45c",  # Sandybridge, Bulldozer, Excavator
+    "7e77580ade38a07a35ff8878f84d4dbc6c4183898e385ab53d50530dae583776",  # Nehalem, Atom, Barcelona
+    "faf0eb2414c74bb62932738af94ca039b1b89761a411fe323c3740d15598610e",  # Core2, Penryn, Prescott, Opteron
+})

@@ -22,8 +22,8 @@ from emodub.library import (
     uniform_schema,
     write_jsonl,
 )
-from emodub.retrieval import Mode
-from emodub.synthetic import evaluate_purity
+from emodub.retrieval import Mode, Query, retrieve_all
+from emodub.synthetic import ClusterSpec, evaluate_purity, generate_clustered_library
 
 from conftest import random_library
 
@@ -187,6 +187,45 @@ class TestRecordViews:
         save_library(lib, path)
         assert load_library(path).records[11].speaker_id == "late"
         assert evaluate_purity(lib, 3, mode=Mode.SPEAKER_SPECIFIC).retrieved == want - 3 * min(3, pools[11])
+
+
+def assert_column_major(lib):
+    for m in MODALITY_ORDER:
+        arr = lib.matrix(m)
+        assert arr.dtype == np.float64 and arr.flags.f_contiguous and arr.flags.writeable, m.value
+        # a (1, d) or (N, 1) array is both; these have N, d >= 2, so the layout is real
+        assert len(lib) < 2 or not arr.flags.c_contiguous, m.value
+
+
+class TestColumnLayout:
+    def test_every_builder_gives_column_major_arrays(self, rng, tmp_path):
+        assert_column_major(FootageLibrary(uniform_schema(3)))
+        lib = random_library(rng, 20, dims={m: 2 + i for i, m in enumerate(MODALITY_ORDER)})
+        assert_column_major(lib)  # from_columns, given row-major arrays
+        save_library(lib, tmp_path / "lib.mrfl")
+        assert_column_major(load_library(tmp_path / "lib.mrfl"))
+        write_jsonl(lib, tmp_path / "lib.jsonl")
+        assert_column_major(read_jsonl(tmp_path / "lib.jsonl"))
+        assert_column_major(lib.subsample(0.5, seed=1))
+        assert_column_major(generate_clustered_library(ClusterSpec(n=16, clusters=2, dim=4, seed=0)))
+
+    def test_column_major_arrays_are_adopted(self, rng):
+        vectors = {m: np.asfortranarray(rng.normal(size=(5, 3))) for m in MODALITY_ORDER}
+        lib = FootageLibrary.from_columns(uniform_schema(3), list(range(5)), ["m"] * 5, ["s"] * 5, [None] * 5, vectors)
+        assert all(lib.matrix(m) is vectors[m] for m in MODALITY_ORDER)
+
+    def test_write_through_a_strided_row_view_reaches_retrieval(self, rng):
+        lib = random_library(rng, 30, dims=6)
+        query = Query.from_record(lib.records[0])
+        before = retrieve_all(lib, query, 3).rankings["scene"]
+        row = next(i for i in range(1, 30) if lib.records[i].record_id not in dict(before))
+        values = lib.records[row].scene.values
+        assert not values.flags.c_contiguous  # a strided view, not a copy
+        values[...] = 2.0 * query.scene.values  # cosine 1 with the query
+        assert np.array_equal(lib.matrix(Modality.SCENE)[row], 2.0 * query.scene.values)
+        after = retrieve_all(lib, query, 3).rankings["scene"]
+        assert after[0][0] == lib.records[row].record_id
+        assert [rid for rid, _ in after[1:]] == [rid for rid, _ in before[:2]]
 
 
 class TestBinaryRoundTrip:
