@@ -13,12 +13,12 @@ fixed-order similarity (see ``emodub.retrieval``); the sweep digest
 pins the CSVs of the three sweeps on a library large enough that
 ``evaluate_purity`` scans it in more than one row block.
 
-The ``encode`` digest is the exception: its features go through BLAS
-matrix products, whose summation order depends on the OpenBLAS kernel the
-CPU selects. It must be one of the digests recorded for the five x86-64
-kernel families (``OPENBLAS_CORETYPE`` SkylakeX, Haswell, Sandybridge,
-Nehalem and Core2 and their aliases), so a changed bit under any of them
-still fails.
+The ``encode`` and ``train-toy`` digests are the exception: their
+features, losses and checkpoints go through BLAS matrix products, whose
+summation order depends on the OpenBLAS kernel the CPU selects. Each must
+be one of the digests recorded for the five x86-64 kernel families
+(``OPENBLAS_CORETYPE`` SkylakeX, Haswell, Sandybridge, Nehalem and Core2
+and their aliases), so a changed bit under any of them still fails.
 """
 
 import hashlib
@@ -150,6 +150,15 @@ def test_encode_json(tmp_path):
     assert h.hexdigest() in ENCODE_JSON
 
 
+def test_train_toy_outputs(tmp_path):
+    csv, adpk = tmp_path / "loss.csv", tmp_path / "final.adpk"
+    CliRunner().invoke(main, [
+        "train-toy", "--steps", "3", "--dim", "16", "--out", str(csv), "--checkpoint", str(adpk),
+    ], catch_exceptions=False)
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (csv, adpk))
+    assert digests in TRAIN_TOY
+
+
 NAMES_DIM64 = "04c4a5d61d481112fa32e9bd7dd45a4cddaae5b842a617ec667cd9414f81a942"
 PARAMS_DIM64 = "97db654312294d492b377e7549106e56c5e685d4355cb3ebae5fbca84f52544e"
 STUB_3_8_64 = "91ece463477f6523e5f154d6aa32c403abc4133240d9fede0202478e6f9adefb"
@@ -166,4 +175,27 @@ ENCODE_JSON = frozenset({
     "9a3089dea92d05426241dbed6bd87c38fafe4496be64bfd765bd81a3f575c45c",  # Sandybridge, Bulldozer, Excavator
     "7e77580ade38a07a35ff8878f84d4dbc6c4183898e385ab53d50530dae583776",  # Nehalem, Atom, Barcelona
     "faf0eb2414c74bb62932738af94ca039b1b89761a411fe323c3740d15598610e",  # Core2, Penryn, Prescott, Opteron
+})
+#: (loss CSV, checkpoint) digests, one pair per OpenBLAS x86-64 kernel family
+TRAIN_TOY = frozenset({
+    (  # SkylakeX, Cooperlake, SapphireRapids
+        "9168a816aac833bc65fdef36afdb056d5c144543d89d32a5e3c0a356ef362fdc",
+        "84676e499490a33348c6ed79b7d820e9ac22bf8fac2d446e3b0e35be14cc89c2",
+    ),
+    (  # Haswell, Zen
+        "9168a816aac833bc65fdef36afdb056d5c144543d89d32a5e3c0a356ef362fdc",
+        "187bda4d66b2d76875da2ac33b166b631437a4ee12ded544081233c5ebd78684",
+    ),
+    (  # Sandybridge, Bulldozer, Excavator
+        "4f82e37f59b58b9550e649133333b1b6a2287437d9d0117e3dfdcb810074ff69",
+        "0a725d871b062d2bb2ccc1c6c801ab8f59d42c5f9257f50dcca43f7b6e48740e",
+    ),
+    (  # Nehalem, Atom, Barcelona
+        "4f82e37f59b58b9550e649133333b1b6a2287437d9d0117e3dfdcb810074ff69",
+        "48d7c8c1e81c89a776e95d9d0affd7ceee165bf0352e3920506ab3877db92137",
+    ),
+    (  # Core2, Penryn, Prescott, Opteron
+        "9168a816aac833bc65fdef36afdb056d5c144543d89d32a5e3c0a356ef362fdc",
+        "a75a75414e2605a8088a4da0bb53a5d4161bd9f96f99869e320fcfbcdfbefe0b",
+    ),
 })
