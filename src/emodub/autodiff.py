@@ -5,7 +5,7 @@ and records enough structure to run reverse-mode backpropagation from a
 scalar (1x1) output; :class:`Parameter` is a named trainable leaf with a
 persistent gradient buffer. Ops cover exactly what the encoding pipeline
 needs: linear maps, row softmax (plain and masked), leaky ReLU, scaled
-dot-product cross-attention with learned projections, width-preserving 1-D
+dot-product cross-attention with learned projections, a width-1 1-D
 convolution, concatenation/slicing, and mean-squared error, plus Adam and
 a central-finite-difference gradient checker.
 
@@ -253,20 +253,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _make(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
 
 
-def slice_rows(a, r0: int, r1: int) -> Tensor:
-    a = as_tensor(a)
-    if not (0 <= r0 < r1 <= a.rows):
-        raise ShapeError(f"row slice [{r0}:{r1}] out of range for {a.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[r0:r1] = g
-            _accum(a, full)
-
-    return _make(a.data[r0:r1].copy(), (a,), backward)
-
-
 def slice_cols(a, c0: int, c1: int) -> Tensor:
     a = as_tensor(a)
     if not (0 <= c0 < c1 <= a.cols):
@@ -279,32 +265,6 @@ def slice_cols(a, c0: int, c1: int) -> Tensor:
             _accum(a, full)
 
     return _make(a.data[:, c0:c1].copy(), (a,), backward)
-
-
-def shift_rows(a, offset: int) -> Tensor:
-    """Shift rows down by ``offset`` (up if negative), zero-filling the gap."""
-    a = as_tensor(a)
-    if offset == 0:
-        return a
-    n = a.rows
-    out = np.zeros_like(a.data)
-    if abs(offset) < n:
-        if offset > 0:
-            out[offset:] = a.data[: n - offset]
-        else:
-            out[: n + offset] = a.data[-offset:]
-
-    def backward(g):
-        if not a.requires_grad or abs(offset) >= n:
-            return
-        back = np.zeros_like(a.data)
-        if offset > 0:
-            back[: n - offset] = g[offset:]
-        else:
-            back[-offset:] = g[: n + offset]
-        _accum(a, back)
-
-    return _make(out, (a,), backward)
 
 
 #: slope of :func:`leaky_relu` on negative inputs
@@ -397,9 +357,9 @@ class Params:
     """Base of the parameter-set dataclasses.
 
     ``parameters()`` lists the :class:`Parameter` fields in declaration
-    order, recursing into nested parameter sets and lists of them; other
-    fields (head counts, widths) are skipped. Declaration order is the
-    order ``init`` draws in and the order checkpoints are written in.
+    order, recursing into nested parameter sets and lists of them.
+    Declaration order is the order ``init`` draws in and the order
+    checkpoints are written in.
     """
 
     def parameters(self) -> list[Parameter]:
@@ -446,18 +406,14 @@ class CrossAttentionParams(Params):
     wk: Parameter
     wv: Parameter
     wo: Parameter
-    heads: int = 1
 
     @classmethod
-    def init(cls, name: str, dim: int, rng: SplitMix64, heads: int = 1) -> "CrossAttentionParams":
-        if heads < 1 or dim % heads != 0:
-            raise ConfigError(f"head count {heads} must divide dim {dim}")
+    def init(cls, name: str, dim: int, rng: SplitMix64) -> "CrossAttentionParams":
         return cls(
             wq=Parameter(uniform_init(rng, dim, dim, dim), f"{name}.wq"),
             wk=Parameter(uniform_init(rng, dim, dim, dim), f"{name}.wk"),
             wv=Parameter(uniform_init(rng, dim, dim, dim), f"{name}.wv"),
             wo=Parameter(uniform_init(rng, dim, dim, dim), f"{name}.wo"),
-            heads=heads,
         )
 
     @property
@@ -472,12 +428,12 @@ def cross_attention(
     params: CrossAttentionParams,
     with_weights: bool = False,
 ):
-    """Scaled dot-product cross-attention with learned projections.
+    """Single-head scaled dot-product cross-attention with learned projections.
 
-    Computes ``softmax(Q' K'^T / sqrt(d_head)) V'`` per head with
-    ``Q' = query @ wq`` etc., concatenates heads, and applies the output
-    projection. Returns the L x d output, plus the per-head attention
-    weight matrices when ``with_weights`` is set.
+    Computes ``softmax(Q' K'^T / sqrt(d)) V' @ wo`` with ``Q' = query @ wq``,
+    ``K' = keys @ wk`` and ``V' = values @ wv``. Returns the L x d output,
+    plus a one-element list holding the attention weight matrix when
+    ``with_weights`` is set.
     """
     query, keys, values = as_tensor(query), as_tensor(keys), as_tensor(values)
     dim = params.dim
@@ -489,71 +445,34 @@ def cross_attention(
     q = matmul(query, params.wq)
     k = matmul(keys, params.wk)
     v = matmul(values, params.wv)
-    d_head = dim // params.heads
-    factor = 1.0 / math.sqrt(d_head)
-    head_outs = []
-    weights = []
-    for h in range(params.heads):
-        if params.heads == 1:
-            qh, kh, vh = q, k, v
-        else:
-            lo, hi = h * d_head, (h + 1) * d_head
-            qh, kh, vh = slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi)
-        attn = softmax_rows(scale(matmul(qh, transpose(kh)), factor))
-        weights.append(attn.data)
-        head_outs.append(matmul(attn, vh))
-    merged = head_outs[0]
-    for part in head_outs[1:]:
-        merged = concat_cols(merged, part)
-    out = matmul(merged, params.wo)
-    return (out, weights) if with_weights else out
+    attn = softmax_rows(scale(matmul(q, transpose(k)), 1.0 / math.sqrt(dim)))
+    out = matmul(matmul(attn, v), params.wo)
+    return (out, [attn.data]) if with_weights else out
 
 
 @dataclass
 class Conv1dParams(Params):
-    """Width-preserving 1-D convolution along the sequence axis.
-
-    The rank-3 kernel (width x d_in x d_out) is stored as a single matrix of
-    shape (width * d_in, d_out); tap ``t`` occupies the row block
-    ``[t * d_in, (t + 1) * d_in)``. Width must be odd so symmetric zero
-    padding preserves the sequence length.
-    """
+    """Width-1 1-D convolution along the sequence axis: a ``d_in x d_out``
+    kernel and a bias row, applied to every position alike."""
 
     kernel: Parameter
     bias: Parameter
-    width: int
 
     @classmethod
-    def init(cls, name: str, d_in: int, d_out: int, rng: SplitMix64, width: int = 1) -> "Conv1dParams":
-        if width < 1 or width % 2 == 0:
-            raise ConfigError(f"conv width must be odd and >= 1, got {width}")
+    def init(cls, name: str, d_in: int, d_out: int, rng: SplitMix64) -> "Conv1dParams":
         return cls(
-            kernel=Parameter(uniform_init(rng, width * d_in, d_out, d_in), f"{name}.kernel"),
+            kernel=Parameter(uniform_init(rng, d_in, d_out, d_in), f"{name}.kernel"),
             bias=Parameter(uniform_init(rng, 1, d_out, d_in), f"{name}.bias"),
-            width=width,
         )
 
 
 def conv1d(x, params: Conv1dParams) -> Tensor:
-    """Apply the convolution; output has the same number of rows as ``x``.
-
-    Tap ``t`` sees the input shifted so that output row ``i`` combines input
-    rows ``i - width//2 .. i + width//2`` (cross-correlation orientation).
-    With width 1 this reduces to exactly ``linear(x, kernel, bias)``.
-    """
+    """Apply the convolution, ``linear(x, kernel, bias)``; the output has
+    the same number of rows as ``x``."""
     x = as_tensor(x)
-    d_in = params.kernel.rows // params.width
-    if x.cols != d_in:
-        raise ShapeError(f"conv1d input dim {x.cols}, kernel expects {d_in}")
-    if params.width == 1:
-        return linear(x, params.kernel, params.bias)
-    half = params.width // 2
-    acc = None
-    for t in range(params.width):
-        tap = slice_rows(params.kernel, t * d_in, (t + 1) * d_in)
-        term = matmul(shift_rows(x, half - t), tap)
-        acc = term if acc is None else add(acc, term)
-    return add(acc, params.bias)
+    if x.cols != params.kernel.rows:
+        raise ShapeError(f"conv1d input dim {x.cols}, kernel expects {params.kernel.rows}")
+    return linear(x, params.kernel, params.bias)
 
 
 # --- optimizer, gradient checking, checkpoints ------------------------------

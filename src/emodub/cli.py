@@ -111,20 +111,22 @@ def _parse_fractions(text: str) -> list[float]:
 
 
 def _schema_from_flags(dim: int | None) -> Schema:
-    """Resolve schema dims from --dim, MRFL_DIM_OVERRIDE, or the default 8."""
-    if dim is None:
-        override = os.environ.get("MRFL_DIM_OVERRIDE")
-        if override:
-            parts = [_parse_number(int, p, "MRFL_DIM_OVERRIDE entry") for p in override.split(",")]
-            if len(parts) == 1:
-                return uniform_schema(parts[0])
-            if len(parts) == 5:
-                return dict(zip(MODALITY_ORDER, parts))
+    """Resolve schema dims from --dim, MRFL_DIM_OVERRIDE, or the default 8.
+
+    A size below 1 from either source is a usage error.
+    """
+    source, sizes = "--dim", [8 if dim is None else dim]
+    override = os.environ.get("MRFL_DIM_OVERRIDE") if dim is None else None
+    if override:
+        source = "MRFL_DIM_OVERRIDE entry"
+        sizes = [_parse_number(int, p, source) for p in override.split(",")]
+        if len(sizes) not in (1, 5):
             raise ArgumentError(
                 f"MRFL_DIM_OVERRIDE needs 1 or 5 comma-separated ints, got {override!r}"
             )
-        dim = 8
-    return uniform_schema(dim)
+    if min(sizes) < 1:
+        raise ArgumentError(f"{source} must be >= 1, got {min(sizes)}")
+    return uniform_schema(sizes[0]) if len(sizes) == 1 else dict(zip(MODALITY_ORDER, sizes))
 
 
 @contextlib.contextmanager

@@ -26,7 +26,7 @@ class ArgumentError(EmodubError, ValueError):
 
 
 class ConfigError(EmodubError, ValueError):
-    """A layer or run configuration is invalid (e.g. even conv width)."""
+    """A layer or run configuration is invalid (e.g. a head count that does not divide dim)."""
 
 
 class StateError(EmodubError, RuntimeError):

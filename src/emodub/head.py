@@ -2,7 +2,7 @@
 
 The head fuses the three encoded graph-stage feature matrices into an
 aligned feature sequence in four steps, each a cross-attention read
-followed by a width-preserving convolution over the concatenation:
+followed by a width-1 convolution over the concatenation:
 
 1. attend the aligned sequence over the basic-stage features,
 2. attend that result over the indirect-stage features,
@@ -59,15 +59,15 @@ class HeadParams(Params):
     mel: LinearParams
 
     @classmethod
-    def init(cls, dim: int, rng: SplitMix64, n_mel: int = 80, conv_width: int = 1) -> "HeadParams":
+    def init(cls, dim: int, rng: SplitMix64, n_mel: int = 80) -> "HeadParams":
         return cls(
             ca_basic=CrossAttentionParams.init("head.ca_basic", dim, rng),
             ca_indirect=CrossAttentionParams.init("head.ca_indirect", dim, rng),
             ca_direct=CrossAttentionParams.init("head.ca_direct", dim, rng),
-            conv_basic=Conv1dParams.init("head.conv_basic", 2 * dim, dim, rng, conv_width),
-            conv_indirect=Conv1dParams.init("head.conv_indirect", 2 * dim, dim, rng, conv_width),
-            conv_direct=Conv1dParams.init("head.conv_direct", 2 * dim, dim, rng, conv_width),
-            conv_out=Conv1dParams.init("head.conv_out", 2 * dim, dim, rng, conv_width),
+            conv_basic=Conv1dParams.init("head.conv_basic", 2 * dim, dim, rng),
+            conv_indirect=Conv1dParams.init("head.conv_indirect", 2 * dim, dim, rng),
+            conv_direct=Conv1dParams.init("head.conv_direct", 2 * dim, dim, rng),
+            conv_out=Conv1dParams.init("head.conv_out", 2 * dim, dim, rng),
             mel=LinearParams.init("head.mel", dim, n_mel, rng),
         )
 

@@ -1,7 +1,7 @@
 """Numeric core: forward oracles, gradient checks, Adam, checkpoints.
 
-Forward oracles are deliberately naive (triple loops, explicit sliding
-windows) so they share nothing with the vectorized implementations.
+Forward oracles are deliberately naive (triple loops) so they share
+nothing with the vectorized implementations.
 """
 
 import math
@@ -31,9 +31,7 @@ from emodub.autodiff import (
     restore_checkpoint,
     save_checkpoint,
     scale,
-    shift_rows,
     slice_cols,
-    slice_rows,
     softmax_rows,
     sub,
     sum_all,
@@ -76,22 +74,6 @@ def naive_attention(q, k, v, wq, wk, wv, wo):
     scores = naive_matmul(qp, kp.T) / math.sqrt(d)
     attn = naive_softmax_rows(scores)
     return naive_matmul(naive_matmul(attn, vp), wo)
-
-
-def naive_conv1d(x, kernel_blocks, bias):
-    """kernel_blocks: list of (d_in x d_out) taps; symmetric zero padding."""
-    L, d_in = x.shape
-    width = len(kernel_blocks)
-    half = width // 2
-    d_out = kernel_blocks[0].shape[1]
-    out = np.zeros((L, d_out))
-    for i in range(L):
-        for t in range(width):
-            src = i + t - half
-            if 0 <= src < L:
-                out[i] += x[src] @ kernel_blocks[t]
-        out[i] += bias[0]
-    return out
 
 
 def param(data, name):
@@ -177,12 +159,11 @@ class TestCrossAttention:
 
     def test_weight_rows_sum_to_one(self, rng):
         gen = SplitMix64(4)
-        params = CrossAttentionParams.init("ca", 6, gen, heads=2)
+        params = CrossAttentionParams.init("ca", 6, gen)
         q, kv = Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(7, 6)))
         _out, weights = cross_attention(q, kv, kv, params, with_weights=True)
-        assert len(weights) == 2
-        for w in weights:
-            np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+        assert len(weights) == 1 and weights[0].shape == (3, 7)
+        np.testing.assert_allclose(weights[0].sum(axis=1), 1.0, atol=1e-12)
 
     def test_matches_naive_attention(self, rng):
         gen = SplitMix64(5)
@@ -200,61 +181,26 @@ class TestCrossAttention:
         with pytest.raises(ShapeError):
             cross_attention(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), params)
 
-    def test_bad_head_count(self):
-        with pytest.raises(ConfigError):
-            CrossAttentionParams.init("ca", 6, SplitMix64(0), heads=4)
-
 
 class TestConv1d:
     def test_width_one_is_bitwise_linear(self, rng):
         weights = rng.normal(size=(4, 3))
         bias = rng.normal(size=(1, 3))
-        params = Conv1dParams(
-            kernel=param(weights, "k"), bias=param(bias, "b"), width=1
-        )
+        params = Conv1dParams(kernel=param(weights, "k"), bias=param(bias, "b"))
         x = Tensor(rng.normal(size=(6, 4)))
         conv_out = conv1d(x, params)
         lin_out = linear(x, param(weights, "w2"), param(bias, "b2"))
         assert conv_out.data.tobytes() == lin_out.data.tobytes()
 
-    def test_impulse_response_width_three(self, rng):
-        d_in, d_out, L = 3, 2, 7
-        kernel = rng.normal(size=(3 * d_in, d_out))
-        params = Conv1dParams(
-            kernel=param(kernel, "k"),
-            bias=param(np.zeros((1, d_out)), "b"),
-            width=3,
-        )
-        x = np.zeros((L, d_in))
-        x[3, 1] = 1.0  # unit impulse in feature 1 at position 3
-        out = conv1d(Tensor(x), params).data
-        taps = [kernel[t * d_in : (t + 1) * d_in] for t in range(3)]
-        np.testing.assert_allclose(out[2], taps[2][1])  # sees impulse one step ahead
-        np.testing.assert_allclose(out[3], taps[1][1])
-        np.testing.assert_allclose(out[4], taps[0][1])
-        assert np.all(out[[0, 1, 5, 6]] == 0.0)
-
-    def test_matches_sliding_window_oracle(self, rng):
-        d_in, d_out = 4, 3
-        kernel = rng.normal(size=(3 * d_in, d_out))
-        bias = rng.normal(size=(1, d_out))
-        params = Conv1dParams(
-            kernel=param(kernel, "k"), bias=param(bias, "b"), width=3
-        )
-        x = rng.normal(size=(8, d_in))
-        got = conv1d(Tensor(x), params).data
-        taps = [kernel[t * d_in : (t + 1) * d_in] for t in range(3)]
-        np.testing.assert_allclose(got, naive_conv1d(x, taps, bias), rtol=1e-12)
-
     def test_length_preserved(self, rng):
-        for width in (1, 3, 5):
-            params = Conv1dParams.init("c", 4, 4, SplitMix64(0), width=width)
-            out = conv1d(Tensor(rng.normal(size=(9, 4))), params)
-            assert out.shape == (9, 4)
+        params = Conv1dParams.init("c", 4, 4, SplitMix64(0))
+        out = conv1d(Tensor(rng.normal(size=(9, 4))), params)
+        assert out.shape == (9, 4)
 
-    def test_even_width_rejected(self):
-        with pytest.raises(ConfigError):
-            Conv1dParams.init("c", 4, 4, SplitMix64(0), width=2)
+    def test_input_dim_mismatch(self, rng):
+        params = Conv1dParams.init("c", 4, 4, SplitMix64(0))
+        with pytest.raises(ShapeError):
+            conv1d(Tensor(rng.normal(size=(9, 5))), params)
 
 
 # --- gradients ---------------------------------------------------------------
@@ -284,8 +230,7 @@ class TestGradCheck:
     @pytest.mark.parametrize(
         "op_name",
         ["add", "sub", "mul", "matmul", "transpose", "concat_cols", "concat_rows",
-         "slice_rows", "slice_cols", "shift_pos", "shift_neg", "leaky_relu",
-         "softmax", "masked_softmax"],
+         "slice_cols", "leaky_relu", "softmax", "masked_softmax"],
     )
     def test_each_op_gradient(self, rng, op_name):
         a = param(rng.normal(size=(4, 3)), "a")
@@ -306,14 +251,8 @@ class TestGradCheck:
                 y = concat_cols(a, b)
             elif op_name == "concat_rows":
                 y = concat_rows([a, b])
-            elif op_name == "slice_rows":
-                y = slice_rows(a, 1, 3)
             elif op_name == "slice_cols":
                 y = slice_cols(a, 0, 2)
-            elif op_name == "shift_pos":
-                y = shift_rows(a, 2)
-            elif op_name == "shift_neg":
-                y = shift_rows(a, -1)
             elif op_name == "leaky_relu":
                 y = leaky_relu(a)
             elif op_name == "softmax":
@@ -336,8 +275,8 @@ class TestGradCheck:
 
     def test_attention_and_conv_composite(self, rng):
         gen = SplitMix64(8)
-        ca = CrossAttentionParams.init("ca", 4, gen, heads=2)
-        conv = Conv1dParams.init("conv", 4, 4, gen, width=3)
+        ca = CrossAttentionParams.init("ca", 4, gen)
+        conv = Conv1dParams.init("conv", 4, 4, gen)
         q = Tensor(rng.normal(size=(3, 4)))
         kv = Tensor(rng.normal(size=(5, 4)))
         target = rng.normal(size=(3, 4))

@@ -91,6 +91,21 @@ class TestGenSynthetic:
             env={"MRFL_DIM_OVERRIDE": "abc"},
         )
         assert_error_exit(result, 2, "invalid MRFL_DIM_OVERRIDE entry 'abc'")
+        # a size below 1 is a bad flag or setting (exit 2), not bad data (exit 3)
+        for flags, env, message in [
+            (["--dim", "0"], {}, "--dim must be >= 1, got 0"),
+            (["--dim", "-2"], {}, "--dim must be >= 1, got -2"),
+            ([], {"MRFL_DIM_OVERRIDE": "0"}, "MRFL_DIM_OVERRIDE entry must be >= 1, got 0"),
+            ([], {"MRFL_DIM_OVERRIDE": "-3"}, "MRFL_DIM_OVERRIDE entry must be >= 1, got -3"),
+            ([], {"MRFL_DIM_OVERRIDE": "8,8,0,8,8"}, "MRFL_DIM_OVERRIDE entry must be >= 1, got 0"),
+        ]:
+            result = runner.invoke(
+                main,
+                ["gen-synthetic", "--out", str(tmp_path / "x.mrfl"), "--n", "4", "--clusters", "2", *flags],
+                env=env,
+            )
+            assert_error_exit(result, 2, message)
+        assert not (tmp_path / "x.mrfl").exists()
 
 
     def test_non_finite_or_negative_separation_is_usage_error(self, runner, tmp_path):

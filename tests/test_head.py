@@ -104,7 +104,7 @@ class TestAggregate:
             aggregate(aligned, Tensor(np.zeros((0, D))), stage_features(rng, 3), stage_features(rng, 3), head)
 
     def test_gradient_through_full_head(self, rng):
-        head = HeadParams.init(4, SplitMix64(41), n_mel=3, conv_width=3)
+        head = HeadParams.init(4, SplitMix64(41), n_mel=3)
         aligned = Tensor(rng.normal(size=(3, 4)))
         h_b, h_i, h_d = (Tensor(rng.normal(size=(r, 4))) for r in (3, 5, 7))
         target = rng.normal(size=(3, 3))
