@@ -181,6 +181,29 @@ class TestCrossAttention:
         with pytest.raises(ShapeError):
             cross_attention(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), params)
 
+    def test_weights_match_naive_softmax(self, rng):
+        params = CrossAttentionParams.init("ca", 4, SplitMix64(6))
+        q, kv = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+        _out, weights = cross_attention(Tensor(q), Tensor(kv), Tensor(kv), params, with_weights=True)
+        qp = naive_matmul(q, params.wq.data)
+        kp = naive_matmul(kv, params.wk.data)
+        want = naive_softmax_rows(naive_matmul(qp, kp.T) / math.sqrt(4))
+        np.testing.assert_allclose(weights[0], want, rtol=1e-11)
+
+    def test_distinct_keys_and_values(self, rng):
+        params = CrossAttentionParams.init("ca", 4, SplitMix64(7))
+        q, k, v = (rng.normal(size=(r, 4)) for r in (2, 5, 5))
+        got = cross_attention(Tensor(q), Tensor(k), Tensor(v), params).data
+        want = naive_attention(
+            q, k, v, params.wq.data, params.wk.data, params.wv.data, params.wo.data
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-11)
+
+    def test_keys_values_row_mismatch(self):
+        params = CrossAttentionParams.init("ca", 4, SplitMix64(0))
+        with pytest.raises(ShapeError, match="keys/values row mismatch"):
+            cross_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 4))), params)
+
 
 class TestConv1d:
     def test_width_one_is_bitwise_linear(self, rng):
@@ -201,6 +224,25 @@ class TestConv1d:
         params = Conv1dParams.init("c", 4, 4, SplitMix64(0))
         with pytest.raises(ShapeError):
             conv1d(Tensor(rng.normal(size=(9, 5))), params)
+
+    def test_parameter_names_and_shapes(self):
+        params = Conv1dParams.init("head.conv_out", 6, 3, SplitMix64(0))
+        assert [(p.name, p.shape) for p in params.parameters()] == [
+            ("head.conv_out.kernel", (6, 3)),
+            ("head.conv_out.bias", (1, 3)),
+        ]
+
+    def test_gradient_is_bitwise_linear_gradient(self, rng):
+        weights = rng.normal(size=(4, 3))
+        bias = rng.normal(size=(1, 3))
+        x = Tensor(rng.normal(size=(6, 4)))
+        target = rng.normal(size=(6, 3))
+        conv = Conv1dParams(kernel=param(weights, "k"), bias=param(bias, "b"))
+        w2, b2 = param(weights, "w2"), param(bias, "b2")
+        mse(conv1d(x, conv), target).backward()
+        mse(linear(x, w2, b2), target).backward()
+        assert conv.kernel.grad.tobytes() == w2.grad.tobytes()
+        assert conv.bias.grad.tobytes() == b2.grad.tobytes()
 
 
 # --- gradients ---------------------------------------------------------------

@@ -115,6 +115,18 @@ class TestAggregate:
         assert grad_check(loss, head.parameters()) < 1e-4
 
 
+class TestHeadParams:
+    def test_checkpoint_names_in_declaration_order(self, head):
+        names = [p.name for p in head.parameters()]
+        blocks = [f"head.{b}.{w}" for b in ("ca_basic", "ca_indirect", "ca_direct") for w in ("wq", "wk", "wv", "wo")]
+        convs = [f"head.{c}.{w}" for c in ("conv_basic", "conv_indirect", "conv_direct", "conv_out") for w in ("kernel", "bias")]
+        assert names == blocks + convs + ["head.mel.weight", "head.mel.bias"]
+
+    def test_convolutions_map_twice_the_width_to_the_width(self, head):
+        for conv in (head.conv_basic, head.conv_indirect, head.conv_direct, head.conv_out):
+            assert conv.kernel.shape == (2 * D, D) and conv.bias.shape == (1, D)
+
+
 class TestStubAlignedSequence:
     def test_deterministic(self):
         a = stub_aligned_sequence(3, 6, 16)
