@@ -109,10 +109,10 @@ def synthetic_extract(seed: int, content_key: str, modality: Modality, dim: int)
 
 class FootageRecord:
     """Row ``row`` of a :class:`FootageLibrary`, made when accessed; every
-    field reads the library's columns. Each vector's ``values`` is a row view
-    of its modality's column-major array (strided, not contiguous), so an
-    in-place write reaches the library, and setting ``speaker_id`` writes
-    the speaker column."""
+    field reads the library's columns. Each vector's ``values`` is a
+    read-only row view of its modality's column-major array (strided, not
+    contiguous): a built library is immutable; build a new one with
+    :meth:`FootageLibrary.from_columns`."""
 
     __slots__ = ("library", "row")
 
@@ -123,10 +123,7 @@ class FootageRecord:
     record_id = property(lambda self: int(self.library.ids[self.row]))
     movie_id = property(lambda self: self.library.movie_ids[self.row])
     emotion_label = property(lambda self: self.library.emotion_labels[self.row])
-    speaker_id = property(
-        lambda self: self.library.speaker_names[self.library.speaker_codes[self.row]],
-        lambda self, value: self.library._set_speaker(self.row, value),
-    )
+    speaker_id = property(lambda self: self.library.speaker_names[self.library.speaker_codes[self.row]])
 
     def vector(self, modality: Modality) -> EmotionVector:
         # the library validated its columns whole, so the row needs no check
@@ -169,6 +166,11 @@ class _Records(Sequence):
         return FootageRecord(self._lib, range(len(self._lib))[operator.index(index)])
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _check_schema(schema: Schema) -> None:
     for m in MODALITY_ORDER:
         if m not in schema:
@@ -183,28 +185,30 @@ class FootageLibrary:
     modality (:meth:`matrix`): entry ``j`` of every record is one contiguous
     run, the unit-stride pass retrieval makes per dimension. There is no
     row-major copy; a row is a strided view. Beside them: record ids as
-    uint64 (:attr:`ids`; :attr:`id_index` maps an id to its
-    row), movie ids and labels as lists, and speakers as integer codes into
-    a name table, so a speaker's rows are one array comparison
-    (:meth:`speaker_mask`). ``records[i]`` and :meth:`lookup` make a
-    :class:`FootageRecord` row view on access; writes through it reach the
-    columns. A library is built whole by :meth:`from_columns`, which loading,
-    ingestion, synthesis and subsampling all call; ``FootageLibrary(schema)``
-    is the empty library. Retrieval only reads, so a built library is safe
-    to share across concurrent readers.
+    uint64 (:attr:`ids`; :attr:`id_index` maps an id to its row), movie ids
+    and labels as lists, and speakers as integer codes into a name table, so
+    a speaker's rows are one array comparison (:meth:`speaker_mask`).
+    ``records[i]`` and :meth:`lookup` make a :class:`FootageRecord` row view
+    on access. A library is built whole by :meth:`from_columns`, which
+    loading, ingestion, synthesis and subsampling all call;
+    ``FootageLibrary(schema)`` is the empty library. A built library is
+    immutable; build a new one with :meth:`from_columns`. So its cosine
+    normalisers (:meth:`norms`) are computed once, and it is safe to share
+    across concurrent readers.
     """
 
     def __init__(self, schema: Schema):
         _check_schema(schema)
         self.schema = schema
-        self._vectors = {m: np.empty((0, schema[m]), order="F") for m in MODALITY_ORDER}
-        self.ids = np.empty(0, dtype=np.uint64)
+        self._vectors = {m: _frozen(np.empty((0, schema[m]), order="F")) for m in MODALITY_ORDER}
+        self.ids = _frozen(np.empty(0, dtype=np.uint64))
         self.id_index: dict[int, int] = {}
         self.movie_ids: list[str] = []
         self.emotion_labels: list[str | None] = []
-        self.speaker_codes = np.empty(0, dtype=np.int64)
+        self.speaker_codes = _frozen(np.empty(0, dtype=np.int64))
         self.speaker_names: list[str] = []
         self._code_of: dict[str, int] = {}
+        self._norms: dict[Modality, np.ndarray] = {}
 
     @classmethod
     def from_columns(
@@ -212,13 +216,15 @@ class FootageLibrary:
         labels: list[str | None], vectors: dict[Modality, np.ndarray],
     ) -> "FootageLibrary":
         """The library whose row ``i`` is ``record_ids[i]``, ..., ``vectors[m][i]``.
-        Each ``vectors[m]`` must have shape ``(N, schema[m])``; writable
-        float64 column-major arrays are adopted, not copied, and any other
-        array is copied once into one. An empty label is ``None``."""
+        Each ``vectors[m]`` must have shape ``(N, schema[m])``; float64
+        column-major arrays are adopted, not copied, and made read-only; any
+        other array is copied once into one. An empty label is ``None``. The
+        library owns what it adopts: numpy does not make views that the
+        caller already holds read-only, so they must not be written."""
         lib = cls(schema)
         n = len(record_ids)
         for m in MODALITY_ORDER:
-            arr = np.require(vectors[m], np.float64, ["F", "W"])
+            arr = np.require(vectors[m], np.float64, ["F"])
             if arr.shape != (n, schema[m]):
                 shapes = f"got shape {arr.shape}, schema says ({n}, {schema[m]})"
                 raise SchemaError(f"dimension mismatch for {m.value}: {shapes}")
@@ -226,7 +232,7 @@ class FootageLibrary:
             if bad.size:
                 where = f"{m.value} in record {record_ids[bad[0]]}"
                 raise SchemaError(f"emotion vector for {where} contains non-finite values")
-            lib._vectors[m] = arr
+            lib._vectors[m] = _frozen(arr)
         if n and not (min(record_ids) >= 0 and max(record_ids) < 1 << 64):
             bad_id = next(i for i in record_ids if not 0 <= i < 1 << 64)
             raise SchemaError(f"record_id must fit in 64 unsigned bits, got {bad_id}")
@@ -237,11 +243,11 @@ class FootageLibrary:
                 if record_id in seen:
                     raise SchemaError(f"duplicate record_id {record_id}")
                 seen.add(record_id)
-        lib.ids = np.array(record_ids, dtype=np.uint64)
+        lib.ids = _frozen(np.array(record_ids, dtype=np.uint64))
         lib.movie_ids = list(movie_ids)
         lib.emotion_labels = [None if label == "" else label for label in labels]
         code_of = lib._code_of
-        lib.speaker_codes = np.array([code_of.setdefault(s, len(code_of)) for s in speaker_ids], dtype=np.int64)
+        lib.speaker_codes = _frozen(np.array([code_of.setdefault(s, len(code_of)) for s in speaker_ids], np.int64))
         lib.speaker_names = list(code_of)
         return lib
 
@@ -256,17 +262,20 @@ class FootageLibrary:
         contiguous."""
         return self._vectors[modality]
 
+    def norms(self, modality: Modality) -> np.ndarray:
+        """Each row's L2 norm, the cosine normaliser: ``np.sqrt`` of its
+        :func:`~emodub.retrieval.squared_norms`. Read-only, computed on first
+        use and kept; readers that fill it at once compute the same bits."""
+        if modality not in self._norms:
+            from .retrieval import squared_norms  # retrieval imports this module
+            self._norms[modality] = _frozen(np.sqrt(squared_norms(self._vectors[modality])))
+        return self._norms[modality]
+
     @property
     def speaker_ids(self) -> list[str]:
         """The speaker of every row, as a new list."""
         names = self.speaker_names
         return [names[code] for code in self.speaker_codes.tolist()]
-
-    def _set_speaker(self, row: int, speaker_id: str) -> None:
-        code = self._code_of.setdefault(speaker_id, len(self.speaker_names))
-        if code == len(self.speaker_names):
-            self.speaker_names.append(speaker_id)
-        self.speaker_codes[row] = code
 
     def speaker_mask(self, speaker_id: str) -> np.ndarray:
         """Boolean row mask of the records whose speaker is ``speaker_id``."""

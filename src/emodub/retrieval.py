@@ -18,8 +18,9 @@ dimension at a time, each query entry broadcast across the column of the
 library's N×d array, so every (query, candidate) pair gets exactly the
 bits :func:`similarity` gives it alone, whatever the BLAS, the CPU or Q.
 The library stores each modality column-major, so each of those passes
-reads one contiguous run of N floats; a record's vectors are strided row
-views.
+reads one contiguous run of N floats. A built library is immutable; build
+a new one with ``FootageLibrary.from_columns``. So the scan takes each
+library row's cosine normaliser from ``FootageLibrary.norms``, computed once.
 Each row's pool top K are ordered by (score desc, record_id asc).
 :func:`retrieve_modality` is its one-row case; ``evaluate_purity`` scans
 the library's own rows in blocks.
@@ -135,13 +136,9 @@ class Query:
             vec = getattr(self, modality.value)
             want = lib.schema[modality]
             if vec.dim != want:
-                raise SchemaError(
-                    f"query {modality.value} dim {vec.dim} does not match schema dim {want}"
-                )
+                raise SchemaError(f"query {modality.value} dim {vec.dim} does not match schema dim {want}")
             if metric is Metric.COSINE and _sum(x * x for x in vec.values.tolist()) == 0.0:
-                raise ArgumentError(
-                    f"cosine similarity is undefined for a zero vector: query {modality.value}"
-                )
+                raise ArgumentError(f"cosine similarity is undefined for a zero vector: query {modality.value}")
 
 
 #: The modalities each channel scores: one vector, or the text halves.
@@ -194,7 +191,6 @@ def retrieve_block(
     k: int,
     metric: Metric = Metric.COSINE,
     channels: tuple[str, ...] = CHANNELS,
-    norms: dict[Modality, np.ndarray] | None = None,
     query_norms: dict[Modality, np.ndarray] | None = None,
 ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Top-K of Q query rows against every library row, per channel.
@@ -205,23 +201,20 @@ def retrieve_block(
     row, library row and score of each row's top min(K, pool size) hits,
     in (query row, score desc, record_id asc) order.
 
-    Under cosine, ``norms`` and ``query_norms`` may hold the
-    :func:`squared_norms` of the library's and the queries' vectors per
-    modality. Missing library norms are computed next to the modality's
-    dot products, while its array is still in cache.
+    Under cosine, ``query_norms`` must hold each modality's (Q,) query
+    norms, the square roots of their :func:`squared_norms`.
 
     Every score is that of :func:`similarity` or :func:`text_criterion`
     (see the module docstring). Errors are those of a loop over the query
     rows, each running a scalar scan of its pool in each channel in turn:
     at the first query row with a fault, a zero query vector under cosine
     (the first such modality), else at its first channel with a rejected
-    pool row, that row's zero squared norm under cosine (``ArgumentError``)
+    pool row, that row's zero norm under cosine (``ArgumentError``)
     or NaN score (``NumericError``). An empty pool yields no hits and no
     error.
     """
     _check_k(k)
     cosine = metric is Metric.COSINE
-    norms, query_norms = norms or {}, query_norms or {}
     found, rejected, zeros, zero_queries = {}, {}, {}, {}
     with np.errstate(all="ignore"):
         for channel in channels:
@@ -236,13 +229,10 @@ def retrieve_block(
                     continue
                 dot = _sum(x * c for x, c in zip(q, columns))
                 if cosine:
-                    squared = norms[modality] if modality in norms else _sum(c * c for c in columns)
-                    query_squared = query_norms.get(modality)
-                    if query_squared is None:
-                        query_squared = squared_norms(queries[modality])
-                    zero |= squared == 0.0
-                    zero_queries[modality] = query_squared == 0.0
-                    dot = dot / (np.sqrt(query_squared)[:, None] * np.sqrt(squared))
+                    norm, query_norm = lib.norms(modality), query_norms[modality]
+                    zero |= norm == 0.0  # sqrt(x) == 0 exactly when x == 0
+                    zero_queries[modality] = query_norm == 0.0
+                    dot = dot / (query_norm[:, None] * norm)
                 scores.append(dot)
             scores = (scores[0] if len(scores) == 1 else 0.5 * (scores[0] + scores[1])).reshape(pool.shape)
             rejected[channel], zeros[channel] = pool & (zero | np.isnan(scores)), zero
@@ -320,9 +310,9 @@ def retrieve_modality(
     queries = {m: getattr(query, m.value).values[None, :] for m in _CHANNEL_MODALITIES[channel]}
     query_norms = None
     if metric is Metric.COSINE:
-        # one row's squared norms on Python floats: the same bits, at a
-        # tenth of the cost of numpy on one-element arrays
-        query_norms = {m: np.array([_sum(x * x for x in q[0].tolist())]) for m, q in queries.items()}
+        # one row's norms on Python floats: the same bits (math.sqrt is correctly
+        # rounded too), at a tenth of the cost of numpy on one-element arrays
+        query_norms = {m: np.array([math.sqrt(_sum(x * x for x in q[0].tolist()))]) for m, q in queries.items()}
     _rows, cols, scores = retrieve_block(lib, queries, pool, k, metric, (channel,), query_norms=query_norms)[channel]
     return list(zip(lib.ids[cols].tolist(), scores.tolist()))
 

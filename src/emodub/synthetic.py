@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .library import FootageLibrary, MODALITY_ORDER, Schema, uniform_schema
-from .retrieval import QUERY_MODALITIES, Metric, Mode, Query, retrieve_all, retrieve_block, squared_norms
+from .retrieval import QUERY_MODALITIES, Metric, Mode, Query, retrieve_all, retrieve_block
 from .rng import stream
 
 
@@ -131,7 +131,7 @@ def evaluate_purity(
         unset = np.flatnonzero(lib.speaker_mask(None))
         stop = int(unset[0]) if unset.size else n
     queries = {m: lib.matrix(m) for m in QUERY_MODALITIES}
-    norms = {m: squared_norms(q) for m, q in queries.items()} if metric is Metric.COSINE else None
+    norms = {m: lib.norms(m) for m in queries} if metric is Metric.COSINE else {}
     block = max(1, BLOCK_FLOATS // max(n, 1))
     hits = total = 0
     score_sum = 0.0
@@ -139,7 +139,8 @@ def evaluate_purity(
         end = min(start + block, stop)
         pool = codes[start:end, None] == codes if specific else np.ones((end - start, n), dtype=bool)
         pool[np.arange(end - start), np.arange(start, end)] = False
-        found = retrieve_block(lib, {m: q[start:end] for m, q in queries.items()}, pool, k, metric, norms=norms)
+        rows = {m: q[start:end] for m, q in queries.items()}
+        found = retrieve_block(lib, rows, pool, k, metric, query_norms={m: v[start:end] for m, v in norms.items()})
         query_rows, hit_rows, scores = (np.concatenate(parts) for parts in zip(*found.values()))
         hits += int(np.count_nonzero(labels[start + query_rows] == labels[hit_rows]))
         total += hit_rows.size

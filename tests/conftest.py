@@ -31,6 +31,22 @@ def random_library(rng: np.random.Generator, n: int, dims=None, speakers=3) -> F
     )
 
 
+def rebuilt(lib: FootageLibrary, vectors=None, speakers=None) -> FootageLibrary:
+    """A new library equal to ``lib`` but for the vectors in ``vectors``
+    (``{(row, modality): values}``) and the speakers in ``speakers``
+    (``{row: speaker_id}``). A built library is immutable, so this is how a
+    test makes a faulty or rescaled one."""
+    columns = {m: lib.matrix(m).copy(order="F") for m in MODALITY_ORDER}
+    for (row, m), values in (vectors or {}).items():
+        columns[m][row] = values
+    speaker_ids = lib.speaker_ids
+    for row, speaker in (speakers or {}).items():
+        speaker_ids[row] = speaker
+    return FootageLibrary.from_columns(
+        dict(lib.schema), lib.ids.tolist(), lib.movie_ids, speaker_ids, lib.emotion_labels, columns
+    )
+
+
 def near_tie_rows(r, n_base, dim, big):
     """Rows that score equal or one rounding apart against each other:
     copies of each base row scaled by 2**j and by 3, copies one ulp away,

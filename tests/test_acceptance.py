@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from emodub.autodiff import Parameter, grad_check, load_checkpoint, save_checkpoint
+from emodub.autodiff import Parameter, grad_check, load_checkpoint, mse, save_checkpoint
 from emodub.graph import (
     GAEParams,
     ProjectionParams,
@@ -23,10 +23,11 @@ from emodub.head import (
     PipelineParams,
     aggregate,
     make_toy_batch,
+    toy_forward,
     toy_loss,
     train_toy,
 )
-from emodub.library import MODALITY_ORDER, load_library, save_library
+from emodub.library import MODALITY_ORDER, EmotionVector, load_library, save_library
 from emodub.retrieval import (
     CHANNELS,
     Metric,
@@ -41,7 +42,7 @@ from emodub.sweeps import sweep_topk
 from emodub.synthetic import ClusterSpec, evaluate_purity, generate_clustered_library
 from emodub.autodiff import Tensor
 
-from conftest import random_library
+from conftest import random_library, rebuilt
 from test_retrieval import assert_matches_oracle, oracle_rank
 
 
@@ -72,9 +73,7 @@ def test_criterion_1_retrieval_oracle_equivalence():
         lib = random_library(rng, n, dims=dims, speakers=3)
         if n >= 3 and trial % 5 == 0:
             # inject exact duplicates so the ascending-id tie-break is exercised
-            src, dst = lib.records[0], lib.records[n // 2]
-            for m in MODALITY_ORDER:
-                dst.vector(m).values[...] = src.vector(m).values
+            lib = rebuilt(lib, {(n // 2, m): lib.records[0].vector(m).values for m in MODALITY_ORDER})
         k = int(rng.integers(1, 11))
         metric = metrics[trial % 3]
         mode = modes[trial % 2]
@@ -154,6 +153,25 @@ def test_criterion_4_full_pipeline_gradient():
     report(4, f"pipeline gradient check over {n_entries} entries, max rel err {worst:.2e}", t0, 60.0)
 
 
+def test_criterion_4_gradient_reaches_the_basic_cross_attention():
+    """On a seed whose basic-stage rows differ, every parameter, the basic
+    cross-attention's query and key included, has gradient entries above
+    grad_check's 1e-8 floor, so finite differences check them. (On seeds 0
+    and 1, h_basic's rows are equal to within 3e-16 and those gradients are
+    about 1e-21.)"""
+    batch, model = toy_fixture(seed=2, dim=8, n_mel=4, length=5, k=2)
+    pred, encoding = toy_forward(batch, model)
+    rows = encoding.h_basic.data
+    assert min(np.abs(rows[i] - rows[j]).max() for i, j in ((0, 1), (0, 2), (1, 2))) > 1e-3
+    mse(pred, batch.target_mel).backward()
+    params = model.parameters()
+    largest = {p.name: np.abs(p.grad).max() for p in params}
+    assert min(largest.values()) > 1e-8, largest
+    assert largest["head.ca_basic.wq"] > 1e-8 and largest["head.ca_basic.wk"] > 1e-8
+    worst = grad_check(lambda: toy_loss(batch, model), params, eps=1e-5)
+    assert worst < 1e-4, f"max relative gradient error {worst}"
+
+
 def test_criterion_5_toy_training_convergence():
     """200 steps at the published optimizer settings cut the loss to <= 10%."""
     t0 = time.monotonic()
@@ -177,13 +195,13 @@ def test_criterion_6_cosine_ranking_invariance():
         before = [rid for rid, _ in retrieve_modality(lib, query, channel, 10, Metric.COSINE)]
         factor = math.exp(rng.uniform(-3, 3))
         if trial % 2:
-            victim = lib.records[int(rng.integers(30))]
+            row = int(rng.integers(30))
             modality = MODALITY_ORDER[int(rng.integers(5))]
-            victim.vector(modality).values *= factor
+            lib = rebuilt(lib, {(row, modality): lib.records[row].vector(modality).values * factor})
         else:
-            (query.scene, query.face, query.text_self, query.text_react)[
-                int(rng.integers(4))
-            ].values *= factor
+            name = ("scene", "face", "text_self", "text_react")[int(rng.integers(4))]
+            vec = getattr(query, name)
+            setattr(query, name, EmotionVector(vec.modality, vec.values * factor))
         after = [rid for rid, _ in retrieve_modality(lib, query, channel, 10, Metric.COSINE)]
         assert before == after
     report(6, "100 positive rescalings left cosine id rankings unchanged", t0, 30.0)

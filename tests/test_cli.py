@@ -11,7 +11,9 @@ from click.testing import CliRunner
 from emodub.autodiff import load_checkpoint
 from emodub.cli import main
 from emodub.errors import FormatError
-from emodub.library import load_library, save_library, write_jsonl
+from emodub.library import Modality, load_library, save_library, write_jsonl
+
+from conftest import rebuilt
 
 
 @pytest.fixture
@@ -307,9 +309,8 @@ class TestRetrieve:
         # norm, or an overflow that makes its cosine inf / inf (NaN, exit 4)
         for value, code, message in ((0.0, 2, "zero vector"), (1e-170, 2, "zero vector"), (1.5e308, 4, "NaN")):
             lib = load_library(gen_lib(runner, tmp_path / "lib.mrfl", n=20))
-            zero = lib.records[5]
-            assert zero.speaker_id != lib.records[0].speaker_id
-            zero.scene.values[...] = np.copysign(value, lib.records[0].scene.values)
+            assert lib.records[5].speaker_id != lib.records[0].speaker_id
+            lib = rebuilt(lib, {(5, Modality.SCENE): np.copysign(value, lib.records[0].scene.values)})
             path = tmp_path / "zero.mrfl"
             save_library(lib, path)
             args = ["retrieve", "--lib", str(path), "--query-id", "0", "--k", "3", "--metric", "cosine"]
@@ -317,8 +318,7 @@ class TestRetrieve:
             result = run_ok(runner, [*args, "--mode", "specific"])
             assert ",5," not in result.output
         # a query whose squared norm underflows to 0 is rejected in either mode
-        lib.records[0].scene.values[...] = 1e-170
-        save_library(lib, path)
+        save_library(rebuilt(lib, {(0, Modality.SCENE): 1e-170}), path)
         for mode in ("agnostic", "specific"):
             assert_error_exit(runner.invoke(main, [*args, "--mode", mode]), 2, "zero vector: query scene")
 
@@ -480,11 +480,7 @@ class TestSweeps:
         # rescale every stored vector by 3.0: cosine purity rows must not move
         lib_path = gen_lib(runner, tmp_path / "lib.mrfl", n=30)
         lib = load_library(lib_path)
-        for rec in lib.records:
-            for m in lib.schema:
-                rec.vector(m).values *= 3.0
-        from emodub.library import save_library
-
+        lib = rebuilt(lib, {(rec.row, m): rec.vector(m).values * 3.0 for rec in lib.records for m in lib.schema})
         scaled_path = tmp_path / "scaled.mrfl"
         save_library(lib, scaled_path)
         base = run_ok(runner, ["sweep-metric", "--lib", str(lib_path), "--k", "1..3"])

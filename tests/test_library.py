@@ -22,10 +22,10 @@ from emodub.library import (
     uniform_schema,
     write_jsonl,
 )
-from emodub.retrieval import Mode, Query, retrieve_all
+from emodub.retrieval import Mode, Query, retrieve_all, squared_norms
 from emodub.synthetic import ClusterSpec, evaluate_purity, generate_clustered_library
 
-from conftest import random_library
+from conftest import near_tie_rows, random_library, rebuilt
 
 # Frozen offline from the documented PRNG algorithm: seed=7, key="a", scene, dim=8.
 EXPECTED_SCENE_7A = [
@@ -161,10 +161,10 @@ class TestRecordViews:
         assert len(lib.records) == 6
         assert [r.record_id for r in lib.records] == ids
 
-    def test_speaker_write_through_a_transient_view(self, rng, tmp_path):
+    def test_rebuilt_speakers_reach_masks_purity_and_files(self, rng, tmp_path):
         lib = random_library(rng, 12, dims=4, speakers=2)
         old = lib.records[3].speaker_id
-        lib.records[3].speaker_id = "solo"
+        lib = rebuilt(lib, speakers={3: "solo"})
         assert lib.records[3].speaker_id == "solo"
         assert np.flatnonzero(lib.speaker_mask("solo")).tolist() == [3]
         assert not lib.speaker_mask(old)[3]
@@ -178,11 +178,11 @@ class TestRecordViews:
         assert loaded.records[3].speaker_id == "solo" and loaded == lib
         assert path.read_bytes().count(b"solo") == 1
 
-        lib.records[-1].speaker_id = None
+        lib = rebuilt(lib, speakers={-1: None})
         assert np.flatnonzero(lib.speaker_mask(None)).tolist() == [11]
         with pytest.raises(ArgumentError, match="requires query.speaker_id"):
             evaluate_purity(lib, 3, mode=Mode.SPEAKER_SPECIFIC)
-        lib.records[-1].speaker_id = "late"
+        lib = rebuilt(lib, speakers={-1: "late"})
         assert not lib.speaker_mask(None).any()
         save_library(lib, path)
         assert load_library(path).records[11].speaker_id == "late"
@@ -192,7 +192,7 @@ class TestRecordViews:
 def assert_column_major(lib):
     for m in MODALITY_ORDER:
         arr = lib.matrix(m)
-        assert arr.dtype == np.float64 and arr.flags.f_contiguous and arr.flags.writeable, m.value
+        assert arr.dtype == np.float64 and arr.flags.f_contiguous and not arr.flags.writeable, m.value
         # a (1, d) or (N, 1) array is both; these have N, d >= 2, so the layout is real
         assert len(lib) < 2 or not arr.flags.c_contiguous, m.value
 
@@ -214,18 +214,55 @@ class TestColumnLayout:
         lib = FootageLibrary.from_columns(uniform_schema(3), list(range(5)), ["m"] * 5, ["s"] * 5, [None] * 5, vectors)
         assert all(lib.matrix(m) is vectors[m] for m in MODALITY_ORDER)
 
-    def test_write_through_a_strided_row_view_reaches_retrieval(self, rng):
+    def test_a_rebuilt_row_reaches_retrieval(self, rng):
         lib = random_library(rng, 30, dims=6)
         query = Query.from_record(lib.records[0])
         before = retrieve_all(lib, query, 3).rankings["scene"]
         row = next(i for i in range(1, 30) if lib.records[i].record_id not in dict(before))
         values = lib.records[row].scene.values
         assert not values.flags.c_contiguous  # a strided view, not a copy
-        values[...] = 2.0 * query.scene.values  # cosine 1 with the query
+        lib = rebuilt(lib, {(row, Modality.SCENE): 2.0 * query.scene.values})  # cosine 1 with the query
         assert np.array_equal(lib.matrix(Modality.SCENE)[row], 2.0 * query.scene.values)
         after = retrieve_all(lib, query, 3).rankings["scene"]
         assert after[0][0] == lib.records[row].record_id
         assert [rid for rid, _ in after[1:]] == [rid for rid, _ in before[:2]]
+
+
+class TestImmutable:
+    def test_writes_raise(self, rng):
+        lib = random_library(rng, 6, dims=3)
+        lib.norms(Modality.FACE)
+        arrays = [lib.matrix(Modality.SCENE), lib.records[2].face.values, lib.speaker_codes, lib.ids,
+                  lib.norms(Modality.FACE)]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        with pytest.raises(AttributeError):
+            lib.records[2].speaker_id = "other"
+
+    def test_norms_are_the_square_roots_of_the_squared_norms(self, rng):
+        rows = near_tie_rows(rng, 3, 5, big=True)
+        lib = FootageLibrary.from_columns(
+            uniform_schema(5), list(range(len(rows))), ["m"] * len(rows), ["s"] * len(rows), [None] * len(rows),
+            {m: rows for m in MODALITY_ORDER},
+        )
+        squared = squared_norms(lib.matrix(Modality.SCENE))
+        assert np.isinf(squared).any()  # squares that overflow
+        assert ((0 < squared) & (squared < np.finfo(np.float64).tiny)).any()  # subnormal squares
+        for m in MODALITY_ORDER:
+            assert lib.norms(m).tobytes() == np.sqrt(squared_norms(lib.matrix(m))).tobytes()
+            assert lib.norms(m) is lib.norms(m)  # computed once
+
+    def test_read_only_arrays_are_adopted_without_a_copy(self, rng):
+        lib = random_library(rng, 40, dims=4)
+        vectors = {m: lib.matrix(m) for m in MODALITY_ORDER}
+        copy = FootageLibrary.from_columns(
+            dict(lib.schema), lib.ids.tolist(), lib.movie_ids, lib.speaker_ids, lib.emotion_labels, vectors
+        )
+        assert all(copy.matrix(m) is lib.matrix(m) for m in MODALITY_ORDER)
+        for row in (0, 17, 39):
+            query = Query.from_record(lib.records[row])
+            assert retrieve_all(copy, query, 5).rankings == retrieve_all(lib, query, 5).rankings
 
 
 class TestBinaryRoundTrip:
@@ -354,8 +391,7 @@ class TestJsonl:
             read_jsonl(path)
 
     def test_speakerless_record_is_not_written(self, rng, tmp_path):
-        lib = random_library(rng, 4)
-        lib.records[2].speaker_id = None
+        lib = rebuilt(random_library(rng, 4), speakers={2: None})
         for write, name in ((save_library, "lib.mrfl"), (write_jsonl, "lib.jsonl")):
             with pytest.raises(SchemaError, match="record 2 has no speaker_id"):
                 write(lib, tmp_path / name)

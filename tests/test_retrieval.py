@@ -25,7 +25,7 @@ from emodub.retrieval import (
     text_criterion,
 )
 
-from conftest import near_tie_rows, random_library
+from conftest import near_tie_rows, random_library, rebuilt
 
 
 def vec(values, modality=Modality.SCENE):
@@ -269,9 +269,7 @@ class TestZeroNormCandidates:
     def library(self, rng, channel, value):
         lib = random_library(rng, 12, speakers=1)
         query = lib.records[0].vector(self.ZEROED[channel]).values
-        lib.records[4].vector(self.ZEROED[channel]).values[...] = np.copysign(value, query)
-        lib.records[4].speaker_id = "other"
-        return lib
+        return rebuilt(lib, {(4, self.ZEROED[channel]): np.copysign(value, query)}, {4: "other"})
 
     @pytest.mark.parametrize("channel", CHANNELS)
     def test_zero_norm_record_in_pool_raises(self, rng, channel):
@@ -407,8 +405,7 @@ class TestCosineScaleInvariance:
         lib = random_library(rng, 25)
         q = Query.from_record(lib.records[0])
         before = [rid for rid, _ in retrieve_modality(lib, q, "scene", k=10)]
-        victim = lib.records[7]
-        victim.scene.values *= 37.5
+        lib = rebuilt(lib, {(7, Modality.SCENE): lib.records[7].scene.values * 37.5})
         after = [rid for rid, _ in retrieve_modality(lib, q, "scene", k=10)]
         assert before == after
 
@@ -416,7 +413,7 @@ class TestCosineScaleInvariance:
         lib = random_library(rng, 25)
         q = Query.from_record(lib.records[0])
         before = [rid for rid, _ in retrieve_modality(lib, q, "face", k=10)]
-        q.face.values *= 0.003
+        q.face = EmotionVector(Modality.FACE, q.face.values * 0.003)
         after = [rid for rid, _ in retrieve_modality(lib, q, "face", k=10)]
         assert before == after
 
@@ -424,9 +421,10 @@ class TestCosineScaleInvariance:
         # on unit-normalized vectors all three metrics are monotone transforms
         # of each other, so the id rankings coincide
         lib = random_library(rng, 40)
-        for rec in lib.records:
-            for m in MODALITY_ORDER:
-                rec.vector(m).values /= np.linalg.norm(rec.vector(m).values)
+        lib = rebuilt(lib, {
+            (rec.row, m): rec.vector(m).values / np.linalg.norm(rec.vector(m).values)
+            for rec in lib.records for m in MODALITY_ORDER
+        })
         q = Query.from_record(lib.records[0])
         rankings = {
             metric: [rid for rid, _ in retrieve_modality(lib, q, "scene", 39, metric)]
@@ -440,11 +438,29 @@ class TestCosineScaleInvariance:
         q = Query.from_record(lib.records[0], exclude_self=False)
         ranking = retrieve_modality(lib, q, "scene", k=2, metric=Metric.DOT)
         runner_up = lib.lookup(ranking[1][0])
-        if float(np.dot(q.scene.values, runner_up.scene.values)) <= 0:
-            runner_up.scene.values *= -1.0  # make its dot score positive first
-        runner_up.scene.values *= 1e6
+        values = runner_up.scene.values
+        if float(np.dot(q.scene.values, values)) <= 0:
+            values = values * -1.0  # make its dot score positive first
+        lib = rebuilt(lib, {(runner_up.row, Modality.SCENE): values * 1e6})
         rescored = retrieve_modality(lib, q, "scene", k=2, metric=Metric.DOT)
         assert rescored[0][0] == runner_up.record_id
+
+
+class TestCachedNorms:
+    def test_zero_row_raises_naming_its_record_in_the_pool_only(self, rng):
+        base = random_library(rng, 10, dims=4, speakers=2)
+        lib = FootageLibrary.from_columns(
+            dict(base.schema), [100 + i for i in range(10)], base.movie_ids, base.speaker_ids,
+            base.emotion_labels, {m: base.matrix(m) for m in MODALITY_ORDER},
+        )
+        lib = rebuilt(lib, {(6, Modality.FACE): 0.0}, {6: "alone"})
+        assert lib.norms(Modality.FACE)[6] == 0.0  # filled before any scan
+        q = Query.from_record(lib.records[0])
+        with pytest.raises(ArgumentError, match="zero vector: record 106"):
+            retrieve_all(lib, q, 3)
+        got = retrieve_all(lib, q, 3, mode=Mode.SPEAKER_SPECIFIC).rankings  # record 106 is outside the pool
+        for channel in CHANNELS:
+            assert got[channel] == brute_force_rank(lib, q, channel, 3, Metric.COSINE, Mode.SPEAKER_SPECIFIC)
 
 
 class TestRetrieveAll:
@@ -454,9 +470,14 @@ class TestRetrieveAll:
         """Checking the query and building its pool once changes no ranking
         and no error: the error is that of the first channel to raise."""
         lib = random_library(rng, 20, dims=4, speakers=2)
-        lib.records[9].scene.values[...] = 1e-170  # a zero norm under cosine
-        lib.records[11].text_react.values[...] = np.copysign(1.5e308, lib.records[0].text_react.values)
-        lib.records[5].speaker_id = None
+        lib = rebuilt(
+            lib,
+            {
+                (9, Modality.SCENE): 1e-170,  # a zero norm under cosine
+                (11, Modality.TEXT_REACT): np.copysign(1.5e308, lib.records[0].text_react.values),
+            },
+            {5: None},
+        )
 
         def outcome(fn):
             try:
@@ -500,8 +521,7 @@ class TestRetrieveAll:
     def test_speaker_with_single_record_saturates(self, rng):
         lib = random_library(rng, 10, speakers=1)
         # give one record a unique speaker, then query as that speaker
-        lib.records[0].speaker_id = "loner"
-        lib.records[1].speaker_id = "loner"
+        lib = rebuilt(lib, speakers={0: "loner", 1: "loner"})
         q = Query.from_record(lib.records[0])  # excludes itself
         res = retrieve_all(lib, q, k=3, mode=Mode.SPEAKER_SPECIFIC)
         for channel in CHANNELS:

@@ -12,7 +12,7 @@ from emodub.library import FootageLibrary, Modality, MODALITY_ORDER
 from emodub.retrieval import CHANNELS, Metric, Mode, Query, retrieve_modality
 from emodub.synthetic import ClusterSpec, PurityResult, evaluate_purity, generate_clustered_library
 
-from conftest import near_tie_rows, random_library
+from conftest import near_tie_rows, random_library, rebuilt
 
 
 class TestGeneration:
@@ -163,8 +163,7 @@ class TestBlockParity:
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_speaker_with_one_record_has_an_empty_pool(self, rng, metric):
-        lib = random_library(rng, 20, dims=4, speakers=2)
-        lib.records[7].speaker_id = "solo"
+        lib = rebuilt(random_library(rng, 20, dims=4, speakers=2), speakers={7: "solo"})
         specific = assert_block_matches_loop(lib, 3, metric, Mode.SPEAKER_SPECIFIC, block_floats=40)
         agnostic = assert_block_matches_loop(lib, 3, metric, Mode.SPEAKER_AGNOSTIC, block_floats=40)
         assert specific[1] == 19 * 3 * 3 and agnostic[1] == 20 * 3 * 3
@@ -210,33 +209,29 @@ class TestErrorParity:
     @pytest.mark.parametrize("modality", [Modality.SCENE, Modality.TEXT_REACT])
     def test_faulty_row(self, rng, value, row, alone, modality):
         lib = random_library(rng, 12, dims=4, speakers=2)
-        values = lib.records[row].vector(modality).values
-        values[...] = np.copysign(value, lib.records[0].vector(modality).values)
-        if alone:
-            lib.records[row].speaker_id = "alone"
+        values = np.copysign(value, lib.records[0].vector(modality).values)
+        lib = rebuilt(lib, {(row, modality): values}, {row: "alone"} if alone else None)
         for metric in Metric:
             for mode in Mode:
                 assert_block_matches_loop(lib, 3, metric, mode)
                 assert_block_matches_loop(lib, 3, metric, mode, block_floats=12)
 
     def test_errors_raised(self, rng):
-        lib = random_library(rng, 12, dims=4, speakers=2)
-        lib.records[6].scene.values[...] = 1e-170
+        lib = rebuilt(random_library(rng, 12, dims=4, speakers=2), {(6, Modality.SCENE): 1e-170})
         with pytest.raises(ArgumentError, match="zero vector: record 6"):
             evaluate_purity(lib, 3)
-        lib.records[0].face.values[...] = 0.0
+        lib = rebuilt(lib, {(0, Modality.FACE): 0.0})
         with pytest.raises(ArgumentError, match="zero vector: query face"):
             evaluate_purity(lib, 3)
         lib = random_library(rng, 12, dims=4, speakers=2)
-        lib.records[6].text_react.values[...] = np.copysign(1.5e308, lib.records[0].text_react.values)
+        lib = rebuilt(lib, {(6, Modality.TEXT_REACT): np.copysign(1.5e308, lib.records[0].text_react.values)})
         with pytest.raises(EmodubError, match="text score of record 6 is NaN"):
             evaluate_purity(lib, 3)
-        lib.records[6].speaker_id = "alone"  # its own pool is empty; nobody else scores it
+        lib = rebuilt(lib, speakers={6: "alone"})  # its own pool is empty; nobody else scores it
         assert evaluate_purity(lib, 3, mode=Mode.SPEAKER_SPECIFIC).retrieved == 11 * 3 * 3
 
     def test_query_without_speaker_under_specific_mode(self, rng):
-        lib = random_library(rng, 12, dims=4, speakers=2)
-        lib.records[6].speaker_id = None
+        lib = rebuilt(random_library(rng, 12, dims=4, speakers=2), speakers={6: None})
         assert_block_matches_loop(lib, 3, Metric.COSINE, Mode.SPEAKER_SPECIFIC, block_floats=24)
         with pytest.raises(ArgumentError, match="requires query.speaker_id"):
             evaluate_purity(lib, 3, mode=Mode.SPEAKER_SPECIFIC)
