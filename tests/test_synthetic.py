@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emodub import synthetic
-from emodub.errors import ArgumentError, EmodubError
+from emodub.errors import ArgumentError, EmodubError, SchemaError
 from emodub.library import FootageLibrary, Modality, MODALITY_ORDER
 from emodub.retrieval import CHANNELS, Metric, Mode, Query, retrieve_modality
 from emodub.synthetic import ClusterSpec, PurityResult, evaluate_purity, generate_clustered_library
@@ -217,10 +217,15 @@ class TestErrorParity:
                 assert_block_matches_loop(lib, 3, metric, mode, block_floats=12)
 
     def test_errors_raised(self, rng):
-        lib = rebuilt(random_library(rng, 12, dims=4, speakers=2), {(6, Modality.SCENE): 1e-170})
+        base = random_library(rng, 12, dims=4, speakers=2)
+        lib = rebuilt(base, {(6, Modality.SCENE): 1e-170})
         with pytest.raises(ArgumentError, match="zero vector: record 6"):
             evaluate_purity(lib, 3)
         lib = rebuilt(lib, {(0, Modality.FACE): 0.0})
+        with pytest.raises(ArgumentError, match="zero vector: record 6"):  # query 0's scene scan meets it first
+            evaluate_purity(lib, 3)
+        assert_block_matches_loop(lib, 3, Metric.COSINE, Mode.SPEAKER_AGNOSTIC, block_floats=12)
+        lib = rebuilt(lib, {(6, Modality.SCENE): base.records[6].scene.values})
         with pytest.raises(ArgumentError, match="zero vector: query face"):
             evaluate_purity(lib, 3)
         lib = random_library(rng, 12, dims=4, speakers=2)
@@ -231,7 +236,12 @@ class TestErrorParity:
         assert evaluate_purity(lib, 3, mode=Mode.SPEAKER_SPECIFIC).retrieved == 11 * 3 * 3
 
     def test_query_without_speaker_under_specific_mode(self, rng):
-        lib = rebuilt(random_library(rng, 12, dims=4, speakers=2), speakers={6: None})
-        assert_block_matches_loop(lib, 3, Metric.COSINE, Mode.SPEAKER_SPECIFIC, block_floats=24)
-        with pytest.raises(ArgumentError, match="requires query.speaker_id"):
-            evaluate_purity(lib, 3, mode=Mode.SPEAKER_SPECIFIC)
+        """A library row always has a speaker; only a hand-built query lacks one."""
+        lib = random_library(rng, 12, dims=4, speakers=2)
+        with pytest.raises(SchemaError, match="record 6 has no speaker_id"):
+            rebuilt(lib, speakers={6: None})
+        query = Query.from_record(lib.records[6])
+        query.speaker_id = None
+        for channel in CHANNELS:
+            with pytest.raises(ArgumentError, match="requires query.speaker_id"):
+                retrieve_modality(lib, query, channel, 3, Metric.COSINE, Mode.SPEAKER_SPECIFIC)
