@@ -107,7 +107,8 @@ class Parameter(Tensor):
     __slots__ = ("name",)
 
     def __init__(self, data, name: str):
-        super().__init__(data, requires_grad=True)
+        # C-contiguous, so that Adam's flat slices of data and grad are views
+        super().__init__(np.ascontiguousarray(data, dtype=np.float64), requires_grad=True)
         self.name = name
         self.grad = np.zeros_like(self.data)
 
@@ -260,9 +261,9 @@ def slice_cols(a, c0: int, c1: int) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[:, c0:c1] = g
-            _accum(a, full)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[:, c0:c1] += g  # from +0.0 no sum is -0.0, so the other columns lose nothing
 
     return _make(a.data[:, c0:c1].copy(), (a,), backward)
 
@@ -494,34 +495,60 @@ class AdamState:
     eps=1e-9).
 
     ``step`` applies ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` to every
-    parameter and then zeroes its gradient buffer.
+    parameter and then zeroes its gradient buffer. It walks each parameter's
+    flattened data, gradient and moments in slices of :attr:`CHUNK`
+    elements and, on each slice, rounds once per operation in the formula's
+    order: ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*(g*g)``,
+    ``p -= (lr * (m/bc1)) / (sqrt(v/bc2) + eps)``, then ``g = 0``. Every
+    result is written in place or into two scratch slices allocated once, so
+    a step allocates no parameter-sized temporary. ``m`` and ``v`` are flat
+    arrays in parameter order; each parameter's moments are views into them.
     """
 
     lr = 0.00625
     beta1 = 0.9
     beta2 = 0.98
     eps = 1e-9
+    #: elements per slice: the six slices a step touches (g, m, v, p and
+    #: two scratch) take 768 KB, which fits a 2 MB L2 cache
+    CHUNK = 16384
 
     def __init__(self, params: Iterable[Parameter]):
         self.params = collect_parameters(params)
         self.step_count = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.data) for p in self.params}
+        sizes = [p.data.size for p in self.params]
+        self.m, self.v = np.zeros(sum(sizes)), np.zeros(sum(sizes))
+        offsets = np.cumsum([0, *sizes]).tolist()
+        self._moments = [(self.m[a:b], self.v[a:b]) for a, b in zip(offsets, offsets[1:])]
+        self._t1, self._t2 = np.empty((2, min(self.CHUNK, max(sizes, default=0))))
 
     def step(self) -> None:
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
-        for p in self.params:
-            g = p.grad
-            m = self.m[p.name]
-            v = self.v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.zero_grad()
+        lr, beta1, beta2, eps = self.lr, self.beta1, self.beta2, self.eps
+        c1, c2 = 1.0 - beta1, 1.0 - beta2
+        for p, (m_flat, v_flat) in zip(self.params, self._moments):
+            data, grad = p.data.reshape(-1), p.grad.reshape(-1)  # views: both are C-contiguous
+            for start in range(0, data.size, self.CHUNK):
+                end = start + self.CHUNK
+                g, m, v, x = grad[start:end], m_flat[start:end], v_flat[start:end], data[start:end]
+                t1, t2 = self._t1[: g.size], self._t2[: g.size]
+                m *= beta1
+                np.multiply(g, c1, out=t1)
+                m += t1
+                v *= beta2
+                np.multiply(g, g, out=t1)
+                t1 *= c2
+                v += t1
+                np.divide(m, bc1, out=t1)
+                t1 *= lr
+                np.divide(v, bc2, out=t2)
+                np.sqrt(t2, out=t2)
+                t2 += eps
+                t1 /= t2
+                x -= t1
+                g[...] = 0.0
 
 
 def grad_check(

@@ -322,7 +322,9 @@ def _build_toy_fixture(seed, k, dim, mel_bins, length, lib_size, clusters, separ
 
 
 @main.command("grad-check")
-@click.option("--seed", default=0, show_default=True, type=int)
+# Seeds 0 and 1 collapse this fixture's basic-stage rows, which leaves the
+# basic cross-attention's wq and wk gradients under grad_check's 1e-8 floor.
+@click.option("--seed", default=2, show_default=True, type=int)
 @click.option("--dim", default=8, show_default=True, type=int)
 @click.option("--length", default=5, show_default=True, type=int)
 @click.option("--k", default=2, show_default=True, type=int)

@@ -209,6 +209,7 @@ class FootageLibrary:
         self.speaker_names: list[str] = []
         self._code_of: dict[str, int] = {}
         self._norms: dict[Modality, np.ndarray] = {}
+        self._zero_norms: dict[Modality, np.ndarray] = {}
 
     @classmethod
     def from_columns(
@@ -276,8 +277,17 @@ class FootageLibrary:
         use and kept; readers that fill it at once compute the same bits."""
         if modality not in self._norms:
             from .retrieval import squared_norms  # retrieval imports this module
-            self._norms[modality] = _frozen(np.sqrt(squared_norms(self._vectors[modality])))
+            norms = np.sqrt(squared_norms(self._vectors[modality]))
+            self._zero_norms[modality] = _frozen(norms == 0.0)  # sqrt(x) == 0 exactly when x == 0
+            self._norms[modality] = _frozen(norms)
         return self._norms[modality]
+
+    def zero_norms(self, modality: Modality) -> np.ndarray:
+        """Boolean mask of the rows whose :meth:`norms` entry is 0.0, on
+        which cosine similarity is undefined. Read-only, filled with the
+        norms."""
+        self.norms(modality)
+        return self._zero_norms[modality]
 
     @property
     def speaker_ids(self) -> list[str]:

@@ -229,7 +229,7 @@ def retrieve_block(
                 dot = _sum(x * c for x, c in zip(q, columns))
                 if metric is Metric.COSINE:
                     norm, query_norm = lib.norms(modality), np.sqrt(_sum(x * x for x in q))
-                    zero |= norm == 0.0  # sqrt(x) == 0 exactly when x == 0
+                    zero |= lib.zero_norms(modality)
                     zero_queries[modality] = np.reshape(query_norm == 0.0, len(pool))
                     dot = dot / (query_norm * norm)
                 scores.append(dot)

@@ -5,6 +5,7 @@ nothing with the vectorized implementations.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,6 +435,41 @@ class TestAdam:
     def test_default_hyperparameters(self):
         adam = AdamState([param(np.zeros((1, 1)), "p")])
         assert (adam.lr, adam.beta1, adam.beta2, adam.eps) == (0.00625, 0.9, 0.98, 1e-9)
+
+    def test_sliced_pass_has_the_bits_of_the_formula(self, rng):
+        beta1, beta2, lr, eps = 0.9, 0.98, 0.00625, 1e-9
+        datas = [rng.normal(size=(1, 1)), rng.normal(size=(1, AdamState.CHUNK + 1)), rng.normal(size=(200, 200)),
+                 np.asfortranarray(rng.normal(size=(90, 70)))]
+        params = [param(d, f"p{i}") for i, d in enumerate(datas)]
+        adam = AdamState(params)
+        want = [d.copy() for d in datas]
+        m = [np.zeros_like(d) for d in datas]
+        v = [np.zeros_like(d) for d in datas]
+        for t in range(1, 7):
+            grads = [rng.normal(size=d.shape) * 10.0 ** rng.integers(-4, 4, size=d.shape) for d in datas]
+            grads[2][::3] = 0.0
+            for p, g in zip(params, grads):
+                p.grad[...] = g
+            adam.step()
+            for i, g in enumerate(grads):
+                m[i] = beta1 * m[i] + (1.0 - beta1) * g
+                v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
+                want[i] = want[i] - lr * (m[i] / (1.0 - beta1**t)) / (np.sqrt(v[i] / (1.0 - beta2**t)) + eps)
+                assert params[i].data.tobytes() == want[i].tobytes(), (t, i)
+                assert not params[i].grad.any()
+
+    def test_step_allocates_no_parameter_sized_temporary(self):
+        p = param(np.ones((1000, 1000)), "p")
+        p.grad[...] = 0.5
+        adam = AdamState([p])
+        tracemalloc.start()
+        try:
+            adam.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one 10^6-element temporary would be 8 MB
+        assert not p.grad.any()
 
 
 # --- checkpoints ---------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from emodub import autodiff
 from emodub.autodiff import load_checkpoint
 from emodub.cli import main
 from emodub.errors import FormatError
@@ -424,6 +425,16 @@ class TestGradCheckCommand:
     def test_passes_at_default_operating_point(self, runner):
         result = run_ok(runner, ["grad-check", "--dim", "6", "--length", "3", "--k", "1"])
         assert "passed" in result.output
+
+    def test_default_seed_sees_a_wrong_basic_attention_gradient(self, runner, monkeypatch):
+        # seeds 0 and 1 leave head.ca_basic.wq under the 1e-8 floor, so only seed 2 sees this
+        accum = autodiff._accum
+        monkeypatch.setattr(
+            autodiff, "_accum", lambda t, g: accum(t, 3.0 * g if getattr(t, "name", None) == "head.ca_basic.wq" else g)
+        )
+        result = runner.invoke(main, ["grad-check"])
+        assert result.exit_code == 4
+        assert "gradient check FAILED" in result.output
 
     def test_impossible_tolerance_exits_numeric(self, runner):
         # a step this coarse leaves a finite-difference error far above the tolerance

@@ -243,7 +243,7 @@ class TestImmutable:
         lib = random_library(rng, 6, dims=3)
         lib.norms(Modality.FACE)
         arrays = [lib.matrix(Modality.SCENE), lib.records[2].face.values, lib.speaker_codes, lib.ids,
-                  lib.norms(Modality.FACE)]
+                  lib.norms(Modality.FACE), lib.zero_norms(Modality.TEXT_SELF)]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
@@ -262,6 +262,14 @@ class TestImmutable:
         for m in MODALITY_ORDER:
             assert lib.norms(m).tobytes() == np.sqrt(squared_norms(lib.matrix(m))).tobytes()
             assert lib.norms(m) is lib.norms(m)  # computed once
+
+    def test_zero_norm_mask_is_cached_beside_the_norms(self, rng):
+        lib = rebuilt(random_library(rng, 8, dims=3), {(2, Modality.SCENE): 0.0, (5, Modality.SCENE): 1e-170})
+        zero = lib.zero_norms(Modality.SCENE)
+        assert zero.tolist() == [False, False, True, False, False, True, False, False]  # 1e-170 squared underflows
+        assert np.array_equal(zero, lib.norms(Modality.SCENE) == 0.0)
+        assert lib.zero_norms(Modality.SCENE) is zero  # computed once
+        assert not lib.zero_norms(Modality.FACE).any()
 
     def test_read_only_arrays_are_adopted_without_a_copy(self, rng):
         lib = random_library(rng, 40, dims=4)
