@@ -35,9 +35,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
+        if arr.ndim < 2:
             arr = arr.reshape(1, -1)
         elif arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D, got shape {arr.shape}")
@@ -124,11 +122,14 @@ def as_tensor(value) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    # every op's result is a 2-D float64 array, adopted as-is with its layout
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad = data, None
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad, out._parents, out._backward = True, parents, backward
+            return out
+    out.requires_grad, out._parents, out._backward = False, (), None
     return out
 
 
@@ -141,18 +142,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    out = g
-    if shape[0] == 1 and out.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and out.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
-
-
-def _broadcastable(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return all(x == y or x == 1 or y == 1 for x, y in zip(a, b))
+    if shape[0] == 1 and g.shape[0] != 1:
+        g = g.sum(axis=0, keepdims=True)
+    if shape[1] == 1 and g.shape[1] != 1:
+        g = g.sum(axis=1, keepdims=True)
+    return g
 
 
 # --- elementwise and structural ops ----------------------------------------
@@ -160,36 +154,39 @@ def _broadcastable(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
+    (ar, ac), (br, bc) = sa, sb = a.data.shape, b.data.shape
+    if (ar != br and ar != 1 and br != 1) or (ac != bc and ac != 1 and bc != 1):
+        raise ShapeError(f"cannot add shapes {sa} and {sb}")
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        _accum(a, _unbroadcast(g, sa))
+        _accum(b, _unbroadcast(g, sb))
 
     return _make(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeError(f"cannot subtract shapes {a.shape} and {b.shape}")
+    (ar, ac), (br, bc) = sa, sb = a.data.shape, b.data.shape
+    if (ar != br and ar != 1 and br != 1) or (ac != bc and ac != 1 and bc != 1):
+        raise ShapeError(f"cannot subtract shapes {sa} and {sb}")
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, -_unbroadcast(g, b.shape))
+        _accum(a, _unbroadcast(g, sa))
+        _accum(b, -_unbroadcast(g, sb))
 
     return _make(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    (ar, ac), (br, bc) = sa, sb = a.data.shape, b.data.shape
+    if (ar != br and ar != 1 and br != 1) or (ac != bc and ac != 1 and bc != 1):
+        raise ShapeError(f"cannot multiply shapes {sa} and {sb}")
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        _accum(a, _unbroadcast(g * b.data, sa))
+        _accum(b, _unbroadcast(g * a.data, sb))
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -205,7 +202,7 @@ def scale(a, factor: float) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.cols != b.rows:
+    if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
 
     def backward(g):
@@ -241,14 +238,15 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ArgumentError("concat_rows needs at least one part")
-    cols = parts[0].cols
+    cols = parts[0].data.shape[1]
+    offsets = [0]
     for p in parts:
-        if p.cols != cols:
+        if p.data.shape[1] != cols:
             raise ShapeError("row concat needs equal column counts")
-    offsets = np.cumsum([0] + [p.rows for p in parts])
+        offsets.append(offsets[-1] + p.data.shape[0])
 
     def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        for p, lo, hi in zip(parts, offsets, offsets[1:]):
             _accum(p, g[lo:hi])
 
     return _make(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
@@ -256,7 +254,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
 def slice_cols(a, c0: int, c1: int) -> Tensor:
     a = as_tensor(a)
-    if not (0 <= c0 < c1 <= a.cols):
+    if not (0 <= c0 < c1 <= a.data.shape[1]):
         raise ShapeError(f"column slice [{c0}:{c1}] out of range for {a.shape}")
 
     def backward(g):
@@ -388,10 +386,6 @@ class LinearParams(Params):
             weight=Parameter(uniform_init(rng, d_in, d_out, d_in), f"{name}.weight"),
             bias=Parameter(uniform_init(rng, 1, d_out, d_in), f"{name}.bias"),
         )
-
-    @property
-    def d_in(self) -> int:
-        return self.weight.rows
 
 
 def linear(x, weight: Parameter | Tensor, bias: Parameter | Tensor) -> Tensor:
@@ -582,24 +576,28 @@ def grad_check(
         return value
 
     worst = 0.0
-    for p in params:
-        grad = analytic[p.name]
-        for i in range(p.rows):
-            for j in range(p.cols):
-                orig = p.data[i, j]
-                p.data[i, j] = orig + eps
-                lo_hi = eval_loss()
-                p.data[i, j] = orig - eps
-                lo_lo = eval_loss()
-                p.data[i, j] = orig
-                fd = (lo_hi - lo_lo) / (2.0 * eps)
-                g = grad[i, j]
-                diff = abs(fd - g)
-                rel = 0.0 if diff <= 1e-8 else diff / max(abs(fd), abs(g))
-                if rel > worst:
-                    worst = rel
-    for p in params:
-        p.zero_grad()
+    try:  # however the loop exits, each entry is restored and every gradient zeroed
+        for p in params:
+            grad = analytic[p.name]
+            for i in range(p.rows):
+                for j in range(p.cols):
+                    orig = p.data[i, j]
+                    try:
+                        p.data[i, j] = orig + eps
+                        lo_hi = eval_loss()
+                        p.data[i, j] = orig - eps
+                        lo_lo = eval_loss()
+                    finally:
+                        p.data[i, j] = orig
+                    fd = (lo_hi - lo_lo) / (2.0 * eps)
+                    g = grad[i, j]
+                    diff = abs(fd - g)
+                    rel = 0.0 if diff <= 1e-8 else diff / max(abs(fd), abs(g))
+                    if rel > worst:
+                        worst = rel
+    finally:
+        for p in params:
+            p.zero_grad()
     return worst
 
 

@@ -44,7 +44,6 @@ from .autodiff import (
     Params,
     Tensor,
     add,
-    as_tensor,
     concat_cols,
     concat_rows,
     leaky_relu,
@@ -203,11 +202,12 @@ def project_input(raw, proj: LinearParams) -> Tensor:
     copied into a contiguous row first, so the product takes numpy's BLAS
     path and gives the bits it gives any contiguous vector.
     """
-    row = as_tensor(np.ascontiguousarray(raw))
-    if row.rows != 1:
-        raise SchemaError(f"raw input must be a single row, got shape {row.shape}")
-    if row.cols != proj.d_in:
-        raise SchemaError(f"raw input dim {row.cols} does not match projection dim {proj.d_in}")
+    row = Tensor(np.ascontiguousarray(raw))
+    rows, cols = row.data.shape
+    if rows != 1:
+        raise SchemaError(f"raw input must be a single row, got shape {row.data.shape}")
+    if cols != proj.weight.data.shape[0]:
+        raise SchemaError(f"raw input dim {cols} does not match projection dim {proj.weight.rows}")
     return linear(row, proj.weight, proj.bias)
 
 

@@ -109,6 +109,81 @@ class TestLinear:
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+class TestShapeChecks:
+    @pytest.mark.parametrize("op", [add, sub, mul])
+    def test_elementwise_ops_reject_shapes_that_do_not_broadcast(self, op):
+        for other in ((3, 3), (2, 2), (3, 1)):
+            with pytest.raises(ShapeError):
+                op(Tensor(np.zeros((2, 3))), Tensor(np.zeros(other)))
+        for other in ((2, 3), (1, 3), (2, 1), (1, 1)):
+            assert op(Tensor(np.zeros((2, 3))), Tensor(np.zeros(other))).data.shape == (2, 3)
+
+    def test_concat_rows_rejects_unequal_column_counts(self):
+        with pytest.raises(ShapeError, match="row concat"):
+            concat_rows([Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 2)))])
+
+
+#: each op on 4x3 inputs; ``b`` supplies a second operand or a constant
+OPS = {
+    "add": add,
+    "sub": sub,
+    "mul": mul,
+    "scale": lambda a, b: scale(a, 0.5),
+    "matmul": lambda a, b: matmul(transpose(a), b),
+    "transpose": lambda a, b: transpose(a),
+    "concat_cols": concat_cols,
+    "concat_rows": lambda a, b: concat_rows([a, b]),
+    "slice_cols": lambda a, b: slice_cols(a, 0, 2),
+    "leaky_relu": lambda a, b: leaky_relu(a),
+    "masked_softmax_rows": lambda a, b: masked_softmax_rows(a, np.tri(4, 3)),
+    "sum_all": lambda a, b: sum_all(a),
+    "mse": lambda a, b: mse(a, b.data),
+}
+
+#: the output layout of each op for C- and for F-ordered inputs; BLAS
+#: results depend on the layout, so no op may copy its result into another
+LAYOUT = {
+    "add": ("C", "F"),
+    "sub": ("C", "F"),
+    "mul": ("C", "F"),
+    "scale": ("C", "F"),
+    "matmul": ("C", "C"),
+    "transpose": ("C", "C"),
+    "concat_cols": ("C", "F"),
+    "concat_rows": ("C", "F"),
+    "slice_cols": ("C", "C"),
+    "leaky_relu": ("C", "F"),
+    "masked_softmax_rows": ("C", "C"),
+    "sum_all": ("CF", "CF"),
+    "mse": ("CF", "CF"),
+}
+
+
+def op_operands(order, trainable=False):
+    a = np.asarray(np.arange(12.0).reshape(4, 3) - 5.5, order=order)
+    b = np.asarray(np.arange(12.0).reshape(4, 3) * 0.5 + 1.0, order=order)
+    return (Parameter(a, "a") if trainable else Tensor(a)), Tensor(b)
+
+
+class TestOpOutputs:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("op_name", sorted(OPS))
+    def test_output_is_2d_float64_in_its_layout(self, op_name, order):
+        a, b = op_operands(order)
+        assert a.data.flags[f"{order}_CONTIGUOUS"]
+        out = OPS[op_name](a, b).data
+        layout = "C" * out.flags.c_contiguous + "F" * out.flags.f_contiguous
+        assert out.ndim == 2 and out.dtype == np.float64
+        assert layout == LAYOUT[op_name][order == "F"]
+
+    @pytest.mark.parametrize("op_name", sorted(OPS))
+    def test_an_op_keeps_a_tape_only_when_a_parent_needs_a_gradient(self, op_name):
+        out = OPS[op_name](*op_operands("C"))
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        out = OPS[op_name](*op_operands("C", trainable=True))
+        assert out.requires_grad and out._parents and out._backward is not None
+
+
 class TestSoftmax:
     def test_symmetric_pair(self):
         out = softmax_rows(Tensor([[0.0, 0.0]]))
@@ -339,6 +414,19 @@ class TestGradCheck:
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError):
                 grad_check(loss, [w])
+
+    def test_non_finite_perturbed_loss_leaves_nothing_changed(self):
+        # the unperturbed loss is finite, but w + eps overflows it
+        w = param(np.array([[1.0]]), "w")
+
+        def loss():
+            return scale(matmul(w, Tensor([[1e308]])), 1.79769)
+
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="perturbed loss"):
+                grad_check(loss, [w])
+        assert w.data[0, 0] == 1.0
+        assert w.grad[0, 0] == 0.0
 
     def test_second_backward_adds_one_more_gradient(self):
         # interior nodes must not re-propagate the first call's gradient

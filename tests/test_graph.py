@@ -74,7 +74,7 @@ class TestProjection:
         np.testing.assert_array_equal(out.data, proj.scene.bias.data)
 
     def test_text_input_width_is_self_plus_react(self, proj):
-        assert proj.text.d_in == 2 * D_VEC
+        assert proj.text.weight.rows == 2 * D_VEC
         with pytest.raises(SchemaError):
             project_input(np.zeros(D_VEC), proj.text)
 
