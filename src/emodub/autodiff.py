@@ -356,20 +356,18 @@ class Params:
     """Base of the parameter-set dataclasses.
 
     ``parameters()`` lists the :class:`Parameter` fields in declaration
-    order, recursing into nested parameter sets and lists of them.
-    Declaration order is the order ``init`` draws in and the order
-    checkpoints are written in.
+    order, recursing into nested parameter sets. Declaration order is the
+    order ``init`` draws in and the order checkpoints are written in.
     """
 
     def parameters(self) -> list[Parameter]:
         out: list[Parameter] = []
         for f in fields(self):
             value = getattr(self, f.name)
-            for item in value if isinstance(value, list) else [value]:
-                if isinstance(item, Parameter):
-                    out.append(item)
-                elif isinstance(item, Params):
-                    out.extend(item.parameters())
+            if isinstance(value, Parameter):
+                out.append(value)
+            elif isinstance(value, Params):
+                out.extend(value.parameters())
         return out
 
 
@@ -555,8 +553,9 @@ def grad_check(
 
     Per entry the error is ``|fd - g| / max(|fd|, |g|)``, with deviations at
     or below the absolute floor 1e-8 counting as zero (they are
-    indistinguishable from finite-difference roundoff). ``loss_fn`` must
-    rebuild its graph on every call and be deterministic.
+    indistinguishable from finite-difference roundoff). A non-finite loss,
+    finite difference or analytic entry raises :class:`NumericError`.
+    ``loss_fn`` must rebuild its graph on every call and be deterministic.
     """
     if not eps > 0.0:
         raise ArgumentError(f"finite-difference step must be > 0, got {eps}")
@@ -591,6 +590,10 @@ def grad_check(
                         p.data[i, j] = orig
                     fd = (lo_hi - lo_lo) / (2.0 * eps)
                     g = grad[i, j]
+                    if not (math.isfinite(fd) and math.isfinite(g)):
+                        raise NumericError(
+                            f"non-finite gradient at {p.name}[{i}, {j}]: fd {fd}, analytic {g}"
+                        )
                     diff = abs(fd - g)
                     rel = 0.0 if diff <= 1e-8 else diff / max(abs(fd), abs(g))
                     if rel > worst:

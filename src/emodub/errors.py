@@ -26,7 +26,7 @@ class ArgumentError(EmodubError, ValueError):
 
 
 class ConfigError(EmodubError, ValueError):
-    """A layer or run configuration is invalid (e.g. a head count that does not divide dim)."""
+    """A layer or run configuration is invalid (e.g. a parameter size below 1)."""
 
 
 class StateError(EmodubError, RuntimeError):

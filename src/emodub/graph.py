@@ -11,8 +11,8 @@ The pipeline builds and encodes three graphs in sequence:
    basic node whose query produced it, on top of the encoded stage-2
    features.
 
-Each stage is encoded by a graph attention encoder (GAE): per node,
-attention over its neighborhood plus a self-loop, scores
+Each stage is encoded by a single-head graph attention encoder (GAE): per
+node, attention over its neighborhood plus a self-loop, scores
 ``leaky_relu(attn . [W h_i | W h_j])``, softmax-normalized, then a weighted
 sum of the projected neighbor features.
 
@@ -44,7 +44,6 @@ from .autodiff import (
     Params,
     Tensor,
     add,
-    concat_cols,
     concat_rows,
     leaky_relu,
     linear,
@@ -54,7 +53,7 @@ from .autodiff import (
     transpose,
     uniform_init,
 )
-from .errors import ArgumentError, ConfigError, SchemaError, StateError
+from .errors import ArgumentError, SchemaError, StateError
 from .library import Modality, Schema
 from .retrieval import CHANNELS, RetrievalResult
 from .rng import SplitMix64
@@ -104,13 +103,6 @@ class EmotionGraph:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def degree(self, index: int) -> int:
-        return sum(1 for a, b, _ in self.edges if index in (a, b))
-
     def adjacency_mask(self) -> np.ndarray:
         """Symmetric 0/1 mask with self-loops, used by GAE attention."""
         n = self.node_count
@@ -119,37 +111,6 @@ class EmotionGraph:
             mask[a, b] = 1.0
             mask[b, a] = 1.0
         return mask
-
-    def is_connected(self) -> bool:
-        n = self.node_count
-        if n == 0:
-            return False
-        seen = {0}
-        frontier = [0]
-        neighbors: dict[int, list[int]] = {i: [] for i in range(n)}
-        for a, b, _ in self.edges:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-        while frontier:
-            cur = frontier.pop()
-            for nxt in neighbors[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == n
-
-
-def check_edge_kinds(graph: EmotionGraph) -> None:
-    """Raise unless every edge joins two basic nodes, for a basic edge, or
-    a node of the edge's stage to the basic node of the same channel."""
-    for a, b, stage in graph.edges:
-        na, nb = graph.nodes[a], graph.nodes[b]
-        if stage is GraphStage.BASIC:
-            legal = na.stage is nb.stage is GraphStage.BASIC
-        else:
-            legal = {na.stage, nb.stage} == {GraphStage.BASIC, stage} and na.channel == nb.channel
-        if not legal:
-            raise SchemaError(f"{stage.value} edge cannot join {na.kind} and {nb.kind}")
 
 
 @dataclass
@@ -212,41 +173,23 @@ def project_input(raw, proj: LinearParams) -> Tensor:
 
 
 @dataclass
-class GAEHeadParams(Params):
-    weight: Parameter  # d x d_head
-    attn: Parameter  # 1 x 2*d_head
-
-
-@dataclass
 class GAEParams(Params):
-    """Graph attention encoder parameters: one attention layer.
+    """Graph attention encoder parameters: one single-head attention layer.
 
-    Head outputs are concatenated back to width d, so d must be divisible
-    by the head count. The same parameter set is reused across all three
-    stages. Parameters are named ``gae.layer0.head{h}.*``, the names that
-    existing checkpoints hold.
+    The same parameter set is reused across all three stages. Parameters
+    are named ``gae.layer0.head0.*``, the names that existing checkpoints
+    hold.
     """
 
-    heads: list[GAEHeadParams]
+    weight: Parameter  # d x d
+    attn: Parameter  # 1 x 2d
 
     @classmethod
-    def init(cls, dim: int, rng: SplitMix64, heads: int = 1) -> "GAEParams":
-        if heads < 1 or dim % heads != 0:
-            raise ConfigError(f"head count {heads} must divide dim {dim}")
-        d_head = dim // heads
+    def init(cls, dim: int, rng: SplitMix64) -> "GAEParams":
         return cls(
-            heads=[
-                GAEHeadParams(
-                    weight=Parameter(uniform_init(rng, dim, d_head, dim), f"gae.layer0.head{h}.weight"),
-                    attn=Parameter(uniform_init(rng, 1, 2 * d_head, dim), f"gae.layer0.head{h}.attn"),
-                )
-                for h in range(heads)
-            ]
+            weight=Parameter(uniform_init(rng, dim, dim, dim), "gae.layer0.head0.weight"),
+            attn=Parameter(uniform_init(rng, 1, 2 * dim, dim), "gae.layer0.head0.attn"),
         )
-
-    @property
-    def dim(self) -> int:
-        return self.heads[0].weight.rows
 
 
 def gae_encode(
@@ -259,40 +202,26 @@ def gae_encode(
     Per node i the attention neighborhood is N(i) plus a self-loop; scores
     are ``leaky_relu(attn . [W h_i | W h_j])``, normalized by softmax over
     the neighborhood, and the new feature is the attention-weighted sum of
-    projected neighbor features; head outputs are concatenated. Returns
-    the encoded graph, plus the list of attention matrices (one per head)
-    when requested.
+    projected neighbor features. Returns the encoded graph, plus a
+    one-element list holding the attention matrix when requested.
     """
     if graph.node_count == 0:
         raise ArgumentError("cannot encode an empty graph")
-    if graph.features.cols != params.dim:
-        raise SchemaError(
-            f"feature dim {graph.features.cols} does not match encoder dim {params.dim}"
-        )
-    mask = graph.adjacency_mask()
-    attention_maps: list[np.ndarray] = []
-    head_outs = []
-    for head in params.heads:
-        wh = matmul(graph.features, head.weight)
-        d_head = head.weight.cols
-        a_src = slice_cols(head.attn, 0, d_head)
-        a_dst = slice_cols(head.attn, d_head, 2 * d_head)
-        s_src = matmul(wh, transpose(a_src))  # n x 1
-        s_dst = matmul(wh, transpose(a_dst))  # n x 1
-        alpha = masked_softmax_rows(leaky_relu(add(s_src, transpose(s_dst))), mask)
-        attention_maps.append(alpha.data)
-        head_outs.append(matmul(alpha, wh))
-    merged = head_outs[0]
-    for part in head_outs[1:]:
-        merged = concat_cols(merged, part)
+    dim = params.weight.rows
+    if graph.features.cols != dim:
+        raise SchemaError(f"feature dim {graph.features.cols} does not match encoder dim {dim}")
+    wh = matmul(graph.features, params.weight)
+    s_src = matmul(wh, transpose(slice_cols(params.attn, 0, dim)))  # n x 1
+    s_dst = matmul(wh, transpose(slice_cols(params.attn, dim, 2 * dim)))  # n x 1
+    alpha = masked_softmax_rows(leaky_relu(add(s_src, transpose(s_dst))), graph.adjacency_mask())
     out = EmotionGraph(
         stage=graph.stage,
         nodes=list(graph.nodes),
         edges=list(graph.edges),
-        features=merged,
+        features=matmul(alpha, wh),
         encoded=True,
     )
-    return (out, attention_maps) if with_attention else out
+    return (out, [alpha.data]) if with_attention else out
 
 
 def build_basic_graph(scene_raw, face_raw, text_concat_raw, proj: ProjectionParams) -> EmotionGraph:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from emodub.errors import SchemaError
+from emodub.graph import EmotionGraph, GraphStage
 from emodub.library import FootageLibrary, MODALITY_ORDER
 
 
@@ -62,6 +64,43 @@ def near_tie_rows(r, n_base, dim, big):
             rows += [huge, np.nextafter(huge, np.inf), huge * 3.0, base * 1e200]
             rows += [np.where(base >= 0, 1.5e308, -1.5e308), base * 1e-160, base * 3e-160]
     return np.array(rows)
+
+
+def degree(graph: EmotionGraph, index: int) -> int:
+    """Number of edges of ``graph`` that touch node ``index``."""
+    return sum(1 for a, b, _ in graph.edges if index in (a, b))
+
+
+def is_connected(graph: EmotionGraph) -> bool:
+    """True if ``graph`` has a node and every node is reachable from node 0."""
+    n = graph.node_count
+    if n == 0:
+        return False
+    neighbors: dict[int, list[int]] = {i: [] for i in range(n)}
+    for a, b, _ in graph.edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        for nxt in neighbors[frontier.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen) == n
+
+
+def check_edge_kinds(graph: EmotionGraph) -> None:
+    """Raise SchemaError unless every edge joins two basic nodes, for a basic
+    edge, or a node of the edge's stage to the basic node of the same channel."""
+    for a, b, stage in graph.edges:
+        na, nb = graph.nodes[a], graph.nodes[b]
+        if stage is GraphStage.BASIC:
+            legal = na.stage is nb.stage is GraphStage.BASIC
+        else:
+            legal = {na.stage, nb.stage} == {GraphStage.BASIC, stage} and na.channel == nb.channel
+        if not legal:
+            raise SchemaError(f"{stage.value} edge cannot join {na.kind} and {nb.kind}")
 
 
 @pytest.fixture

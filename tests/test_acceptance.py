@@ -14,7 +14,6 @@ from emodub.autodiff import Parameter, grad_check, load_checkpoint, mse, save_ch
 from emodub.graph import (
     GAEParams,
     ProjectionParams,
-    check_edge_kinds,
     gae_encode,
     progressive_encode,
 )
@@ -42,7 +41,7 @@ from emodub.sweeps import sweep_topk
 from emodub.synthetic import ClusterSpec, evaluate_purity, generate_clustered_library
 from emodub.autodiff import Tensor
 
-from conftest import random_library, rebuilt
+from conftest import check_edge_kinds, is_connected, random_library, rebuilt
 from test_retrieval import assert_matches_oracle, oracle_rank
 
 
@@ -102,11 +101,11 @@ def test_criterion_2_graph_topology():
             retrieved = retrieve_all(lib, Query.from_record(base), k)
         enc = progressive_encode(base.scene.values, base.face.values, text, retrieved, proj, gae)
         expect = [(3, 3), (3 + 3 * k, 3 + 3 * k), (3 + 6 * k, 3 + 6 * k)]
-        got = [(g.node_count, g.edge_count) for g in enc.graphs]
+        got = [(g.node_count, len(g.edges)) for g in enc.graphs]
         assert got == expect, f"K={k}: {got} != {expect}"
         for g in enc.graphs:
             check_edge_kinds(g)
-            assert g.is_connected()
+            assert is_connected(g)
     report(2, "stage node/edge counts (3, 3+3K, 3+6K), legality, connectivity for K=0..8", t0, 1.0)
 
 
@@ -115,11 +114,11 @@ def test_criterion_3_attention_normalization():
     t0 = time.monotonic()
     rng = np.random.default_rng(303)
     checked = 0
-    for trial in range(5):
+    for trial in range(7):
         d_vec, d_h = 6, 8
         lib = random_library(rng, 15, dims=d_vec)
         proj = ProjectionParams.init(d_vec, d_vec, 2 * d_vec, d_vec, d_h, SplitMix64(trial))
-        gae = GAEParams.init(d_h, SplitMix64(trial + 50), heads=2 if trial % 2 else 1)
+        gae = GAEParams.init(d_h, SplitMix64(trial + 50))
         base = lib.records[trial]
         retrieved = retrieve_all(lib, Query.from_record(base), k=3)
         text = np.concatenate([base.text_self.values, base.text_react.values])

@@ -16,6 +16,8 @@ from emodub.autodiff import (
     CrossAttentionParams,
     Parameter,
     Tensor,
+    _accum,
+    _make,
     add,
     concat_cols,
     concat_rows,
@@ -324,6 +326,15 @@ class TestConv1d:
 # --- gradients ---------------------------------------------------------------
 
 
+def wrong_scale(t, factor, off_by):
+    """``scale(t, factor)`` with a backward rule off by the factor ``off_by``."""
+
+    def backward(g):
+        _accum(t, g * factor * off_by)
+
+    return _make(t.data * factor, (t,), backward)
+
+
 class TestGradCheck:
     def test_quadratic_loss_is_nearly_exact(self, rng):
         x = Tensor(rng.normal(size=(4, 3)))
@@ -428,6 +439,20 @@ class TestGradCheck:
         assert w.data[0, 0] == 1.0
         assert w.grad[0, 0] == 0.0
 
+    def test_overflowing_difference_diagnosed(self):
+        # both perturbed losses are finite, but their difference overflows;
+        # the backward rule is off by a factor of 2, which must not be skipped
+        w = param(np.array([[0.0]]), "w")
+
+        def loss():
+            return wrong_scale(matmul(w, Tensor([[1e308]])), 1.0, 2.0)
+
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match=r"w\[0, 0\]"):
+                grad_check(loss, [w], eps=1.5)
+        assert w.data[0, 0] == 0.0
+        assert w.grad[0, 0] == 0.0
+
     def test_second_backward_adds_one_more_gradient(self):
         # interior nodes must not re-propagate the first call's gradient
         p = param(np.array([[2.0]]), "p")
@@ -445,17 +470,9 @@ class TestGradCheck:
 
     def test_negative_control_catches_wrong_gradients(self, rng):
         # an op whose backward rule is deliberately off by 10% must be flagged
-        from emodub.autodiff import _accum, _make
-
-        def bad_scale(t, factor):
-            def backward(g):
-                _accum(t, g * factor * 1.1)
-
-            return _make(t.data * factor, (t,), backward)
-
         w = param(rng.normal(size=(3, 3)), "w")
         target = rng.normal(size=(3, 3))
-        err = grad_check(lambda: mse(bad_scale(w, 2.0), target), [w])
+        err = grad_check(lambda: mse(wrong_scale(w, 2.0, 1.1), target), [w])
         assert err > 0.05
 
 

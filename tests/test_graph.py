@@ -10,13 +10,11 @@ from emodub.errors import ArgumentError, SchemaError, StateError
 from emodub.graph import (
     BASIC_NODE_INDEX,
     EmotionGraph,
-    GAEHeadParams,
     GAEParams,
     GraphNode,
     GraphStage,
     ProjectionParams,
     build_basic_graph,
-    check_edge_kinds,
     extend_graph,
     gae_encode,
     progressive_encode,
@@ -25,7 +23,7 @@ from emodub.graph import (
 from emodub.retrieval import CHANNELS, Metric, Query, RetrievalResult, retrieve_all
 from emodub.rng import SplitMix64
 
-from conftest import random_library
+from conftest import check_edge_kinds, degree, is_connected, random_library
 
 
 BASIC, INDIRECT, DIRECT = GraphStage.BASIC, GraphStage.INDIRECT, GraphStage.DIRECT
@@ -89,21 +87,19 @@ class TestBasicGraph:
     def test_triangle_construction(self, rng, proj):
         g = build_basic_graph(rng.normal(size=D_VEC), rng.normal(size=D_VEC), rng.normal(size=2 * D_VEC), proj)
         assert g.stage is GraphStage.BASIC
-        assert g.node_count == 3 and g.edge_count == 3
+        assert g.node_count == 3 and len(g.edges) == 3
         assert all(stage is BASIC for _, _, stage in g.edges)
         assert [(n.stage, n.channel) for n in g.nodes] == [(BASIC, c) for c in CHANNELS]
         assert [n.kind for n in g.nodes] == ["basic_scene", "basic_face", "basic_text"]
-        assert all(g.degree(i) == 2 for i in range(3))
+        assert all(degree(g, i) == 2 for i in range(3))
         check_edge_kinds(g)
-        assert g.is_connected()
+        assert is_connected(g)
 
 
 class TestGAEEncode:
     def test_single_node_graph_is_projection_only(self):
         w = np.array([[1.0, 2.0], [0.5, -1.0]])
-        params = GAEParams(
-            heads=[GAEHeadParams(Parameter(w, "w"), Parameter(np.array([[0.3, -0.2, 0.5, 0.1]]), "a"))]
-        )
+        params = GAEParams(Parameter(w, "w"), Parameter(np.array([[0.3, -0.2, 0.5, 0.1]]), "a"))
         h = np.array([[2.0, -1.0]])
         g = EmotionGraph(GraphStage.BASIC, [GraphNode(BASIC, "scene")], [], Tensor(h))
         out = gae_encode(g, params)
@@ -129,7 +125,7 @@ class TestGAEEncode:
         nodes = [GraphNode(BASIC, c) for c in CHANNELS]
         edges = [(0, 1, BASIC), (0, 2, BASIC), (1, 2, BASIC)]
         g = EmotionGraph(GraphStage.BASIC, nodes, edges, Tensor(feats))
-        params = GAEParams(heads=[GAEHeadParams(Parameter(w, "w"), Parameter(a_vec.reshape(1, -1), "a"))])
+        params = GAEParams(Parameter(w, "w"), Parameter(a_vec.reshape(1, -1), "a"))
         got = gae_encode(g, params).features.data
 
         def lrelu(x):
@@ -169,16 +165,16 @@ class TestExtensions:
     @pytest.mark.parametrize("k,nodes,edges", [(0, 3, 3), (1, 6, 6), (3, 12, 12)])
     def test_indirect_counts(self, rng, proj, gae, k, nodes, edges):
         _, _, indirect, _, _, _, _ = encode_stages(rng, proj, gae, k)
-        assert (indirect.node_count, indirect.edge_count) == (nodes, edges)
+        assert (indirect.node_count, len(indirect.edges)) == (nodes, edges)
         check_edge_kinds(indirect)
-        assert indirect.is_connected()
+        assert is_connected(indirect)
 
     @pytest.mark.parametrize("k,nodes,edges", [(0, 3, 3), (1, 9, 9), (3, 21, 21)])
     def test_direct_counts(self, rng, proj, gae, k, nodes, edges):
         _, _, _, _, direct, _, _ = encode_stages(rng, proj, gae, k)
-        assert (direct.node_count, direct.edge_count) == (nodes, edges)
+        assert (direct.node_count, len(direct.edges)) == (nodes, edges)
         check_edge_kinds(direct)
-        assert direct.is_connected()
+        assert is_connected(direct)
 
     def test_basic_features_carried_bit_exact(self, rng, proj, gae):
         _, basic_enc, indirect, _, _, _, _ = encode_stages(rng, proj, gae, k=2)
@@ -206,10 +202,10 @@ class TestExtensions:
         k = 3
         _, _, _, _, direct, _, _ = encode_stages(rng, proj, gae, k)
         for channel in CHANNELS:
-            assert direct.degree(BASIC_NODE_INDEX[channel]) == 2 + 2 * k
+            assert degree(direct, BASIC_NODE_INDEX[channel]) == 2 + 2 * k
         for i, node in enumerate(direct.nodes):
             if node.stage is DIRECT:
-                assert direct.degree(i) == 1
+                assert degree(direct, i) == 1
 
     def test_node_ordering_convention(self, rng, proj, gae):
         _, _, _, _, direct, _, _ = encode_stages(rng, proj, gae, k=2)
@@ -371,7 +367,7 @@ class TestProgressiveEncode:
         )
         graphs = enc.graphs
         assert [g.node_count for g in graphs] == [3, 12, 21]
-        assert [g.edge_count for g in graphs] == [3, 12, 21]
+        assert [len(g.edges) for g in graphs] == [3, 12, 21]
         for g in graphs:
             check_edge_kinds(g)
-            assert g.is_connected()
+            assert is_connected(g)
