@@ -4,10 +4,10 @@ Everything is a 2-D float64 matrix. A :class:`Tensor` wraps a numpy array
 and records enough structure to run reverse-mode backpropagation from a
 scalar (1x1) output; :class:`Parameter` is a named trainable leaf with a
 persistent gradient buffer. Ops cover exactly what the encoding pipeline
-needs: linear maps, row softmax (plain and masked), leaky ReLU, scaled
-dot-product cross-attention with learned projections, a width-1 1-D
-convolution, concatenation/slicing, and mean-squared error, plus Adam and
-a central-finite-difference gradient checker.
+needs: linear maps, row softmax with an optional mask, leaky ReLU, scaled
+dot-product cross-attention over one memory with learned projections, a
+width-1 1-D convolution, concatenation/slicing, and mean-squared error as
+one op, plus Adam and a central-finite-difference gradient checker.
 
 All computation is numpy float64 and single-threaded per tape; independent
 tapes share no mutable state and may run concurrently.
@@ -165,32 +165,6 @@ def add(a, b) -> Tensor:
     return _make(a.data + b.data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    (ar, ac), (br, bc) = sa, sb = a.data.shape, b.data.shape
-    if (ar != br and ar != 1 and br != 1) or (ac != bc and ac != 1 and bc != 1):
-        raise ShapeError(f"cannot subtract shapes {sa} and {sb}")
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, sa))
-        _accum(b, -_unbroadcast(g, sb))
-
-    return _make(a.data - b.data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    (ar, ac), (br, bc) = sa, sb = a.data.shape, b.data.shape
-    if (ar != br and ar != 1 and br != 1) or (ac != bc and ac != 1 and bc != 1):
-        raise ShapeError(f"cannot multiply shapes {sa} and {sb}")
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * b.data, sa))
-        _accum(b, _unbroadcast(g * a.data, sb))
-
-    return _make(a.data * b.data, (a, b), backward)
-
-
 def scale(a, factor: float) -> Tensor:
     a = as_tensor(a)
 
@@ -281,8 +255,8 @@ def leaky_relu(a) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def masked_softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:
-    """Row-wise softmax restricted to mask-allowed entries.
+def softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:
+    """Numerically stabilized row softmax, optionally restricted by a mask.
 
     ``mask`` is a constant 0/1 array of the same shape; every row must allow
     at least one entry. Disallowed entries get probability exactly 0. The
@@ -290,16 +264,15 @@ def masked_softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:
     magnitude are safe.
     """
     a = as_tensor(a)
-    if mask is None:
-        allowed = np.ones(a.shape, dtype=bool)
-    else:
+    x = a.data
+    if mask is not None:
         mask = np.asarray(mask)
-        if mask.shape != a.data.shape:
+        if mask.shape != x.shape:
             raise ShapeError(f"mask shape {mask.shape} does not match {a.shape}")
         allowed = mask.astype(bool)
         if not allowed.any(axis=1).all():
             raise ArgumentError("softmax mask has a row with no allowed entries")
-    x = np.where(allowed, a.data, -np.inf)
+        x = np.where(allowed, x, -np.inf)
     x = x - x.max(axis=1, keepdims=True)
     e = np.exp(x)
     p = e / e.sum(axis=1, keepdims=True)
@@ -311,28 +284,25 @@ def masked_softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:
     return _make(p, (a,), backward)
 
 
-def softmax_rows(a) -> Tensor:
-    """Numerically stabilized row softmax: each row is a distribution."""
-    return masked_softmax_rows(a, None)
-
-
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        _accum(a, np.full(a.shape, g[0, 0]))
-
-    return _make(np.array([[a.data.sum()]]), (a,), backward)
-
-
 def mse(pred, target) -> Tensor:
-    """Mean squared error over all entries; target is a constant."""
+    """Mean squared error over all entries; target is a constant.
+
+    One op. With ``diff = pred - target`` and ``f = 1 / size``, the value
+    rounds as ``sum(diff * diff) * f`` and the gradient as ``h + h`` with
+    ``h = (g * f) * diff``.
+    """
     pred = as_tensor(pred)
     target_arr = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
     if pred.data.shape != target_arr.shape:
         raise ShapeError(f"mse shape mismatch: {pred.data.shape} vs {target_arr.shape}")
-    diff = sub(pred, Tensor(target_arr))
-    return scale(sum_all(mul(diff, diff)), 1.0 / pred.data.size)
+    diff = pred.data - target_arr
+    factor = 1.0 / pred.data.size
+
+    def backward(g):
+        half = (g * factor) * diff
+        _accum(pred, half + half)
+
+    return _make(np.array([[(diff * diff).sum()]]) * factor, (pred,), backward)
 
 
 # --- parameterized layers ---------------------------------------------------
@@ -415,29 +385,24 @@ class CrossAttentionParams(Params):
 
 
 def cross_attention(
-    query: Tensor,
-    keys: Tensor,
-    values: Tensor,
-    params: CrossAttentionParams,
-    with_weights: bool = False,
+    query: Tensor, memory: Tensor, params: CrossAttentionParams, with_weights: bool = False
 ):
     """Single-head scaled dot-product cross-attention with learned projections.
 
-    Computes ``softmax(Q' K'^T / sqrt(d)) V' @ wo`` with ``Q' = query @ wq``,
-    ``K' = keys @ wk`` and ``V' = values @ wv``. Returns the L x d output,
+    Keys and values both come from one memory. Computes
+    ``softmax(Q' K'^T / sqrt(d)) V' @ wo`` with ``Q' = query @ wq``,
+    ``K' = memory @ wk`` and ``V' = memory @ wv``. Returns the L x d output,
     plus a one-element list holding the attention weight matrix when
     ``with_weights`` is set.
     """
-    query, keys, values = as_tensor(query), as_tensor(keys), as_tensor(values)
+    query, memory = as_tensor(query), as_tensor(memory)
     dim = params.dim
-    for mat, label in ((query, "query"), (keys, "keys"), (values, "values")):
+    for mat, label in ((query, "query"), (memory, "memory")):
         if mat.cols != dim:
             raise ShapeError(f"cross-attention {label} has dim {mat.cols}, expected {dim}")
-    if keys.rows != values.rows:
-        raise ShapeError(f"keys/values row mismatch: {keys.rows} vs {values.rows}")
     q = matmul(query, params.wq)
-    k = matmul(keys, params.wk)
-    v = matmul(values, params.wv)
+    k = matmul(memory, params.wk)
+    v = matmul(memory, params.wv)
     attn = softmax_rows(scale(matmul(q, transpose(k)), 1.0 / math.sqrt(dim)))
     out = matmul(matmul(attn, v), params.wo)
     return (out, [attn.data]) if with_weights else out

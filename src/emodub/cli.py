@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import os
 import sys
 
 import click
@@ -24,15 +23,7 @@ from .autodiff import grad_check, save_checkpoint
 from .errors import ArgumentError, ConfigError, NumericError, SchemaError
 from .graph import GAEParams, ProjectionParams, progressive_encode
 from .head import PipelineParams, make_toy_batch, toy_loss, train_toy
-from .library import (
-    MODALITY_ORDER,
-    Schema,
-    load_library,
-    read_jsonl,
-    sample_indices,
-    save_library,
-    uniform_schema,
-)
+from .library import load_library, read_jsonl, sample_indices, save_library
 from .retrieval import CHANNELS, Metric, Mode, Query, retrieve_all
 from .rng import stream
 from .sweeps import sweep_metric, sweep_scale, sweep_topk, write_csv
@@ -110,25 +101,6 @@ def _parse_fractions(text: str) -> list[float]:
     return sorted(set(out))
 
 
-def _schema_from_flags(dim: int | None) -> Schema:
-    """Resolve schema dims from --dim, MRFL_DIM_OVERRIDE, or the default 8.
-
-    A size below 1 from either source is a usage error.
-    """
-    source, sizes = "--dim", [8 if dim is None else dim]
-    override = os.environ.get("MRFL_DIM_OVERRIDE") if dim is None else None
-    if override:
-        source = "MRFL_DIM_OVERRIDE entry"
-        sizes = [_parse_number(int, p, source) for p in override.split(",")]
-        if len(sizes) not in (1, 5):
-            raise ArgumentError(
-                f"MRFL_DIM_OVERRIDE needs 1 or 5 comma-separated ints, got {override!r}"
-            )
-    if min(sizes) < 1:
-        raise ArgumentError(f"{source} must be >= 1, got {min(sizes)}")
-    return uniform_schema(sizes[0]) if len(sizes) == 1 else dict(zip(MODALITY_ORDER, sizes))
-
-
 @contextlib.contextmanager
 def _open_out(path: str | None):
     """The text file at ``path``, closed on exit; stdout for '-' or no path."""
@@ -157,22 +129,20 @@ def main():
 @click.option("--n", default=200, show_default=True, help="Number of records.")
 @click.option("--clusters", default=4, show_default=True, help="Number of labeled clusters.")
 @click.option("--separation", default=8.0, show_default=True, help="Pairwise centroid distance in noise sigmas.")
-@click.option("--dim", default=None, type=int, help="Vector dim for all modalities (default 8; MRFL_DIM_OVERRIDE applies).")
+@click.option("--dim", default=8, show_default=True, type=int, help="Vector dim for all modalities.")
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--speakers", default=4, show_default=True, help="Distinct speakers (round-robin).")
 @click.option("--speaker-per-cluster", is_flag=True, help="Give each cluster its own single speaker.")
 @_handle_errors
 def cmd_gen_synthetic(out, n, clusters, separation, dim, seed, speakers, speaker_per_cluster):
     """Generate a labeled clustered synthetic library."""
-    schema = _schema_from_flags(dim)
-    dims = {schema[m] for m in MODALITY_ORDER}
-    if len(dims) != 1:
-        raise ArgumentError("gen-synthetic requires a uniform schema dimension")
+    if dim < 1:
+        raise ArgumentError(f"--dim must be >= 1, got {dim}")
     spec = ClusterSpec(
         n=n,
         clusters=clusters,
         separation=separation,
-        dim=dims.pop(),
+        dim=dim,
         seed=seed,
         speakers=speakers,
         speaker_per_cluster=speaker_per_cluster,
@@ -261,6 +231,8 @@ def cmd_encode(lib_path, query_id, k, metric, mode, seed, dim, features, out):
     )
     doc = {"query_id": query_id, "k": k, "dim": dim, "stages": []}
     for graph in encoding.graphs:
+        if not np.isfinite(graph.features.data).all():
+            raise NumericError(f"{graph.stage.value} stage features are non-finite")
         stage_doc = {
             "stage": graph.stage.value,
             "nodes": [

@@ -47,9 +47,9 @@ from .autodiff import (
     concat_rows,
     leaky_relu,
     linear,
-    masked_softmax_rows,
     matmul,
     slice_cols,
+    softmax_rows,
     transpose,
     uniform_init,
 )
@@ -213,7 +213,7 @@ def gae_encode(
     wh = matmul(graph.features, params.weight)
     s_src = matmul(wh, transpose(slice_cols(params.attn, 0, dim)))  # n x 1
     s_dst = matmul(wh, transpose(slice_cols(params.attn, dim, 2 * dim)))  # n x 1
-    alpha = masked_softmax_rows(leaky_relu(add(s_src, transpose(s_dst))), graph.adjacency_mask())
+    alpha = softmax_rows(leaky_relu(add(s_src, transpose(s_dst))), graph.adjacency_mask())
     out = EmotionGraph(
         stage=graph.stage,
         nodes=list(graph.nodes),

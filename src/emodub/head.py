@@ -94,7 +94,7 @@ def aggregate(
     weights: list[np.ndarray] = []
 
     def attend(q, kv, block):
-        out, w = cross_attention(q, kv, kv, block, with_weights=True)
+        out, w = cross_attention(q, kv, block, with_weights=True)
         weights.extend(w)
         return out
 

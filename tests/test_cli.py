@@ -63,16 +63,6 @@ class TestGenSynthetic:
         b = gen_lib(runner, tmp_path / "b.mrfl", seed=9)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_dim_override_env(self, runner, tmp_path):
-        path = tmp_path / "lib.mrfl"
-        run_ok(
-            runner,
-            ["gen-synthetic", "--out", str(path), "--n", "10", "--clusters", "2"],
-            env={"MRFL_DIM_OVERRIDE": "12"},
-        )
-        lib = load_library(path)
-        assert all(d == 12 for d in lib.schema.values())
-
     def test_too_many_clusters_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -80,36 +70,15 @@ class TestGenSynthetic:
         )
         assert result.exit_code == 2
 
-    def test_dim_override_rejects_non_uniform_for_gen(self, runner, tmp_path):
-        # gen-synthetic places clusters in a single shared dimension
-        result = runner.invoke(
-            main,
-            ["gen-synthetic", "--out", str(tmp_path / "x.mrfl"), "--n", "4", "--clusters", "2"],
-            env={"MRFL_DIM_OVERRIDE": "8,8,16,16,8"},
-        )
-        assert result.exit_code == 2
-        result = runner.invoke(
-            main,
-            ["gen-synthetic", "--out", str(tmp_path / "x.mrfl"), "--n", "4", "--clusters", "2"],
-            env={"MRFL_DIM_OVERRIDE": "abc"},
-        )
-        assert_error_exit(result, 2, "invalid MRFL_DIM_OVERRIDE entry 'abc'")
-        # a size below 1 is a bad flag or setting (exit 2), not bad data (exit 3)
-        for flags, env, message in [
-            (["--dim", "0"], {}, "--dim must be >= 1, got 0"),
-            (["--dim", "-2"], {}, "--dim must be >= 1, got -2"),
-            ([], {"MRFL_DIM_OVERRIDE": "0"}, "MRFL_DIM_OVERRIDE entry must be >= 1, got 0"),
-            ([], {"MRFL_DIM_OVERRIDE": "-3"}, "MRFL_DIM_OVERRIDE entry must be >= 1, got -3"),
-            ([], {"MRFL_DIM_OVERRIDE": "8,8,0,8,8"}, "MRFL_DIM_OVERRIDE entry must be >= 1, got 0"),
-        ]:
+    def test_dim_below_one_is_usage_error(self, runner, tmp_path):
+        # a size below 1 is a bad flag (exit 2), not bad data (exit 3)
+        for dim in ("0", "-2"):
             result = runner.invoke(
                 main,
-                ["gen-synthetic", "--out", str(tmp_path / "x.mrfl"), "--n", "4", "--clusters", "2", *flags],
-                env=env,
+                ["gen-synthetic", "--out", str(tmp_path / "x.mrfl"), "--n", "4", "--clusters", "2", "--dim", dim],
             )
-            assert_error_exit(result, 2, message)
+            assert_error_exit(result, 2, f"--dim must be >= 1, got {dim}")
         assert not (tmp_path / "x.mrfl").exists()
-
 
     def test_non_finite_or_negative_separation_is_usage_error(self, runner, tmp_path):
         for value in ("nan", "inf", "-inf", "-1"):
@@ -378,6 +347,29 @@ class TestEncode:
         for dim in ("0", "-2"):
             result = runner.invoke(main, ["encode", "--lib", str(lib_path), "--query-id", "0", "--dim", dim])
             assert_error_exit(result, 2, "parameter sizes must be >= 1")
+
+    @pytest.mark.parametrize("metric", ["dot", "euclid"])
+    def test_overflowing_features_exit_numeric(self, runner, tmp_path, metric):
+        # entries near the float64 maximum overflow the projections, so the
+        # encoded features are non-finite and no JSON may be written
+        jsonl = tmp_path / "big.jsonl"
+        with open(jsonl, "w") as fh:
+            for i in range(6):
+                vec = [1.5e308] * 8
+                vec[i % 8] = 1e307
+                rec = {"record_id": i, "movie_id": "m", "speaker_id": f"s{i % 2}", "emotion_label": "x"}
+                rec.update((m.value, vec) for m in Modality)
+                fh.write(json.dumps(rec) + "\n")
+        run_ok(runner, ["ingest", "--jsonl", str(jsonl), "--out", str(tmp_path / "big.mrfl")])
+        out = tmp_path / "enc.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = runner.invoke(
+                main,
+                ["encode", "--lib", str(tmp_path / "big.mrfl"), "--query-id", "0", "--metric", metric,
+                 "--dim", "4", "--features", "--out", str(out)],
+            )
+        assert_error_exit(result, 4, "indirect stage features are non-finite")
+        assert not out.exists()
 
 
 class TestTrainToy:

@@ -54,7 +54,7 @@ class TestAggregate:
         h_basic = stage_features(rng, 1)
         from emodub.autodiff import cross_attention
 
-        ca_out, weights = cross_attention(aligned, h_basic, h_basic, head.ca_basic, with_weights=True)
+        ca_out, weights = cross_attention(aligned, h_basic, head.ca_basic, with_weights=True)
         np.testing.assert_array_equal(weights[0], np.ones((4, 1)))
         row = (h_basic.data @ head.ca_basic.wv.data) @ head.ca_basic.wo.data
         for i in range(4):
