@@ -131,6 +131,7 @@ OPS = {
     "slice_cols": lambda a, b: slice_cols(a, 0, 2),
     "leaky_relu": lambda a, b: leaky_relu(a),
     "softmax_rows": lambda a, b: softmax_rows(a, np.tri(4, 3)),
+    "softmax_rows_unmasked": lambda a, b: softmax_rows(a),
     "mse": lambda a, b: mse(a, b.data),
 }
 
@@ -146,6 +147,7 @@ LAYOUT = {
     "slice_cols": ("C", "C"),
     "leaky_relu": ("C", "F"),
     "softmax_rows": ("C", "C"),
+    "softmax_rows_unmasked": ("C", "F"),
     "mse": ("CF", "CF"),
 }
 
@@ -210,6 +212,21 @@ class TestSoftmax:
         x = rng.normal(size=(4, 7))
         np.testing.assert_allclose(softmax_rows(Tensor(x)).data, naive_softmax_rows(x), rtol=1e-12)
 
+    def test_mask_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="mask shape"):
+            softmax_rows(Tensor(np.zeros((2, 3))), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_no_mask_has_the_bits_of_an_all_true_mask(self, rng, order):
+        x = np.asarray(rng.normal(size=(5, 7)) * 20, order=order)
+        target = rng.random((5, 7))
+        a, b = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        plain, masked = softmax_rows(a), softmax_rows(b, np.ones((5, 7)))
+        assert plain.data.tobytes() == masked.data.tobytes()
+        mse(plain, target).backward()
+        mse(masked, target).backward()
+        assert a.grad.tobytes() == b.grad.tobytes()
+
 
 class TestMse:
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -235,6 +252,14 @@ class TestMse:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError, match="mse shape mismatch"):
             mse(Tensor(np.zeros((2, 3))), np.zeros((3, 2)))
+
+    def test_target_tensor_is_a_constant(self, rng):
+        pred = param(rng.normal(size=(3, 4)), "pred")
+        target = param(rng.normal(size=(3, 4)), "target")
+        loss = mse(pred, target)
+        assert loss._parents == (pred,)
+        loss.backward()
+        assert np.any(pred.grad != 0.0) and np.all(target.grad == 0.0)
 
 
 class TestCrossAttention:
@@ -282,6 +307,18 @@ class TestCrossAttention:
         kp = naive_matmul(kv, params.wk.data)
         want = naive_softmax_rows(naive_matmul(qp, kp.T) / math.sqrt(4))
         np.testing.assert_allclose(weights[0], want, rtol=1e-11)
+
+    def test_memory_dim_mismatch(self):
+        params = CrossAttentionParams.init("ca", 4, SplitMix64(0))
+        with pytest.raises(ShapeError, match="memory has dim 5"):
+            cross_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 5))), params)
+
+    def test_memory_gradient_sums_key_and_value_paths(self, rng):
+        params = CrossAttentionParams.init("ca", 4, SplitMix64(7))
+        q = Tensor(rng.normal(size=(2, 4)))
+        memory = param(rng.normal(size=(5, 4)), "memory")
+        target = rng.normal(size=(2, 4))
+        assert grad_check(lambda: mse(cross_attention(q, memory, params), target), [memory]) < 1e-6
 
 
 class TestConv1d:
@@ -358,7 +395,7 @@ class TestGradCheck:
 
     @pytest.mark.parametrize(
         "op_name",
-        ["add", "matmul", "transpose", "concat_cols", "concat_rows",
+        ["add", "scale", "matmul", "transpose", "concat_cols", "concat_rows",
          "slice_cols", "leaky_relu", "softmax", "masked_softmax"],
     )
     def test_each_op_gradient(self, rng, op_name):
@@ -368,6 +405,8 @@ class TestGradCheck:
         def build():
             if op_name == "add":
                 y = add(a, b)
+            elif op_name == "scale":
+                y = scale(a, -1.5)
             elif op_name == "matmul":
                 y = matmul(a, transpose(b))
             elif op_name == "transpose":
