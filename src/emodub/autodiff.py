@@ -16,6 +16,7 @@ tapes share no mutable state and may run concurrently.
 from __future__ import annotations
 
 import math
+import mmap
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -460,6 +461,13 @@ class AdamState:
     result is written in place or into two scratch slices allocated once, so
     a step allocates no parameter-sized temporary. ``m`` and ``v`` are flat
     arrays in parameter order; each parameter's moments are views into them.
+
+    The moments live in an anonymous memory mapping of their own, not on the
+    malloc heap. Its pages stay untouched zero pages until the first step, so
+    building a new state while an old one is alive (a training restart)
+    adds no resident memory, and dropping a state returns its pages. On the
+    heap, calloc cleared reused chunks at once, and the peak RSS of a dim-256
+    run with restarts moved by 18-29 MB with the heap's layout.
     """
 
     lr = 0.00625
@@ -474,7 +482,9 @@ class AdamState:
         self.params = collect_parameters(params)
         self.step_count = 0
         sizes = [p.data.size for p in self.params]
-        self.m, self.v = np.zeros(sum(sizes)), np.zeros(sum(sizes))
+        total = sum(sizes)
+        mapping = mmap.mmap(-1, max(16 * total, 1))  # both moments, zero-filled by the kernel
+        self.m, self.v = np.frombuffer(mapping, dtype=np.float64, count=2 * total).reshape(2, total)
         offsets = np.cumsum([0, *sizes]).tolist()
         self._moments = [(self.m[a:b], self.v[a:b]) for a, b in zip(offsets, offsets[1:])]
         self._t1, self._t2 = np.empty((2, min(self.CHUNK, max(sizes, default=0))))

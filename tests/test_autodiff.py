@@ -611,6 +611,28 @@ class TestAdam:
         assert peak < 1 << 20  # one 10^6-element temporary would be 8 MB
         assert not p.grad.any()
 
+    def test_moments_are_mapped_zeros_off_the_heap(self):
+        # numpy reports its heap allocations to tracemalloc; two heap moments
+        # would be 16 MB, which a reused heap chunk would have to clear at once
+        p = param(np.ones((1000, 1000)), "p")
+        tracemalloc.start()
+        try:
+            adam = AdamState([p])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert adam.m.shape == adam.v.shape == (10**6,)
+        assert not adam.m.any() and not adam.v.any()
+        p.grad[...] = 0.5
+        adam.step()
+        assert adam.m.all() and adam.v.all()
+
+    def test_no_parameters(self):
+        adam = AdamState([])
+        adam.step()
+        assert adam.m.size == adam.v.size == 0
+
 
 # --- checkpoints ---------------------------------------------------------------
 
