@@ -466,9 +466,9 @@ class AdamState:
     POSIX ``mmap``), not on the malloc heap. Its pages stay untouched zero
     pages until the first step, so building a new state while an old one is
     alive (a training restart) adds no resident memory, and dropping a state
-    returns its pages. On the heap, calloc cleared reused chunks at once, and
-    the peak RSS of a dim-256 run with restarts moved by 18-29 MB with the
-    heap's layout.
+    returns its pages. On the heap, calloc has to clear a reused chunk at
+    once, and a dim-256 run with restarts peaked 18-29 MB higher or not,
+    depending on the heap's layout.
     """
 
     lr = 0.00625
