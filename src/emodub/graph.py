@@ -43,10 +43,11 @@ from .autodiff import (
     Parameter,
     Params,
     Tensor,
+    _accum,
+    _make,
     add,
     concat_rows,
     leaky_relu,
-    linear,
     matmul,
     slice_cols,
     softmax_rows,
@@ -157,19 +158,25 @@ class ProjectionParams(Params):
 
 
 def project_input(raw, proj: LinearParams) -> Tensor:
-    """Project one raw vector to a 1 x d node feature row.
+    """Project one raw vector, or an ``n x d_in`` block of them, to node
+    feature rows as one op; the raw values are a constant.
 
-    A library row is a strided view into its column-major array; it is
-    copied into a contiguous row first, so the product takes numpy's BLAS
-    path and gives the bits it gives any contiguous vector.
+    The block is copied C-contiguous, and one stacked matmul projects each
+    row as its own one-row product, so every row gets the bits a lone
+    contiguous row gets (a plain 2-D product of the block can round
+    differently). The backward adds each row's gradient in row order.
     """
-    row = Tensor(np.ascontiguousarray(raw))
-    rows, cols = row.data.shape
-    if rows != 1:
-        raise SchemaError(f"raw input must be a single row, got shape {row.data.shape}")
-    if cols != proj.weight.data.shape[0]:
-        raise SchemaError(f"raw input dim {cols} does not match projection dim {proj.weight.rows}")
-    return linear(row, proj.weight, proj.bias)
+    x = np.array(raw, dtype=np.float64, order="C", ndmin=2)
+    if x.ndim != 2 or x.shape[1] != proj.weight.rows:
+        raise SchemaError(f"raw input of shape {x.shape} does not match projection dim {proj.weight.rows}")
+
+    def backward(g):
+        for x_i, g_i in zip(x, g):
+            _accum(proj.weight, np.outer(x_i, g_i))
+            _accum(proj.bias, g_i)
+
+    out = np.matmul(x[:, None, :], proj.weight.data)[:, 0, :] + proj.bias.data
+    return _make(out, (proj.weight, proj.bias), backward)
 
 
 @dataclass
@@ -255,25 +262,27 @@ def extend_graph(
     An encoded basic graph gains one indirect node per retrieved hit,
     projected from the hit's own channel vector; an encoded indirect graph
     gains one direct node per hit, projected from its matched audio. Each
-    new node is wired to the basic node of the channel whose query found
-    the hit, and every encoded feature row is carried over as-is.
+    channel's block of hits is projected by one op. Each new node is wired
+    to the basic node of the channel whose query found the hit, and every
+    encoded feature row is carried over as-is.
     """
     if not encoded.encoded or encoded.stage is GraphStage.DIRECT:
         raise StateError("only an encoded basic or indirect graph can be extended")
     stage = GraphStage.INDIRECT if encoded.stage is GraphStage.BASIC else GraphStage.DIRECT
     nodes = list(encoded.nodes)
     edges = list(encoded.edges)
-    new_rows: list[Tensor] = []
+    blocks: list[Tensor] = [encoded.features]
     for channel in CHANNELS:
         if stage is GraphStage.INDIRECT:
             vectors, projection = retrieved.indirect_vectors[channel], getattr(proj, channel)
         else:
             vectors, projection = retrieved.matched_audio[channel], proj.audio
-        for (record_id, _score), vec in zip(retrieved.rankings[channel], vectors):
+        for record_id, _score in retrieved.rankings[channel]:
             edges.append((BASIC_NODE_INDEX[channel], len(nodes), stage))
             nodes.append(GraphNode(stage, channel, record_id))
-            new_rows.append(project_input(vec, projection))
-    features = concat_rows([encoded.features] + new_rows) if new_rows else encoded.features
+        if len(vectors):
+            blocks.append(project_input(vectors, projection))
+    features = concat_rows(blocks) if len(blocks) > 1 else encoded.features
     return EmotionGraph(stage, nodes, edges, features)
 
 
@@ -298,7 +307,8 @@ def progressive_encode(
     """Run the full construct-and-encode sequence over the three stages.
 
     Differentiable end to end: gradients flow from any encoded feature back
-    to the projections, the encoder parameters, and the raw inputs.
+    to the projections and the encoder parameters. The raw vectors (the
+    target's own and the retrieved blocks) are constants.
     """
     basic_enc = gae_encode(build_basic_graph(scene_raw, face_raw, text_concat_raw, proj), gae)
     indirect_enc = gae_encode(extend_graph(basic_enc, retrieved, proj), gae)

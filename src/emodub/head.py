@@ -88,26 +88,21 @@ def aggregate(
     plus all cross-attention weight matrices when requested.
     """
     aligned = as_tensor(aligned)
-    for mat, label in ((h_basic, "basic"), (h_indirect, "indirect"), (h_direct, "direct")):
+    stages = (
+        ("basic", h_basic, params.ca_basic, params.conv_basic),
+        ("indirect", h_indirect, params.ca_indirect, params.conv_indirect),
+        ("direct", h_direct, params.ca_direct, params.conv_direct),
+    )
+    for label, mat, _block, _conv in stages:
         if as_tensor(mat).rows < 1:
             raise ShapeError(f"{label} stage features must be non-empty")
     weights: list[np.ndarray] = []
-
-    def attend(q, kv, block):
-        out, w = cross_attention(q, kv, block, with_weights=True)
+    fused = aligned
+    for _label, mat, block, conv in stages:
+        read, w = cross_attention(fused, mat, block, with_weights=True)
         weights.extend(w)
-        return out
-
-    fused_basic = conv1d(concat_cols(aligned, attend(aligned, h_basic, params.ca_basic)), params.conv_basic)
-    fused_indirect = conv1d(
-        concat_cols(fused_basic, attend(fused_basic, h_indirect, params.ca_indirect)),
-        params.conv_indirect,
-    )
-    fused_direct = conv1d(
-        concat_cols(fused_indirect, attend(fused_indirect, h_direct, params.ca_direct)),
-        params.conv_direct,
-    )
-    out = conv1d(concat_cols(aligned, fused_direct), params.conv_out)
+        fused = conv1d(concat_cols(fused, read), conv)
+    out = conv1d(concat_cols(aligned, fused), params.conv_out)
     return (out, weights) if with_weights else out
 
 

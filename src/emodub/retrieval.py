@@ -296,22 +296,16 @@ def retrieve_modality(
 class RetrievalResult:
     """Per-channel rankings plus the vectors the graph stages consume.
 
-    ``indirect_vectors[channel][j]`` is the emotion vector of the rank-j hit
-    (for text, the concatenation of its self and react halves);
-    ``matched_audio[channel][j]`` is that same record's stored audio vector.
+    ``indirect_vectors[channel]`` is a C-contiguous float64 ``hits x d``
+    block whose row j is the emotion vector of the rank-j hit (for text a
+    ``hits x 2d`` block: its self half, then its react half);
+    ``matched_audio[channel]`` is the ``hits x d`` block of those same
+    records' stored audio vectors.
     """
 
     rankings: dict[str, list[tuple[int, float]]]
-    indirect_vectors: dict[str, list[np.ndarray]]
-    matched_audio: dict[str, list[np.ndarray]]
-
-    @classmethod
-    def empty(cls) -> "RetrievalResult":
-        return cls(
-            rankings={c: [] for c in CHANNELS},
-            indirect_vectors={c: [] for c in CHANNELS},
-            matched_audio={c: [] for c in CHANNELS},
-        )
+    indirect_vectors: dict[str, np.ndarray]
+    matched_audio: dict[str, np.ndarray]
 
 
 def retrieve_all(
@@ -325,17 +319,14 @@ def retrieve_all(
 
     Each channel is ranked by one :func:`retrieve_modality` call, in
     :data:`CHANNELS` order, so the error raised is that of the first
-    channel to reject the query or a candidate.
+    channel to reject the query or a candidate. Each block is gathered by
+    one fancy index per modality.
     """
-    result = RetrievalResult.empty()
-    audio = lib.matrix(Modality.AUDIO)
+    result = RetrievalResult({}, {}, {})
     for channel in CHANNELS:
         ranking = retrieve_modality(lib, query, channel, k, metric, mode)
+        rows = [lib.id_index[record_id] for record_id, _score in ranking]
         result.rankings[channel] = ranking
-        columns = [lib.matrix(m) for m in _CHANNEL_MODALITIES[channel]]
-        for record_id, _score in ranking:
-            row = lib.id_index[record_id]
-            halves = [column[row] for column in columns]
-            result.indirect_vectors[channel].append(np.concatenate(halves) if len(halves) > 1 else halves[0])
-            result.matched_audio[channel].append(audio[row])
+        result.indirect_vectors[channel] = np.hstack([lib.matrix(m)[rows] for m in _CHANNEL_MODALITIES[channel]])
+        result.matched_audio[channel] = np.ascontiguousarray(lib.matrix(Modality.AUDIO)[rows])
     return result

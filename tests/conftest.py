@@ -6,6 +6,7 @@ import pytest
 from emodub.errors import SchemaError
 from emodub.graph import EmotionGraph, GraphStage
 from emodub.library import FootageLibrary, MODALITY_ORDER
+from emodub.retrieval import CHANNELS, RetrievalResult
 
 
 def random_library(rng: np.random.Generator, n: int, dims=None, speakers=3) -> FootageLibrary:
@@ -47,6 +48,24 @@ def rebuilt(lib: FootageLibrary, vectors=None, speakers=None) -> FootageLibrary:
     return FootageLibrary.from_columns(
         dict(lib.schema), lib.ids.tolist(), lib.movie_ids, speaker_ids, lib.emotion_labels, columns
     )
+
+
+def synthetic_retrieval(rng, k: int, dim: int, first_id: int = 100) -> RetrievalResult:
+    """Retrieval result with k hits per channel: ids counting up from
+    ``first_id`` across the channels, rank-j score ``1 - 0.1 j``, and
+    standard-normal blocks (``k x 2dim`` for text, ``k x dim`` otherwise).
+
+    Draw order: channel by channel, each hit's channel vector and then its
+    matched audio. With ``k = 0`` every block is empty and ``rng`` is unused.
+    """
+    rankings, indirect, audio = {}, {}, {}
+    for c, channel in enumerate(CHANNELS):
+        width = 2 * dim if channel == "text" else dim
+        draws = [(rng.normal(size=width), rng.normal(size=dim)) for _ in range(k)]
+        rankings[channel] = [(first_id + c * k + j, 1.0 - 0.1 * j) for j in range(k)]
+        indirect[channel] = np.array([v for v, _ in draws]).reshape(k, width)
+        audio[channel] = np.array([a for _, a in draws]).reshape(k, dim)
+    return RetrievalResult(rankings, indirect, audio)
 
 
 def near_tie_rows(r, n_base, dim, big):

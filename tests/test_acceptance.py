@@ -5,6 +5,7 @@ criterion. Each test prints its measured wall time; the stated time budget
 is asserted as an upper bound.
 """
 
+import dataclasses
 import math
 import time
 
@@ -32,7 +33,6 @@ from emodub.retrieval import (
     Metric,
     Mode,
     Query,
-    RetrievalResult,
     retrieve_all,
     retrieve_modality,
 )
@@ -41,7 +41,7 @@ from emodub.sweeps import sweep_topk
 from emodub.synthetic import ClusterSpec, evaluate_purity, generate_clustered_library
 from emodub.autodiff import Tensor
 
-from conftest import check_edge_kinds, is_connected, random_library, rebuilt
+from conftest import check_edge_kinds, is_connected, random_library, rebuilt, synthetic_retrieval
 from test_retrieval import assert_matches_oracle, oracle_rank
 
 
@@ -96,7 +96,7 @@ def test_criterion_2_graph_topology():
     text = np.concatenate([base.text_self.values, base.text_react.values])
     for k in range(0, 9):
         if k == 0:
-            retrieved = RetrievalResult.empty()
+            retrieved = synthetic_retrieval(None, 0, d_vec)
         else:
             retrieved = retrieve_all(lib, Query.from_record(base), k)
         enc = progressive_encode(base.scene.values, base.face.values, text, retrieved, proj, gae)
@@ -289,10 +289,8 @@ def test_criterion_9_aggregation_structure():
     text = np.concatenate([base.text_self.values, base.text_react.values])
     retrieved = retrieve_all(lib, Query.from_record(base), k=2)
     enc_a = progressive_encode(base.scene.values, base.face.values, text, retrieved, proj, gae)
-    modified = RetrievalResult(
-        rankings={c: list(retrieved.rankings[c]) for c in CHANNELS},
-        indirect_vectors={c: list(retrieved.indirect_vectors[c]) for c in CHANNELS},
-        matched_audio={c: [v * 2.0 + 0.5 for v in retrieved.matched_audio[c]] for c in CHANNELS},
+    modified = dataclasses.replace(
+        retrieved, matched_audio={c: block * 2.0 + 0.5 for c, block in retrieved.matched_audio.items()}
     )
     enc_b = progressive_encode(base.scene.values, base.face.values, text, modified, proj, gae)
     assert enc_a.h_basic.data.tobytes() == enc_b.h_basic.data.tobytes()

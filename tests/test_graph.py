@@ -1,5 +1,6 @@
 """Progressive graphs: topology, attention encoding, staging, gradients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,10 +21,11 @@ from emodub.graph import (
     progressive_encode,
     project_input,
 )
-from emodub.retrieval import CHANNELS, Metric, Query, RetrievalResult, retrieve_all
+from emodub.library import Modality
+from emodub.retrieval import CHANNELS, Metric, Mode, Query, retrieve_all
 from emodub.rng import SplitMix64
 
-from conftest import check_edge_kinds, degree, is_connected, random_library
+from conftest import check_edge_kinds, degree, is_connected, random_library, rebuilt, synthetic_retrieval
 
 
 BASIC, INDIRECT, DIRECT = GraphStage.BASIC, GraphStage.INDIRECT, GraphStage.DIRECT
@@ -41,22 +43,8 @@ def gae():
     return GAEParams.init(D_H, SplitMix64(2))
 
 
-def make_retrieved(rng, k, dim=D_VEC):
-    """Synthetic retrieval payload with k hits per channel."""
-    result = RetrievalResult.empty()
-    next_id = 100
-    for channel in CHANNELS:
-        for rank in range(k):
-            result.rankings[channel].append((next_id, 1.0 - 0.1 * rank))
-            width = 2 * dim if channel == "text" else dim
-            result.indirect_vectors[channel].append(rng.normal(size=width))
-            result.matched_audio[channel].append(rng.normal(size=dim))
-            next_id += 1
-    return result
-
-
 def encode_stages(rng, proj, gae, k):
-    retrieved = make_retrieved(rng, k)
+    retrieved = synthetic_retrieval(rng, k, D_VEC)
     basic = build_basic_graph(rng.normal(size=D_VEC), rng.normal(size=D_VEC), rng.normal(size=2 * D_VEC), proj)
     basic_enc = gae_encode(basic, gae)
     indirect = extend_graph(basic_enc, retrieved, proj)
@@ -75,12 +63,38 @@ class TestProjection:
         assert proj.text.weight.rows == 2 * D_VEC
         with pytest.raises(SchemaError):
             project_input(np.zeros(D_VEC), proj.text)
+        with pytest.raises(SchemaError, match=r"shape \(1, 2, 16\)"):
+            project_input(np.zeros((1, 2, 2 * D_VEC)), proj.text)
 
     def test_matches_matmul_oracle(self, rng, proj):
         raw = rng.normal(size=D_VEC)
         out = project_input(raw, proj.face)
         want = raw.reshape(1, -1) @ proj.face.weight.data + proj.face.bias.data
         np.testing.assert_allclose(out.data, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_block_rows_have_the_bits_of_one_row_products(self, rng, proj, rows):
+        block = random_library(rng, 12).matrix(Modality.FACE)[2 : 2 + rows]  # column-major rows
+        assert not block.flags.c_contiguous
+        w, b = proj.face.weight, proj.face.bias
+        out = project_input(block, proj.face)
+        assert out.shape == (rows, D_H)
+        for x_i, row in zip(block, out.data):
+            assert row.tobytes() == (np.ascontiguousarray(x_i)[None] @ w.data + b.data).tobytes()
+
+        # the backward adds each row's outer product in row order, bit for bit
+        target = rng.normal(size=out.shape)
+        mse(out, target).backward()
+        half = (1.0 / out.data.size) * (out.data - target)
+        g = half + half  # mse's upstream gradient, rounded as mse rounds it
+        want_w, want_b = np.zeros_like(w.data), np.zeros_like(b.data)
+        for x_i, g_i in zip(block, g):
+            want_w += np.outer(x_i, g_i)
+            want_b += g_i
+        assert w.grad.tobytes() == want_w.tobytes()
+        assert b.grad.tobytes() == want_b.tobytes()
+
+        assert grad_check(lambda: mse(project_input(block, proj.face), target), proj.face.parameters()) < 1e-4
 
 
 class TestBasicGraph:
@@ -255,7 +269,7 @@ class TestExtensions:
 
 class TestProgressiveEncode:
     def test_shapes_for_k3(self, rng, proj, gae):
-        retrieved = make_retrieved(rng, 3)
+        retrieved = synthetic_retrieval(rng, 3, D_VEC)
         enc = progressive_encode(
             rng.normal(size=D_VEC), rng.normal(size=D_VEC), rng.normal(size=2 * D_VEC),
             retrieved, proj, gae,
@@ -267,7 +281,7 @@ class TestProgressiveEncode:
     def test_k0_still_runs(self, rng, proj, gae):
         scene, face = rng.normal(size=D_VEC), rng.normal(size=D_VEC)
         text = rng.normal(size=2 * D_VEC)
-        enc = progressive_encode(scene, face, text, RetrievalResult.empty(), proj, gae)
+        enc = progressive_encode(scene, face, text, synthetic_retrieval(None, 0, D_VEC), proj, gae)
         assert enc.h_basic.shape == (3, D_H)
         assert enc.h_indirect.shape == (3, D_H)
         assert enc.h_direct.shape == (3, D_H)
@@ -283,13 +297,7 @@ class TestProgressiveEncode:
         d_vec, d_h = 3, 4
         proj = ProjectionParams.init(d_vec, d_vec, 2 * d_vec, d_vec, d_h, SplitMix64(5))
         gae = GAEParams.init(d_h, SplitMix64(6))
-        result = RetrievalResult.empty()
-        for channel in CHANNELS:
-            for rank in range(2):
-                result.rankings[channel].append((10 + rank, 0.5))
-                width = 2 * d_vec if channel == "text" else d_vec
-                result.indirect_vectors[channel].append(rng.normal(size=width))
-                result.matched_audio[channel].append(rng.normal(size=d_vec))
+        result = synthetic_retrieval(rng, 2, d_vec)
         scene, face = rng.normal(size=d_vec), rng.normal(size=d_vec)
         text = rng.normal(size=2 * d_vec)
         target = rng.normal(size=(15, d_h))
@@ -303,20 +311,18 @@ class TestProgressiveEncode:
 
     def test_permutation_equivariance_of_indirect_nodes(self, rng, proj, gae):
         k = 3
-        retrieved = make_retrieved(rng, k)
+        retrieved = synthetic_retrieval(rng, k, D_VEC)
         scene, face = rng.normal(size=D_VEC), rng.normal(size=D_VEC)
         text = rng.normal(size=2 * D_VEC)
         enc = progressive_encode(scene, face, text, retrieved, proj, gae)
 
         perm = [2, 0, 1]  # permute the scene channel's insertion order
-        permuted = RetrievalResult(
-            rankings={c: list(retrieved.rankings[c]) for c in CHANNELS},
-            indirect_vectors={c: list(retrieved.indirect_vectors[c]) for c in CHANNELS},
-            matched_audio={c: list(retrieved.matched_audio[c]) for c in CHANNELS},
+        permuted = dataclasses.replace(
+            retrieved,
+            rankings={**retrieved.rankings, "scene": [retrieved.rankings["scene"][p] for p in perm]},
+            indirect_vectors={**retrieved.indirect_vectors, "scene": retrieved.indirect_vectors["scene"][perm]},
+            matched_audio={**retrieved.matched_audio, "scene": retrieved.matched_audio["scene"][perm]},
         )
-        permuted.rankings["scene"] = [retrieved.rankings["scene"][p] for p in perm]
-        permuted.indirect_vectors["scene"] = [retrieved.indirect_vectors["scene"][p] for p in perm]
-        permuted.matched_audio["scene"] = [retrieved.matched_audio["scene"][p] for p in perm]
         enc_p = progressive_encode(scene, face, text, permuted, proj, gae)
 
         # basic rows unchanged; scene-indirect rows permuted accordingly
@@ -336,20 +342,32 @@ class TestProgressiveEncode:
         )
 
     def test_stage_isolation_is_bitwise(self, rng, proj, gae):
-        retrieved = make_retrieved(rng, 2)
+        retrieved = synthetic_retrieval(rng, 2, D_VEC)
         scene, face = rng.normal(size=D_VEC), rng.normal(size=D_VEC)
         text = rng.normal(size=2 * D_VEC)
         enc_a = progressive_encode(scene, face, text, retrieved, proj, gae)
 
-        modified = RetrievalResult(
-            rankings={c: list(retrieved.rankings[c]) for c in CHANNELS},
-            indirect_vectors={c: list(retrieved.indirect_vectors[c]) for c in CHANNELS},
-            matched_audio={c: [v + 1.0 for v in retrieved.matched_audio[c]] for c in CHANNELS},
+        modified = dataclasses.replace(
+            retrieved, matched_audio={c: block + 1.0 for c, block in retrieved.matched_audio.items()}
         )
         enc_b = progressive_encode(scene, face, text, modified, proj, gae)
         assert enc_a.h_basic.data.tobytes() == enc_b.h_basic.data.tobytes()
         assert enc_a.h_indirect.data.tobytes() == enc_b.h_indirect.data.tobytes()
         assert enc_a.h_direct.data.tobytes() != enc_b.h_direct.data.tobytes()
+
+    def test_empty_pool_gives_empty_blocks_and_the_k0_encoding(self, rng, proj, gae):
+        lib = rebuilt(random_library(rng, 20), speakers={5: "solo"})
+        rec = lib.records[5]  # the only record of its speaker, and excluded from its own pool
+        retrieved = retrieve_all(lib, Query.from_record(rec), 3, mode=Mode.SPEAKER_SPECIFIC)
+        for channel in CHANNELS:
+            assert retrieved.rankings[channel] == []
+            assert retrieved.indirect_vectors[channel].shape == (0, 2 * D_VEC if channel == "text" else D_VEC)
+            assert retrieved.matched_audio[channel].shape == (0, D_VEC)
+        text = np.concatenate([rec.text_self.values, rec.text_react.values])
+        got = progressive_encode(rec.scene.values, rec.face.values, text, retrieved, proj, gae)
+        want = progressive_encode(rec.scene.values, rec.face.values, text, synthetic_retrieval(None, 0, D_VEC), proj, gae)
+        for a, b in zip((got.h_basic, got.h_indirect, got.h_direct), (want.h_basic, want.h_indirect, want.h_direct)):
+            assert a.shape == (3, D_H) and a.data.tobytes() == b.data.tobytes()
 
     def test_counts_from_real_retrieval(self, rng, proj, gae):
         lib = random_library(rng, 30)

@@ -514,6 +514,8 @@ class TestRetrieveAll:
             assert len(res.rankings[channel]) == 3
             want = oracle_rank(lib, q, channel, 3, Metric.COSINE, Mode.SPEAKER_AGNOSTIC)
             assert_matches_oracle(res.rankings[channel], want)
+            for block, width in ((res.indirect_vectors[channel], 16 if channel == "text" else 8), (res.matched_audio[channel], 8)):
+                assert block.dtype == np.float64 and block.flags.c_contiguous and block.shape == (3, width)
             for j, (rid, _score) in enumerate(res.rankings[channel]):
                 rec = lib.lookup(rid)
                 assert res.matched_audio[channel][j].tobytes() == rec.audio.values.tobytes()
@@ -522,6 +524,8 @@ class TestRetrieveAll:
         lib = random_library(rng, 20)
         q = Query.from_record(lib.records[0])
         res = retrieve_all(lib, q, k=2)
+        block = res.indirect_vectors["text"]
+        assert block.dtype == np.float64 and block.flags.c_contiguous and block.shape == (2, 16)
         for j, (rid, _score) in enumerate(res.rankings["text"]):
             rec = lib.lookup(rid)
             want = np.concatenate([rec.text_self.values, rec.text_react.values])
