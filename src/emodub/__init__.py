@@ -22,9 +22,7 @@ from .autodiff import (
     linear,
     load_checkpoint,
     mse,
-    restore_checkpoint,
     save_checkpoint,
-    softmax_rows,
 )
 from .errors import (
     ArgumentError,

@@ -4,10 +4,13 @@ Everything is a 2-D float64 matrix. A :class:`Tensor` wraps a numpy array
 and records enough structure to run reverse-mode backpropagation from a
 scalar (1x1) output; :class:`Parameter` is a named trainable leaf with a
 persistent gradient buffer. Ops cover exactly what the encoding pipeline
-needs: linear maps, row softmax with an optional mask, leaky ReLU, scaled
-dot-product cross-attention over one memory with learned projections, a
-width-1 1-D convolution, concatenation/slicing, and mean-squared error as
-one op, plus Adam and a central-finite-difference gradient checker.
+needs: sums, linear maps, row and column concatenation, scaled dot-product
+cross-attention over one memory with learned projections as one op, a
+width-1 1-D convolution, and mean-squared error as one op, plus Adam and a
+central-finite-difference gradient checker. The graph attention stage is
+one op too, in :mod:`emodub.graph`. Each fused op rounds as the composition
+of single ops it stands for would: its backward adds each gradient in that
+composition's order, on operands of that composition's memory layout.
 
 All computation is numpy float64 and single-threaded per tape; independent
 tapes share no mutable state and may run concurrently.
@@ -150,6 +153,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return g
 
 
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row softmax after subtracting each row's max, so rows of any magnitude
+    are safe; a ``-inf`` entry gets probability exactly 0."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 # --- elementwise and structural ops ----------------------------------------
 
 
@@ -166,15 +176,6 @@ def add(a, b) -> Tensor:
     return _make(a.data + b.data, (a, b), backward)
 
 
-def scale(a, factor: float) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        _accum(a, g * factor)
-
-    return _make(a.data * factor, (a,), backward)
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape[1] != b.data.shape[0]:
@@ -185,15 +186,6 @@ def matmul(a, b) -> Tensor:
         _accum(b, a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), backward)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        _accum(a, g.T)
-
-    return _make(a.data.T.copy(), (a,), backward)
 
 
 def concat_cols(a, b) -> Tensor:
@@ -225,64 +217,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
             _accum(p, g[lo:hi])
 
     return _make(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
-
-
-def slice_cols(a, c0: int, c1: int) -> Tensor:
-    a = as_tensor(a)
-    if not (0 <= c0 < c1 <= a.data.shape[1]):
-        raise ShapeError(f"column slice [{c0}:{c1}] out of range for {a.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[:, c0:c1] += g  # from +0.0 no sum is -0.0, so the other columns lose nothing
-
-    return _make(a.data[:, c0:c1].copy(), (a,), backward)
-
-
-#: slope of :func:`leaky_relu` on negative inputs
-LEAKY_SLOPE = 0.2
-
-
-def leaky_relu(a) -> Tensor:
-    a = as_tensor(a)
-    positive = a.data > 0
-    out = np.where(positive, a.data, LEAKY_SLOPE * a.data)
-
-    def backward(g):
-        _accum(a, g * np.where(positive, 1.0, LEAKY_SLOPE))
-
-    return _make(out, (a,), backward)
-
-
-def softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:
-    """Numerically stabilized row softmax, optionally restricted by a mask.
-
-    ``mask`` is a constant 0/1 array of the same shape; every row must allow
-    at least one entry. Disallowed entries get probability exactly 0. The
-    computation subtracts the row max over allowed entries, so rows of any
-    magnitude are safe.
-    """
-    a = as_tensor(a)
-    x = a.data
-    if mask is not None:
-        mask = np.asarray(mask)
-        if mask.shape != x.shape:
-            raise ShapeError(f"mask shape {mask.shape} does not match {a.shape}")
-        allowed = mask.astype(bool)
-        if not allowed.any(axis=1).all():
-            raise ArgumentError("softmax mask has a row with no allowed entries")
-        x = np.where(allowed, x, -np.inf)
-    x = x - x.max(axis=1, keepdims=True)
-    e = np.exp(x)
-    p = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        inner = (g * p).sum(axis=1, keepdims=True)
-        _accum(a, p * (g - inner))
-
-    return _make(p, (a,), backward)
 
 
 def mse(pred, target) -> Tensor:
@@ -392,21 +326,46 @@ def cross_attention(
 
     Keys and values both come from one memory. Computes
     ``softmax(Q' K'^T / sqrt(d)) V' @ wo`` with ``Q' = query @ wq``,
-    ``K' = memory @ wk`` and ``V' = memory @ wv``. Returns the L x d output,
-    plus a one-element list holding the attention weight matrix when
-    ``with_weights`` is set.
+    ``K' = memory @ wk`` and ``V' = memory @ wv``, as one op. Returns the
+    L x d output, plus a one-element list holding the attention weight
+    matrix when ``with_weights`` is set.
+
+    The forward rounds as the chain of single ops did (``kt = K'^T`` copied,
+    then ``(Q' @ kt) * (1 / sqrt(d))``), and the backward adds each gradient
+    in the chain's order: ``wo``, then ``query`` and ``wq``, then ``memory``
+    from the key path before the value path, each product taken on operands
+    of the chain's memory layout.
     """
     query, memory = as_tensor(query), as_tensor(memory)
     dim = params.dim
     for mat, label in ((query, "query"), (memory, "memory")):
         if mat.cols != dim:
             raise ShapeError(f"cross-attention {label} has dim {mat.cols}, expected {dim}")
-    q = matmul(query, params.wq)
-    k = matmul(memory, params.wk)
-    v = matmul(memory, params.wv)
-    attn = softmax_rows(scale(matmul(q, transpose(k)), 1.0 / math.sqrt(dim)))
-    out = matmul(matmul(attn, v), params.wo)
-    return (out, [attn.data]) if with_weights else out
+    wq, wk, wv, wo = params.wq, params.wk, params.wv, params.wo
+    factor = 1.0 / math.sqrt(dim)
+    q = query.data @ wq.data
+    v = memory.data @ wv.data
+    kt = (memory.data @ wk.data).T.copy()
+    attn = _softmax_rows((q @ kt) * factor)
+    av = attn @ v
+
+    def backward(g):
+        g_av = g @ wo.data.T
+        _accum(wo, av.T @ g)
+        g_attn = g_av @ v.T
+        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=1, keepdims=True)) * factor
+        g_q = g_scores @ kt.T
+        _accum(query, g_q @ wq.data.T)
+        _accum(wq, query.data.T @ g_q)
+        g_k = (q.T @ g_scores).T.copy()  # in the chain's layout, for BLAS
+        _accum(memory, g_k @ wk.data.T)
+        _accum(wk, memory.data.T @ g_k)
+        g_v = attn.T @ g_av
+        _accum(memory, g_v @ wv.data.T)
+        _accum(wv, memory.data.T @ g_v)
+
+    out = _make(av @ wo.data, (query, memory, wq, wk, wv, wo), backward)
+    return (out, [attn]) if with_weights else out
 
 
 @dataclass
@@ -624,17 +583,3 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     if r.remaining:
         raise FormatError(f"{path}: {r.remaining} trailing bytes")
     return out
-
-
-def restore_checkpoint(params: Iterable[Parameter], path) -> None:
-    """Assign checkpointed values to parameters, matching by name."""
-    values = load_checkpoint(path)
-    for p in collect_parameters(params):
-        if p.name not in values:
-            raise FormatError(f"{path}: checkpoint has no parameter {p.name!r}")
-        stored = values[p.name]
-        if stored.shape != p.data.shape:
-            raise ShapeError(
-                f"checkpoint shape {stored.shape} does not match {p.name!r} {p.data.shape}"
-            )
-        p.data[...] = stored

@@ -4,8 +4,8 @@ Subcommands cover library generation and ingestion, retrieval, graph
 encoding, toy training, gradient checking, and the three analysis sweeps.
 Every command is deterministic given its flags and seed.
 
-Exit codes: 0 success, 2 usage error, 3 data/schema error, 4 numeric
-failure.
+Exit codes: 0 success, 2 usage error (including a size too large to
+allocate), 3 data/schema error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ EXIT_NUMERIC = 4
 _EXIT_CODES = {
     ArgumentError: EXIT_USAGE,
     ConfigError: EXIT_USAGE,
+    MemoryError: EXIT_USAGE,  # a size flag asked for more memory than the process can get
     SchemaError: EXIT_DATA,  # includes FormatError and ShapeError
     OSError: EXIT_DATA,
     NumericError: EXIT_NUMERIC,

@@ -14,7 +14,8 @@ The pipeline builds and encodes three graphs in sequence:
 Each stage is encoded by a single-head graph attention encoder (GAE): per
 node, attention over its neighborhood plus a self-loop, scores
 ``leaky_relu(attn . [W h_i | W h_j])``, softmax-normalized, then a weighted
-sum of the projected neighbor features.
+sum of the projected neighbor features. One stage is one autodiff op with
+a hand-written backward.
 
 Each node is typed by the stage that added it and the channel it serves
 (scene, face or text); each edge carries the stage of its non-basic end.
@@ -45,13 +46,8 @@ from .autodiff import (
     Tensor,
     _accum,
     _make,
-    add,
+    _softmax_rows,
     concat_rows,
-    leaky_relu,
-    matmul,
-    slice_cols,
-    softmax_rows,
-    transpose,
     uniform_init,
 )
 from .errors import ArgumentError, SchemaError, StateError
@@ -105,12 +101,10 @@ class EmotionGraph:
         return len(self.nodes)
 
     def adjacency_mask(self) -> np.ndarray:
-        """Symmetric 0/1 mask with self-loops, used by GAE attention."""
-        n = self.node_count
-        mask = np.eye(n)
+        """Symmetric boolean mask with self-loops, used by GAE attention."""
+        mask = np.eye(self.node_count, dtype=bool)
         for a, b, _ in self.edges:
-            mask[a, b] = 1.0
-            mask[b, a] = 1.0
+            mask[a, b] = mask[b, a] = True
         return mask
 
 
@@ -199,6 +193,10 @@ class GAEParams(Params):
         )
 
 
+#: slope of the stage's leaky ReLU on negative attention scores
+LEAKY_SLOPE = 0.2
+
+
 def gae_encode(
     graph: EmotionGraph,
     params: GAEParams,
@@ -209,26 +207,46 @@ def gae_encode(
     Per node i the attention neighborhood is N(i) plus a self-loop; scores
     are ``leaky_relu(attn . [W h_i | W h_j])``, normalized by softmax over
     the neighborhood, and the new feature is the attention-weighted sum of
-    projected neighbor features. Returns the encoded graph, plus a
-    one-element list holding the attention matrix when requested.
+    projected neighbor features. The stage is one op. Returns the encoded
+    graph, plus a one-element list holding the attention matrix when
+    requested.
+
+    The forward rounds as the chain of single ops did, and the backward adds
+    each gradient in the chain's order: ``g_wh = (alpha^T g + g_src a_src^T)
+    + g_dst a_dst^T``, then the features' and ``W``'s products of ``g_wh``.
     """
     if graph.node_count == 0:
         raise ArgumentError("cannot encode an empty graph")
-    dim = params.weight.rows
-    if graph.features.cols != dim:
-        raise SchemaError(f"feature dim {graph.features.cols} does not match encoder dim {dim}")
-    wh = matmul(graph.features, params.weight)
-    s_src = matmul(wh, transpose(slice_cols(params.attn, 0, dim)))  # n x 1
-    s_dst = matmul(wh, transpose(slice_cols(params.attn, dim, 2 * dim)))  # n x 1
-    alpha = softmax_rows(leaky_relu(add(s_src, transpose(s_dst))), graph.adjacency_mask())
+    x, w, attn = graph.features, params.weight, params.attn
+    dim = w.rows
+    if x.cols != dim:
+        raise SchemaError(f"feature dim {x.cols} does not match encoder dim {dim}")
+    wh = x.data @ w.data
+    a_src, a_dst = attn.data.reshape(2, dim, 1)  # the two d x 1 halves
+    scores = wh @ a_src + (wh @ a_dst).T
+    positive = scores > 0
+    leaky = np.where(positive, scores, LEAKY_SLOPE * scores)
+    alpha = _softmax_rows(np.where(graph.adjacency_mask(), leaky, -np.inf))
+
+    def backward(g):
+        g_alpha = g @ wh.T
+        g_leaky = alpha * (g_alpha - (g_alpha * alpha).sum(axis=1, keepdims=True))
+        g_scores = g_leaky * np.where(positive, 1.0, LEAKY_SLOPE)
+        g_src = g_scores.sum(axis=1, keepdims=True)
+        g_dst = g_scores.sum(axis=0, keepdims=True).T.copy()  # in the chain's layout, for BLAS
+        g_wh = alpha.T @ g + g_src @ a_src.T + g_dst @ a_dst.T
+        _accum(attn, np.concatenate([wh.T @ g_src, wh.T @ g_dst]).reshape(1, -1))
+        _accum(x, g_wh @ w.data.T)
+        _accum(w, x.data.T @ g_wh)
+
     out = EmotionGraph(
         stage=graph.stage,
         nodes=list(graph.nodes),
         edges=list(graph.edges),
-        features=matmul(alpha, wh),
+        features=_make(alpha @ wh, (x, w, attn), backward),
         encoded=True,
     )
-    return (out, [alpha.data]) if with_attention else out
+    return (out, [alpha]) if with_attention else out
 
 
 def build_basic_graph(scene_raw, face_raw, text_concat_raw, proj: ProjectionParams) -> EmotionGraph:

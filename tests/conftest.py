@@ -122,6 +122,18 @@ def check_edge_kinds(graph: EmotionGraph) -> None:
             raise SchemaError(f"{stage.value} edge cannot join {na.kind} and {nb.kind}")
 
 
+def tape_ops(out) -> int:
+    """Number of ops on the tape that ``out`` was computed by."""
+    seen, stack, ops = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops += node._backward is not None
+            stack.extend(node._parents)
+    return ops
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

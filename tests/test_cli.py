@@ -3,11 +3,17 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import emodub
 from emodub import autodiff
 from emodub.autodiff import load_checkpoint
 from emodub.cli import main
@@ -526,3 +532,29 @@ class TestUsageErrors:
     def test_unknown_metric(self, runner, tmp_path):
         result = runner.invoke(main, ["retrieve", "--lib", "x", "--metric", "manhattan"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen-synthetic", "--n", str(10**12)],
+            ["train-toy", "--steps", "1", "--length", str(10**12)],
+            ["train-toy", "--steps", "1", "--mel-bins", str(10**12)],
+            ["encode", "--query-id", "0", "--dim", str(10**9)],
+        ],
+        ids=["gen-synthetic-n", "train-toy-length", "train-toy-mel-bins", "encode-dim"],
+    )
+    def test_size_too_large_to_allocate_is_usage_error(self, runner, tmp_path, args):
+        if args[0] == "encode":
+            args = [*args, "--lib", str(gen_lib(runner, tmp_path / "lib.mrfl"))]
+        out = ["--out", str(tmp_path / "out")]
+
+        def limit_memory():  # about 4 GB of address space, in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(emodub.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "emodub.cli", *args, *out],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: Unable to allocate") and "Traceback" not in proc.stderr

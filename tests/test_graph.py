@@ -25,7 +25,7 @@ from emodub.library import Modality
 from emodub.retrieval import CHANNELS, Metric, Mode, Query, retrieve_all
 from emodub.rng import SplitMix64
 
-from conftest import check_edge_kinds, degree, is_connected, random_library, rebuilt, synthetic_retrieval
+from conftest import check_edge_kinds, degree, is_connected, random_library, rebuilt, synthetic_retrieval, tape_ops
 
 
 BASIC, INDIRECT, DIRECT = GraphStage.BASIC, GraphStage.INDIRECT, GraphStage.DIRECT
@@ -164,6 +164,29 @@ class TestGAEEncode:
         assert indirect_enc.stage is indirect.stage
         assert indirect_enc.encoded
 
+    @staticmethod
+    def path_graph(rng, n=5):
+        """A path of ``n`` nodes, so most pairs are off the adjacency."""
+        nodes = [GraphNode(INDIRECT, "scene", i) for i in range(n)]
+        edges = [(i, i + 1, INDIRECT) for i in range(n - 1)]
+        return EmotionGraph(GraphStage.INDIRECT, nodes, edges, Parameter(rng.normal(size=(n, D_H)), "features"))
+
+    def test_stage_gradient(self, rng, gae):
+        g = self.path_graph(rng)
+        target = rng.normal(size=(5, D_H))
+        params = [g.features, gae.weight, gae.attn]
+        assert grad_check(lambda: mse(gae_encode(g, gae).features, target), params) < 1e-6
+
+    def test_large_scores_give_finite_weights_on_the_adjacency(self, rng, gae):
+        g = self.path_graph(rng)
+        big = GAEParams(gae.weight, Parameter(gae.attn.data * 1e4, "attn"))
+        _, (alpha,) = gae_encode(g, big, with_attention=True)
+        wh = g.features.data @ big.weight.data
+        assert np.abs(wh @ big.attn.data[0, :D_H]).max() > 1e3  # exp would overflow without the row max
+        assert np.isfinite(alpha).all()
+        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(alpha[~g.adjacency_mask()] == 0.0)
+
     def test_empty_graph_rejected(self, gae):
         empty = EmotionGraph(GraphStage.BASIC, [], [], Tensor(np.zeros((0, D_H))))
         with pytest.raises(ArgumentError):
@@ -277,6 +300,11 @@ class TestProgressiveEncode:
         assert enc.h_basic.shape == (3, D_H)
         assert enc.h_indirect.shape == (12, D_H)
         assert enc.h_direct.shape == (21, D_H)
+
+    def test_one_op_per_stage(self, rng, proj, gae):
+        # per stage: the projections (one per channel block), their row concat and the stage
+        *_, direct_enc, _ = encode_stages(rng, proj, gae, k=3)
+        assert tape_ops(direct_enc.features) == 15
 
     def test_k0_still_runs(self, rng, proj, gae):
         scene, face = rng.normal(size=D_VEC), rng.normal(size=D_VEC)

@@ -21,6 +21,8 @@ from emodub.retrieval import Query
 from emodub.rng import SplitMix64, stream
 from emodub.synthetic import ClusterSpec, generate_clustered_library
 
+from conftest import tape_ops
+
 D = 8
 
 
@@ -191,6 +193,12 @@ class TestToyTraining:
         loss.backward()
         for p in model.parameters():
             assert np.any(p.grad != 0.0), f"dead parameter block {p.name}"
+
+    def test_tape_length(self):
+        # 15 encode ops, 4 per cross-attention step (block, concat, conv matmul
+        # and bias), 3 for the final fusion, 2 for the mel head and 1 for mse
+        batch, model = toy_fixture(seed=0, k=3)
+        assert tape_ops(toy_loss(batch, model)) == 33
 
     def test_loss_decreases_overall(self):
         batch, model = toy_fixture(seed=11)
