@@ -31,6 +31,7 @@ from emodub.autodiff import (
     save_checkpoint,
 )
 from emodub.errors import ConfigError, FormatError, NumericError, ShapeError
+from emodub.graph import EmotionGraph, GAEParams, GraphNode, GraphStage, gae_encode
 from emodub.rng import SplitMix64
 
 
@@ -124,13 +125,29 @@ class TestShapeChecks:
             concat_rows([Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 2)))])
 
 
-#: each op on 4x3 inputs; ``b`` supplies a second operand or a constant
+def frozen(params):
+    """A copy of a parameter set whose fields are constants."""
+    return type(params)(*(Tensor(p.data) for p in params.parameters()))
+
+
+def path_stage(features):
+    """One GAE stage over a path through the rows of ``features``."""
+    n = features.rows
+    nodes = [GraphNode(GraphStage.INDIRECT, "scene", i) for i in range(n)]
+    edges = [(i, i + 1, GraphStage.INDIRECT) for i in range(n - 1)]
+    return EmotionGraph(GraphStage.INDIRECT, nodes, edges, features)
+
+
+#: each op on 4x3 inputs; ``b`` supplies a second operand or a constant;
+#: the attentions' parameters are constants
 OPS = {
     "add": add,
     "matmul": lambda a, b: matmul(a, Tensor(b.data.T)),
     "concat_cols": concat_cols,
     "concat_rows": lambda a, b: concat_rows([a, b]),
     "mse": lambda a, b: mse(a, b.data),
+    "cross_attention": lambda a, b: cross_attention(a, b, frozen(CrossAttentionParams.init("ca", 3, SplitMix64(13)))),
+    "gae_encode": lambda a, b: gae_encode(path_stage(a), frozen(GAEParams.init(3, SplitMix64(14)))).features,
 }
 
 #: the output layout of each op for C- and for F-ordered inputs; BLAS
@@ -141,6 +158,8 @@ LAYOUT = {
     "concat_cols": ("C", "F"),
     "concat_rows": ("C", "F"),
     "mse": ("CF", "CF"),
+    "cross_attention": ("C", "C"),
+    "gae_encode": ("C", "C"),
 }
 
 
@@ -267,6 +286,41 @@ class TestCrossAttention:
         _out, weights = cross_attention(q, Tensor(np.repeat(kv.data[:1], 2, axis=0)), params, with_weights=True)
         assert np.all(weights[0] == 0.5)
 
+    def test_analytic_quarter_three_quarters(self):
+        # dim 1 with unit projections: the scores of the two keys are 0 and ln 3
+        params = CrossAttentionParams(*(param([[1.0]], n) for n in ("wq", "wk", "wv", "wo")))
+        out, weights = cross_attention(Tensor([[1.0]]), Tensor([[0.0], [math.log(3.0)]]), params, with_weights=True)
+        np.testing.assert_allclose(weights[0], [[0.25, 0.75]], atol=1e-15)
+        np.testing.assert_allclose(out.data, [[0.75 * math.log(3.0)]], rtol=1e-15)
+
+    def test_memory_row_order_does_not_matter(self, rng):
+        params = CrossAttentionParams.init("ca", 4, SplitMix64(15))
+        q, kv = Tensor(rng.normal(size=(3, 4))), rng.normal(size=(6, 4))
+        order = np.array([4, 0, 5, 2, 1, 3])
+        out, weights = cross_attention(q, Tensor(kv), params, with_weights=True)
+        out_p, weights_p = cross_attention(q, Tensor(kv[order]), params, with_weights=True)
+        np.testing.assert_allclose(out_p.data, out.data, rtol=1e-12)
+        np.testing.assert_allclose(weights_p[0], weights[0][:, order], rtol=1e-12)
+
+    def test_weights_hook_returns_the_weights_the_output_used(self, rng):
+        params = CrossAttentionParams.init("ca", 4, SplitMix64(16))
+        q, kv = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(5, 4)))
+        out, weights = cross_attention(q, kv, params, with_weights=True)
+        assert out.data.tobytes() == cross_attention(q, kv, params).data.tobytes()
+        want = (weights[0] @ (kv.data @ params.wv.data)) @ params.wo.data
+        np.testing.assert_allclose(out.data, want, rtol=1e-12)
+
+    def test_query_row_gradient_comes_from_its_own_output_row(self, rng):
+        params = CrossAttentionParams.init("ca", 4, SplitMix64(17))
+        query = param(rng.normal(size=(3, 4)), "query")
+        memory = param(rng.normal(size=(5, 4)), "memory")
+        out = cross_attention(query, memory, params)
+        target = out.data.copy()
+        target[0] += 1.0  # only row 0 is off its target
+        mse(out, target).backward()
+        assert np.all(query.grad[1:] == 0.0) and np.any(query.grad[0] != 0.0)
+        assert np.all(memory.grad.any(axis=1))
+
     def test_memory_gradient_sums_key_and_value_paths(self, rng):
         params = CrossAttentionParams.init("ca", 4, SplitMix64(7))
         q = Tensor(rng.normal(size=(2, 4)))
@@ -371,6 +425,17 @@ class TestGradCheck:
         target = rng.normal(size=(3, 4))
         params = [query, memory, *ca.parameters()]
         assert grad_check(lambda: mse(cross_attention(query, memory, ca), target), params) < 1e-6
+
+    @pytest.mark.parametrize("trainable", ["query", "memory", "wq", "wk", "wv", "wo"])
+    def test_cross_attention_gradient_of_one_operand(self, rng, trainable):
+        # the other five operands are constants, which the backward must skip
+        values = {"query": rng.normal(size=(3, 4)), "memory": rng.normal(size=(5, 4))}
+        values.update((p.name[3:], p.data) for p in CrossAttentionParams.init("ca", 4, SplitMix64(18)).parameters())
+        t = {k: param(v, k) if k == trainable else Tensor(v) for k, v in values.items()}
+        ca = CrossAttentionParams(t["wq"], t["wk"], t["wv"], t["wo"])
+        target = rng.normal(size=(3, 4))
+        assert grad_check(lambda: mse(cross_attention(t["query"], t["memory"], ca), target), [t[trainable]]) < 1e-6
+        assert all(v.grad is None for k, v in t.items() if k != trainable)
 
     def test_attention_and_conv_composite(self, rng):
         gen = SplitMix64(8)

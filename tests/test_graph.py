@@ -1,6 +1,7 @@
 """Progressive graphs: topology, attention encoding, staging, gradients."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from emodub.graph import (
     ProjectionParams,
     build_basic_graph,
     extend_graph,
+    LEAKY_SLOPE,
     gae_encode,
     progressive_encode,
     project_input,
@@ -177,6 +179,76 @@ class TestGAEEncode:
         params = [g.features, gae.weight, gae.attn]
         assert grad_check(lambda: mse(gae_encode(g, gae).features, target), params) < 1e-6
 
+    @pytest.mark.parametrize("trainable", ["features", "weight", "attn"])
+    def test_stage_gradient_of_one_operand(self, rng, gae, trainable):
+        # the other two operands are constants, which the backward must skip
+        values = {"features": rng.normal(size=(5, D_H)), "weight": gae.weight.data, "attn": gae.attn.data}
+        t = {k: Parameter(v, k) if k == trainable else Tensor(v) for k, v in values.items()}
+        g = self.path_graph(rng)
+        g.features = t["features"]
+        params = GAEParams(t["weight"], t["attn"])
+        target = rng.normal(size=(5, D_H))
+        assert grad_check(lambda: mse(gae_encode(g, params).features, target), [t[trainable]]) < 1e-6
+        assert all(v.grad is None for k, v in t.items() if k != trainable)
+
+    TOPOLOGIES = {
+        "path": [(0, 1), (1, 2), (2, 3), (3, 4)],
+        "star": [(0, 1), (0, 2), (0, 3), (0, 4)],
+        "complete": list(itertools.combinations(range(5), 2)),
+        "isolated": [(0, 1)],  # nodes 2, 3 and 4 attend only to themselves
+    }
+
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_attention_matches_masked_softmax_oracle(self, rng, gae, topology):
+        pairs = self.TOPOLOGIES[topology]
+        nodes = [GraphNode(INDIRECT, "scene", i) for i in range(5)]
+        g = EmotionGraph(GraphStage.INDIRECT, nodes, [(a, b, INDIRECT) for a, b in pairs], Tensor(rng.normal(size=(5, D_H))))
+        out, (alpha,) = gae_encode(g, gae, with_attention=True)
+        wh = g.features.data @ gae.weight.data
+        a_vec = gae.attn.data[0]
+        want = np.zeros((5, 5))
+        for i in range(5):
+            nb = [j for j in range(5) if j == i or (i, j) in pairs or (j, i) in pairs]
+            scores = [a_vec[:D_H] @ wh[i] + a_vec[D_H:] @ wh[j] for j in nb]
+            exps = [math.exp(s if s > 0 else LEAKY_SLOPE * s) for s in scores]
+            for e, j in zip(exps, nb):
+                want[i, j] = e / sum(exps)
+        np.testing.assert_allclose(alpha, want, rtol=1e-12, atol=0.0)  # exactly 0.0 off the adjacency
+        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.features.data, want @ wh, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "second,want",
+        [(math.log(3.0), [0.25, 0.75]), (-math.log(3.0) / LEAKY_SLOPE, [0.75, 0.25])],
+        ids=["positive", "negative"],
+    )
+    def test_analytic_weights_of_two_nodes(self, second, want):
+        # dim 1, W = 1 and attn = [0, 1]: both rows score the two nodes 0 and
+        # ``second``; a negative score is scaled by the leaky slope first
+        params = GAEParams(Parameter(np.array([[1.0]]), "w"), Parameter(np.array([[0.0, 1.0]]), "a"))
+        nodes = [GraphNode(INDIRECT, "scene", i) for i in range(2)]
+        g = EmotionGraph(GraphStage.INDIRECT, nodes, [(0, 1, INDIRECT)], Tensor(np.array([[0.0], [second]])))
+        out, (alpha,) = gae_encode(g, params, with_attention=True)
+        np.testing.assert_allclose(alpha, [want, want], atol=1e-15)
+        np.testing.assert_allclose(out.features.data, [[want[1] * second]] * 2, rtol=1e-15)
+
+    def test_stage_gradient_reaches_one_hop(self, rng, gae):
+        g = self.path_graph(rng)
+        out = gae_encode(g, gae).features
+        target = out.data.copy()
+        target[0] += 1.0  # only node 0 is off its target
+        mse(out, target).backward()
+        # on the path 0-1-2-3-4, node 0 reads nodes 0 and 1 only
+        assert np.all(g.features.grad[2:] == 0.0)
+        assert np.all(g.features.grad[:2].any(axis=1))
+
+    def test_attention_hook_returns_the_weights_the_output_used(self, rng, gae):
+        g = self.path_graph(rng)
+        out, (alpha,) = gae_encode(g, gae, with_attention=True)
+        assert out.features.data.tobytes() == gae_encode(g, gae).features.data.tobytes()
+        wh = g.features.data @ gae.weight.data
+        np.testing.assert_allclose(out.features.data, alpha @ wh, rtol=1e-12, atol=1e-14)
+
     def test_large_scores_give_finite_weights_on_the_adjacency(self, rng, gae):
         g = self.path_graph(rng)
         big = GAEParams(gae.weight, Parameter(gae.attn.data * 1e4, "attn"))
@@ -301,10 +373,12 @@ class TestProgressiveEncode:
         assert enc.h_indirect.shape == (12, D_H)
         assert enc.h_direct.shape == (21, D_H)
 
-    def test_one_op_per_stage(self, rng, proj, gae):
-        # per stage: the projections (one per channel block), their row concat and the stage
-        *_, direct_enc, _ = encode_stages(rng, proj, gae, k=3)
-        assert tape_ops(direct_enc.features) == 15
+    @pytest.mark.parametrize("k,ops", [(0, 7), (1, 15), (3, 15)])
+    def test_one_op_per_stage(self, rng, proj, gae, k, ops):
+        # per stage: the projections (one per channel block), their row concat
+        # and the stage; with no hits a later stage is the stage op alone
+        *_, direct_enc, _ = encode_stages(rng, proj, gae, k)
+        assert tape_ops(direct_enc.features) == ops
 
     def test_k0_still_runs(self, rng, proj, gae):
         scene, face = rng.normal(size=D_VEC), rng.normal(size=D_VEC)
