@@ -182,8 +182,10 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), backward)
 
@@ -334,7 +336,8 @@ def cross_attention(
     then ``(Q' @ kt) * (1 / sqrt(d))``), and the backward adds each gradient
     in the chain's order: ``wo``, then ``query`` and ``wq``, then ``memory``
     from the key path before the value path, each product taken on operands
-    of the chain's memory layout.
+    of the chain's memory layout. A product whose operand needs no gradient
+    is not computed.
     """
     query, memory = as_tensor(query), as_tensor(memory)
     dim = params.dim
@@ -351,18 +354,25 @@ def cross_attention(
 
     def backward(g):
         g_av = g @ wo.data.T
-        _accum(wo, av.T @ g)
+        if wo.requires_grad:
+            _accum(wo, av.T @ g)
         g_attn = g_av @ v.T
         g_scores = attn * (g_attn - (g_attn * attn).sum(axis=1, keepdims=True)) * factor
         g_q = g_scores @ kt.T
-        _accum(query, g_q @ wq.data.T)
-        _accum(wq, query.data.T @ g_q)
+        if query.requires_grad:
+            _accum(query, g_q @ wq.data.T)
+        if wq.requires_grad:
+            _accum(wq, query.data.T @ g_q)
         g_k = (q.T @ g_scores).T.copy()  # in the chain's layout, for BLAS
-        _accum(memory, g_k @ wk.data.T)
-        _accum(wk, memory.data.T @ g_k)
+        if memory.requires_grad:
+            _accum(memory, g_k @ wk.data.T)
+        if wk.requires_grad:
+            _accum(wk, memory.data.T @ g_k)
         g_v = attn.T @ g_av
-        _accum(memory, g_v @ wv.data.T)
-        _accum(wv, memory.data.T @ g_v)
+        if memory.requires_grad:
+            _accum(memory, g_v @ wv.data.T)
+        if wv.requires_grad:
+            _accum(wv, memory.data.T @ g_v)
 
     out = _make(av @ wo.data, (query, memory, wq, wk, wv, wo), backward)
     return (out, [attn]) if with_weights else out
@@ -411,15 +421,19 @@ class AdamState:
     (Kingma and Ba, ICLR 2015, with lr=0.00625, beta1=0.9, beta2=0.98,
     eps=1e-9).
 
-    ``step`` applies ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` to every
-    parameter and then zeroes its gradient buffer. It walks each parameter's
-    flattened data, gradient and moments in slices of :attr:`CHUNK`
-    elements and, on each slice, rounds once per operation in the formula's
-    order: ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*(g*g)``,
-    ``p -= (lr * (m/bc1)) / (sqrt(v/bc2) + eps)``, then ``g = 0``. Every
-    result is written in place or into two scratch slices allocated once, so
-    a step allocates no parameter-sized temporary. ``m`` and ``v`` are flat
-    arrays in parameter order; each parameter's moments are views into them.
+    ``step`` applies the paper's efficient form (Section 2) of
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, equal in exact arithmetic:
+    ``p -= alpha_t * m / (sqrt(v) + eps_hat)``, with the Python floats
+    ``alpha_t = lr * sqrt(1-beta2**t) / (1-beta1**t)`` and
+    ``eps_hat = eps * sqrt(1-beta2**t)``. It walks each parameter's
+    flattened data, gradient and moments in slices of :attr:`CHUNK` elements
+    and, on each slice, rounds once per operation in this order:
+    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*(g*g)``,
+    ``p -= (m / (sqrt(v) + eps_hat)) * alpha_t``, then ``g = 0``: 13 passes,
+    one of them a division. Every result is written in place or into two
+    scratch slices allocated once, so a step allocates no parameter-sized
+    temporary. ``m`` and ``v`` are flat arrays in parameter order; each
+    parameter's moments are views into them.
 
     The moments live in a private anonymous memory mapping of their own (a
     POSIX ``mmap``), not on the malloc heap. Its pages stay untouched zero
@@ -455,9 +469,10 @@ class AdamState:
 
     def step(self) -> None:
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
-        lr, beta1, beta2, eps = self.lr, self.beta1, self.beta2, self.eps
+        root_bc2 = math.sqrt(1.0 - self.beta2**self.step_count)
+        alpha = self.lr * root_bc2 / (1.0 - self.beta1**self.step_count)
+        eps_hat = self.eps * root_bc2
+        beta1, beta2 = self.beta1, self.beta2
         c1, c2 = 1.0 - beta1, 1.0 - beta2
         for p, (m_flat, v_flat) in zip(self.params, self._moments):
             data, grad = p.data.reshape(-1), p.grad.reshape(-1)  # views: both are C-contiguous
@@ -472,12 +487,10 @@ class AdamState:
                 np.multiply(g, g, out=t1)
                 t1 *= c2
                 v += t1
-                np.divide(m, bc1, out=t1)
-                t1 *= lr
-                np.divide(v, bc2, out=t2)
-                np.sqrt(t2, out=t2)
-                t2 += eps
-                t1 /= t2
+                np.sqrt(v, out=t2)
+                t2 += eps_hat
+                np.divide(m, t2, out=t1)
+                t1 *= alpha
                 x -= t1
                 g[...] = 0.0
 

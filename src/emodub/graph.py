@@ -214,6 +214,7 @@ def gae_encode(
     The forward rounds as the chain of single ops did, and the backward adds
     each gradient in the chain's order: ``g_wh = (alpha^T g + g_src a_src^T)
     + g_dst a_dst^T``, then the features' and ``W``'s products of ``g_wh``.
+    A product whose operand needs no gradient is not computed.
     """
     if graph.node_count == 0:
         raise ArgumentError("cannot encode an empty graph")
@@ -235,9 +236,12 @@ def gae_encode(
         g_src = g_scores.sum(axis=1, keepdims=True)
         g_dst = g_scores.sum(axis=0, keepdims=True).T.copy()  # in the chain's layout, for BLAS
         g_wh = alpha.T @ g + g_src @ a_src.T + g_dst @ a_dst.T
-        _accum(attn, np.concatenate([wh.T @ g_src, wh.T @ g_dst]).reshape(1, -1))
-        _accum(x, g_wh @ w.data.T)
-        _accum(w, x.data.T @ g_wh)
+        if attn.requires_grad:
+            _accum(attn, np.concatenate([wh.T @ g_src, wh.T @ g_dst]).reshape(1, -1))
+        if x.requires_grad:
+            _accum(x, g_wh @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g_wh)
 
     out = EmotionGraph(
         stage=graph.stage,

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from emodub import autodiff, graph
 from emodub.autodiff import (
     AdamState,
     Conv1dParams,
@@ -186,6 +187,42 @@ class TestOpOutputs:
         assert not out.requires_grad and out._parents == () and out._backward is None
         out = OPS[op_name](*op_operands("C", trainable=True))
         assert out.requires_grad and out._parents and out._backward is not None
+
+
+#: the ops that backpropagate through products, each with one operand, or
+#: one set of parameters, that needs no gradient; ``a`` and ``b`` are 4x3
+GUARDED = {
+    "matmul-constant-left": lambda a, b: matmul(Tensor(a), param(b.T, "b")),
+    "matmul-constant-right": lambda a, b: matmul(param(a, "a"), Tensor(b.T)),
+    "cross_attention-constant-query": lambda a, b: cross_attention(
+        Tensor(a), param(b, "b"), CrossAttentionParams.init("ca", 3, SplitMix64(13))),
+    "cross_attention-constant-memory": lambda a, b: cross_attention(
+        param(a, "a"), Tensor(b), CrossAttentionParams.init("ca", 3, SplitMix64(13))),
+    "cross_attention-constant-weights": lambda a, b: cross_attention(
+        param(a, "a"), param(b, "b"), frozen(CrossAttentionParams.init("ca", 3, SplitMix64(13)))),
+    "gae_encode-constant-features": lambda a, b: gae_encode(
+        path_stage(Tensor(a)), GAEParams.init(3, SplitMix64(14))).features,
+    "gae_encode-constant-weights": lambda a, b: gae_encode(
+        path_stage(param(a, "a")), frozen(GAEParams.init(3, SplitMix64(14)))).features,
+}
+
+
+class TestBackwardGuard:
+    @pytest.mark.parametrize("case", sorted(GUARDED))
+    def test_no_product_reaches_an_operand_that_needs_no_gradient(self, monkeypatch, case):
+        reached = []
+
+        def recording(t, g):
+            reached.append(t)
+            _accum(t, g)
+
+        monkeypatch.setattr(autodiff, "_accum", recording)
+        monkeypatch.setattr(graph, "_accum", recording)
+        a, b = (t.data for t in op_operands("C"))
+        out = GUARDED[case](a, b)
+        mse(out, np.zeros(out.shape)).backward()
+        assert len(reached) > 1  # mse's own gradient, then the op's
+        assert all(t.requires_grad for t in reached)
 
 
 class TestMse:
@@ -576,8 +613,13 @@ class TestAdam:
         adam = AdamState([param(np.zeros((1, 1)), "p")])
         assert (adam.lr, adam.beta1, adam.beta2, adam.eps) == (0.00625, 0.9, 0.98, 1e-9)
 
-    def test_sliced_pass_has_the_bits_of_the_formula(self, rng):
-        beta1, beta2, lr, eps = 0.9, 0.98, 0.00625, 1e-9
+    @staticmethod
+    def six_steps(rng, update):
+        """Six steps on parameters of 1, ``CHUNK + 1`` and 200 x 200 entries
+        and an F-ordered one, with gradients spanning 8 decades and zeros.
+        Yields ``(t, i, parameter, want)`` after each step, where ``want`` is
+        the numpy reference's value: ``update(x, m, v, t)`` from the moments."""
+        beta1, beta2 = 0.9, 0.98
         datas = [rng.normal(size=(1, 1)), rng.normal(size=(1, AdamState.CHUNK + 1)), rng.normal(size=(200, 200)),
                  np.asfortranarray(rng.normal(size=(90, 70)))]
         params = [param(d, f"p{i}") for i, d in enumerate(datas)]
@@ -594,9 +636,31 @@ class TestAdam:
             for i, g in enumerate(grads):
                 m[i] = beta1 * m[i] + (1.0 - beta1) * g
                 v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
-                want[i] = want[i] - lr * (m[i] / (1.0 - beta1**t)) / (np.sqrt(v[i] / (1.0 - beta2**t)) + eps)
-                assert params[i].data.tobytes() == want[i].tobytes(), (t, i)
-                assert not params[i].grad.any()
+                want[i] = update(want[i], m[i], v[i], t)
+                yield t, i, params[i], want[i]
+
+    def test_sliced_pass_has_the_bits_of_the_formula(self, rng):
+        # the efficient form: alpha_t and eps_hat as Python floats, then divide, then scale
+        beta1, beta2, lr, eps = 0.9, 0.98, 0.00625, 1e-9
+
+        def efficient(x, m, v, t):
+            root_bc2 = math.sqrt(1.0 - beta2**t)
+            alpha, eps_hat = lr * root_bc2 / (1.0 - beta1**t), eps * root_bc2
+            return x - (m / (np.sqrt(v) + eps_hat)) * alpha
+
+        for t, i, p, want in self.six_steps(rng, efficient):
+            assert p.data.tobytes() == want.tobytes(), (t, i)
+            assert not p.grad.any()
+
+    def test_efficient_form_is_the_textbook_formula_within_1e_12_of_lr(self, rng):
+        # Kingma and Ba's Algorithm 1, on the bias-corrected moments m_hat and v_hat
+        beta1, beta2, lr, eps = 0.9, 0.98, 0.00625, 1e-9
+
+        def textbook(x, m, v, t):
+            return x - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+
+        for t, i, p, want in self.six_steps(rng, textbook):
+            assert np.abs(p.data - want).max() <= 1e-12 * lr, (t, i)
 
     def test_step_allocates_no_parameter_sized_temporary(self):
         p = param(np.ones((1000, 1000)), "p")

@@ -5,13 +5,14 @@ order, so their bytes do not depend on the platform, numpy version or BLAS.
 The draw digests were recorded from the scalar per-entry draw; any change
 to how parameters, stub sequences, mel targets or synthetic vectors are
 drawn must reproduce them bit for bit. The Adam digest pins the bits of a
-five-step update, and the library digest the ``.mrfl`` bytes of a seeded
-clustered library (Gaussian noise, labels, speakers and movie ids); its
-Box-Muller noise also goes through the C library's ``log``, ``sin`` and
-``cos``. The ``retrieve`` digest pins the 17-digit scores of the
-fixed-order similarity (see ``emodub.retrieval``); the sweep digest
-pins the CSVs of the three sweeps on a library large enough that
-``evaluate_purity`` scans it in more than one row block.
+five-step update in Kingma and Ba's efficient form (see
+``emodub.autodiff.AdamState``), and the library digest the ``.mrfl``
+bytes of a seeded clustered library (Gaussian noise, labels, speakers and
+movie ids); its Box-Muller noise also goes through the C library's
+``log``, ``sin`` and ``cos``. The ``retrieve`` digest pins the 17-digit
+scores of the fixed-order similarity (see ``emodub.retrieval``); the
+sweep digest pins the CSVs of the three sweeps on a library large enough
+that ``evaluate_purity`` scans it in more than one row block.
 
 The ``encode`` and ``train-toy`` digests are the exception: their
 features, losses and checkpoints go through BLAS matrix products, whose
@@ -166,7 +167,7 @@ MEL_TARGET_5 = "5df7973d716fbe7dcfdd35c5a7ce139412be760d249f727839531856684df0e4
 SYNTHETIC_EXTRACT = "38b44d823fa55f8f3bebd225281d3d953313ac3b23637db8ba93a6c4c640fb99"
 RETRIEVE_CSV = "6e8215cf5bafd755241c92e2078e1b5048781675118b700676c22f7011aed1e1"
 SWEEP_CSV = "9a838066c8be003455ae89f11c941c11e1b7fe5c5f68e063ce24094420b0221e"
-ADAM_5_STEPS = "64936ee5c2aa54e73575a632352564440f3cb409f83cc7d5014f694bafa1a37b"
+ADAM_5_STEPS = "92c7eadd91943698715f66b897eeb35349e4e4fc5b0a03277b96e4bbdc3e5bf2"
 CLUSTERED_64 = "e5d8797efb202923282b31b1d7d027b271c515378638f3199f286a31db19801a"
 #: one digest per OpenBLAS x86-64 kernel family (see the module docstring)
 ENCODE_JSON = frozenset({
@@ -180,22 +181,22 @@ ENCODE_JSON = frozenset({
 TRAIN_TOY = frozenset({
     (  # SkylakeX, Cooperlake, SapphireRapids
         "9168a816aac833bc65fdef36afdb056d5c144543d89d32a5e3c0a356ef362fdc",
-        "84676e499490a33348c6ed79b7d820e9ac22bf8fac2d446e3b0e35be14cc89c2",
+        "ee5f7b7bb5a3d47dbc3263fe41b5667c99b0dbb92da2e817aa5f32515053736b",
     ),
     (  # Haswell, Zen
         "9168a816aac833bc65fdef36afdb056d5c144543d89d32a5e3c0a356ef362fdc",
-        "187bda4d66b2d76875da2ac33b166b631437a4ee12ded544081233c5ebd78684",
+        "c2fda608d0c103af83f2f2a693224705142cb91c36dda7732427e6aba843517e",
     ),
     (  # Sandybridge, Bulldozer, Excavator
         "4f82e37f59b58b9550e649133333b1b6a2287437d9d0117e3dfdcb810074ff69",
-        "0a725d871b062d2bb2ccc1c6c801ab8f59d42c5f9257f50dcca43f7b6e48740e",
+        "c6a84fc778d01133e36d0ed884612e2714cb66e6c736b8cb15168cc9b9d3ae11",
     ),
     (  # Nehalem, Atom, Barcelona
         "4f82e37f59b58b9550e649133333b1b6a2287437d9d0117e3dfdcb810074ff69",
-        "48d7c8c1e81c89a776e95d9d0affd7ceee165bf0352e3920506ab3877db92137",
+        "df7a281e4f9a485293bd3af4bf6ace6fb44ab83bd29c9406aa3a0ef9c9d4e1db",
     ),
     (  # Core2, Penryn, Prescott, Opteron
         "9168a816aac833bc65fdef36afdb056d5c144543d89d32a5e3c0a356ef362fdc",
-        "a75a75414e2605a8088a4da0bb53a5d4161bd9f96f99869e320fcfbcdfbefe0b",
+        "bec8c75cbcc2fa69f2d9eb5d88e751e620e942f71ad16170ecc425a40a23ab86",
     ),
 })
