@@ -104,18 +104,36 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable matrix; ``grad`` is allocated up front and accumulated into."""
+    """Named trainable matrix with a persistent gradient buffer.
 
-    __slots__ = ("name",)
+    ``zero_grad()`` and each ``AdamState.step`` mark the gradient logically
+    zero without writing the buffer; reading ``grad`` while the mark is set
+    zeroes the buffer first. While it is set, a backward writes a weight's
+    first gradient product straight into the buffer (:func:`_accum_product`);
+    every other gradient is added to it.
+    """
+
+    __slots__ = ("name", "_grad", "_zero")
 
     def __init__(self, data, name: str):
         # C-contiguous, so that Adam's flat slices of data and grad are views
         super().__init__(np.ascontiguousarray(data, dtype=np.float64), requires_grad=True)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        self._grad, self._zero = np.empty_like(self.data), True
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._zero:
+            self._grad[...] = 0.0
+            self._zero = False
+        return self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad, self._zero = value, False
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        self._zero = True
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -143,6 +161,20 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
+
+
+def _accum_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
+    """Add ``a @ b`` to ``t``'s gradient, as ``_accum(t, a @ b)`` would.
+
+    Into a parameter's logically zero gradient the product is written in
+    place, with no temporary and no add pass. BLAS sums start from +0.0, so
+    the write has the bits of ``0.0 + a @ b``, sign of zero included.
+    """
+    if isinstance(t, Parameter) and t._zero:
+        np.matmul(a, b, out=t._grad)
+        t._zero = False
+    else:
+        _accum(t, a @ b)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -185,7 +217,7 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             _accum(a, g @ b.data.T)
         if b.requires_grad:
-            _accum(b, a.data.T @ g)
+            _accum_product(b, a.data.T, g)
 
     return _make(a.data @ b.data, (a, b), backward)
 
@@ -355,24 +387,24 @@ def cross_attention(
     def backward(g):
         g_av = g @ wo.data.T
         if wo.requires_grad:
-            _accum(wo, av.T @ g)
+            _accum_product(wo, av.T, g)
         g_attn = g_av @ v.T
         g_scores = attn * (g_attn - (g_attn * attn).sum(axis=1, keepdims=True)) * factor
         g_q = g_scores @ kt.T
         if query.requires_grad:
             _accum(query, g_q @ wq.data.T)
         if wq.requires_grad:
-            _accum(wq, query.data.T @ g_q)
+            _accum_product(wq, query.data.T, g_q)
         g_k = (q.T @ g_scores).T.copy()  # in the chain's layout, for BLAS
         if memory.requires_grad:
             _accum(memory, g_k @ wk.data.T)
         if wk.requires_grad:
-            _accum(wk, memory.data.T @ g_k)
+            _accum_product(wk, memory.data.T, g_k)
         g_v = attn.T @ g_av
         if memory.requires_grad:
             _accum(memory, g_v @ wv.data.T)
         if wv.requires_grad:
-            _accum(wv, memory.data.T @ g_v)
+            _accum_product(wv, memory.data.T, g_v)
 
     out = _make(av @ wo.data, (query, memory, wq, wk, wv, wo), backward)
     return (out, [attn]) if with_weights else out
@@ -429,11 +461,13 @@ class AdamState:
     flattened data, gradient and moments in slices of :attr:`CHUNK` elements
     and, on each slice, rounds once per operation in this order:
     ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*(g*g)``,
-    ``p -= (m / (sqrt(v) + eps_hat)) * alpha_t``, then ``g = 0``: 13 passes,
-    one of them a division. Every result is written in place or into two
-    scratch slices allocated once, so a step allocates no parameter-sized
-    temporary. ``m`` and ``v`` are flat arrays in parameter order; each
-    parameter's moments are views into them.
+    ``p -= (m / (sqrt(v) + eps_hat)) * alpha_t``: 12 passes, one of them a
+    division. Every result is written in place or into two scratch slices
+    allocated once, so a step allocates no parameter-sized temporary. ``m``
+    and ``v`` are flat arrays in parameter order; each parameter's moments
+    are views into them. The step then marks each gradient logically zero
+    (:meth:`Parameter.zero_grad`) instead of writing zeros; a parameter that
+    no backward reached since is updated with a zero gradient.
 
     The moments live in a private anonymous memory mapping of their own (a
     POSIX ``mmap``), not on the malloc heap. Its pages stay untouched zero
@@ -492,7 +526,7 @@ class AdamState:
                 np.divide(m, t2, out=t1)
                 t1 *= alpha
                 x -= t1
-                g[...] = 0.0
+            p.zero_grad()
 
 
 def grad_check(

@@ -45,6 +45,7 @@ from .autodiff import (
     Params,
     Tensor,
     _accum,
+    _accum_product,
     _make,
     _softmax_rows,
     concat_rows,
@@ -241,7 +242,7 @@ def gae_encode(
         if x.requires_grad:
             _accum(x, g_wh @ w.data.T)
         if w.requires_grad:
-            _accum(w, x.data.T @ g_wh)
+            _accum_product(w, x.data.T, g_wh)
 
     out = EmotionGraph(
         stage=graph.stage,

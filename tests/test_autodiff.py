@@ -18,6 +18,7 @@ from emodub.autodiff import (
     Parameter,
     Tensor,
     _accum,
+    _accum_product,
     _make,
     add,
     concat_cols,
@@ -194,6 +195,7 @@ class TestOpOutputs:
 GUARDED = {
     "matmul-constant-left": lambda a, b: matmul(Tensor(a), param(b.T, "b")),
     "matmul-constant-right": lambda a, b: matmul(param(a, "a"), Tensor(b.T)),
+    "matmul-constant-parameter-right": lambda a, b: matmul(param(a, "a"), constant_param(b.T, "b")),
     "cross_attention-constant-query": lambda a, b: cross_attention(
         Tensor(a), param(b, "b"), CrossAttentionParams.init("ca", 3, SplitMix64(13))),
     "cross_attention-constant-memory": lambda a, b: cross_attention(
@@ -207,17 +209,31 @@ GUARDED = {
 }
 
 
+def constant_param(data, name):
+    """A parameter that needs no gradient: the one kind of constant that
+    the in-place write of a product could reach."""
+    p = param(data, name)
+    p.requires_grad = False
+    return p
+
+
 class TestBackwardGuard:
     @pytest.mark.parametrize("case", sorted(GUARDED))
     def test_no_product_reaches_an_operand_that_needs_no_gradient(self, monkeypatch, case):
+        # records both ways a gradient arrives: added, or a product written in place
         reached = []
 
         def recording(t, g):
             reached.append(t)
             _accum(t, g)
 
-        monkeypatch.setattr(autodiff, "_accum", recording)
-        monkeypatch.setattr(graph, "_accum", recording)
+        def recording_product(t, a, b):
+            reached.append(t)
+            _accum_product(t, a, b)
+
+        for module in (autodiff, graph):
+            monkeypatch.setattr(module, "_accum", recording)
+            monkeypatch.setattr(module, "_accum_product", recording_product)
         a, b = (t.data for t in op_operands("C"))
         out = GUARDED[case](a, b)
         mse(out, np.zeros(out.shape)).backward()
@@ -548,6 +564,48 @@ class TestGradCheck:
         assert err > 0.05
 
 
+def every_product_site(x, gae, ca, w):
+    """A loss whose weights get their gradients through every product that
+    is written in place: two GAE stages share ``W``, a cross-attention
+    block, and two matmuls share ``w``."""
+    h = gae_encode(path_stage(x), gae).features
+    h = gae_encode(path_stage(h), gae).features
+    return add(matmul(cross_attention(h, x, ca), w), matmul(x, w))
+
+
+class TestFirstGradientWrite:
+    def test_zero_grad_then_backward_has_the_bits_of_zero_plus_the_sum(self, monkeypatch, rng):
+        x = Tensor(rng.normal(size=(4, 3)))
+        x.data[1] = 0.0  # its products are signed zeros
+        gae, ca = GAEParams.init(3, SplitMix64(14)), CrossAttentionParams.init("ca", 3, SplitMix64(13))
+        w = param(rng.normal(size=(3, 3)), "w")
+        params = [*gae.parameters(), *ca.parameters(), w]
+        target = rng.normal(size=(4, 3))
+
+        def gradients():
+            for p in params:
+                p.grad[...] = np.nan  # stale values that the write must not read
+                p.zero_grad()
+            mse(every_product_site(x, gae, ca, w), target).backward()
+            return [p.grad.tobytes() for p in params]
+
+        written = gradients()
+        for module in (autodiff, graph):  # every product added to a zeroed buffer instead
+            monkeypatch.setattr(module, "_accum_product", lambda t, a, b: _accum(t, a @ b))
+        assert gradients() == written
+
+    # shapes that take numpy's dot, gemv, non-BLAS and gemm paths
+    @pytest.mark.parametrize("rows, cols, out_cols", [(1, 1, 1), (3, 1, 1), (3, 1, 4), (3, 4, 1), (1, 4, 5), (40, 33, 20)])
+    def test_a_product_of_negative_zeros_is_written_as_positive_zero(self, rows, cols, out_cols):
+        # each term of x^T @ g is 0 * (negative) = -0.0; 0.0 + their sum is +0.0
+        w = param(np.ones((cols, out_cols)), "w")
+        w.grad[...] = -1.0
+        w.zero_grad()
+        out = matmul(Tensor(np.zeros((rows, cols))), w)
+        mse(out, np.ones(out.shape)).backward()
+        assert not w.grad.any() and not np.signbit(w.grad).any()
+
+
 class TestDeterminism:
     def test_same_inputs_same_bits(self, rng):
         x = rng.normal(size=(4, 4))
@@ -691,6 +749,24 @@ class TestAdam:
         p.grad[...] = 0.5
         adam.step()
         assert adam.m.all() and adam.v.all()
+
+    def test_gradient_reads_positive_zero_after_a_step(self, rng):
+        p = param(rng.normal(size=(3, 4)), "p")
+        p.grad[...] = -rng.random(size=(3, 4)) - 0.5
+        AdamState([p]).step()
+        assert not p.grad.any() and not np.signbit(p.grad).any()
+
+    def test_a_parameter_no_backward_reaches_steps_with_a_zero_gradient(self, rng):
+        data, g1, g3 = rng.normal(size=(3, 3, 4))
+        lazy, written = param(data, "p"), param(data, "p")
+        adams = AdamState([lazy]), AdamState([written])
+        for t, g in enumerate([g1, None, g3]):
+            if g is not None:  # else the lazy buffer still holds g1, marked zero
+                lazy.grad[...] = g
+            written.grad[...] = 0.0 if g is None else g
+            for adam in adams:
+                adam.step()
+            assert lazy.data.tobytes() == written.data.tobytes(), t
 
     def test_no_parameters(self):
         adam = AdamState([])

@@ -426,9 +426,11 @@ class TestGradCheckCommand:
 
     def test_default_seed_sees_a_wrong_basic_attention_gradient(self, runner, monkeypatch):
         # seeds 0 and 1 leave head.ca_basic.wq under the 1e-8 floor, so only seed 2 sees this
-        accum = autodiff._accum
+        # its gradient is one product, written into the logically zero buffer
+        product = autodiff._accum_product
         monkeypatch.setattr(
-            autodiff, "_accum", lambda t, g: accum(t, 3.0 * g if getattr(t, "name", None) == "head.ca_basic.wq" else g)
+            autodiff, "_accum_product",
+            lambda t, a, b: product(t, 3.0 * a if getattr(t, "name", None) == "head.ca_basic.wq" else a, b),
         )
         result = runner.invoke(main, ["grad-check"])
         assert result.exit_code == 4
