@@ -104,14 +104,10 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable matrix with a persistent gradient buffer.
-
-    ``zero_grad()`` and each ``AdamState.step`` mark the gradient logically
-    zero without writing the buffer; reading ``grad`` while the mark is set
-    zeroes the buffer first. While it is set, a backward writes a weight's
-    first gradient product straight into the buffer (:func:`_accum_product`);
-    every other gradient is added to it.
-    """
+    """Named trainable matrix with a gradient buffer that is zeroed lazily:
+    ``zero_grad()`` and ``AdamState.step`` only mark it logically zero, and
+    reading ``grad`` while it is marked zeroes it first. While it is marked,
+    a weight's first gradient product is written into it (:func:`_accum_product`)."""
 
     __slots__ = ("name", "_grad", "_zero")
 
@@ -164,12 +160,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _accum_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
-    """Add ``a @ b`` to ``t``'s gradient, as ``_accum(t, a @ b)`` would.
-
-    Into a parameter's logically zero gradient the product is written in
-    place, with no temporary and no add pass. BLAS sums start from +0.0, so
-    the write has the bits of ``0.0 + a @ b``, sign of zero included.
-    """
+    """Add ``a @ b`` to ``t``'s gradient. Into a parameter's logically zero
+    gradient it is written in place, with no temporary and no add pass: BLAS
+    sums start from +0.0, so that has the bits of ``0.0 + a @ b``, sign of
+    zero included."""
     if isinstance(t, Parameter) and t._zero:
         np.matmul(a, b, out=t._grad)
         t._zero = False
@@ -455,19 +449,20 @@ class AdamState:
 
     ``step`` applies the paper's efficient form (Section 2) of
     ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, equal in exact arithmetic:
-    ``p -= alpha_t * m / (sqrt(v) + eps_hat)``, with the Python floats
+    ``p -= alpha_t * m / (sqrt(v) + eps_hat)``, with
     ``alpha_t = lr * sqrt(1-beta2**t) / (1-beta1**t)`` and
-    ``eps_hat = eps * sqrt(1-beta2**t)``. It walks each parameter's
-    flattened data, gradient and moments in slices of :attr:`CHUNK` elements
-    and, on each slice, rounds once per operation in this order:
-    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*(g*g)``,
-    ``p -= (m / (sqrt(v) + eps_hat)) * alpha_t``: 12 passes, one of them a
-    division. Every result is written in place or into two scratch slices
-    allocated once, so a step allocates no parameter-sized temporary. ``m``
-    and ``v`` are flat arrays in parameter order; each parameter's moments
-    are views into them. The step then marks each gradient logically zero
-    (:meth:`Parameter.zero_grad`) instead of writing zeros; a parameter that
-    no backward reached since is updated with a zero gradient.
+    ``eps_hat = eps * sqrt(1-beta2**t)``. The moments ``m`` and ``v`` are
+    kept divided by ``1-beta1`` and ``1-beta2``, and the Python floats
+    ``alpha' = alpha_t * (1-beta1) / sqrt(1-beta2)`` and
+    ``eps' = eps_hat / sqrt(1-beta2)`` make up for it. A step walks each
+    parameter's flattened data, gradient and moments in slices of
+    :attr:`CHUNK` elements and, on each slice, rounds once per operation in
+    this order: ``m = beta1*m + g``, ``v = beta2*v + g*g``,
+    ``p -= (m / (sqrt(v) + eps')) * alpha'``: 10 passes, one a division,
+    each written in place or into two scratch slices allocated once, so a
+    step allocates no parameter-sized temporary. ``m`` and ``v`` are flat
+    arrays in parameter order; each parameter's moments are views into
+    them. The step leaves each gradient marked logically zero.
 
     The moments live in a private anonymous memory mapping of their own (a
     POSIX ``mmap``), not on the malloc heap. Its pages stay untouched zero
@@ -503,11 +498,10 @@ class AdamState:
 
     def step(self) -> None:
         self.step_count += 1
-        root_bc2 = math.sqrt(1.0 - self.beta2**self.step_count)
-        alpha = self.lr * root_bc2 / (1.0 - self.beta1**self.step_count)
-        eps_hat = self.eps * root_bc2
-        beta1, beta2 = self.beta1, self.beta2
-        c1, c2 = 1.0 - beta1, 1.0 - beta2
+        t, beta1, beta2 = self.step_count, self.beta1, self.beta2
+        root_bc2, root_c2 = math.sqrt(1.0 - beta2**t), math.sqrt(1.0 - beta2)
+        alpha = self.lr * root_bc2 / (1.0 - beta1**t) * (1.0 - beta1) / root_c2
+        eps = self.eps * root_bc2 / root_c2
         for p, (m_flat, v_flat) in zip(self.params, self._moments):
             data, grad = p.data.reshape(-1), p.grad.reshape(-1)  # views: both are C-contiguous
             for start in range(0, data.size, self.CHUNK):
@@ -515,14 +509,12 @@ class AdamState:
                 g, m, v, x = grad[start:end], m_flat[start:end], v_flat[start:end], data[start:end]
                 t1, t2 = self._t1[: g.size], self._t2[: g.size]
                 m *= beta1
-                np.multiply(g, c1, out=t1)
-                m += t1
+                m += g
                 v *= beta2
                 np.multiply(g, g, out=t1)
-                t1 *= c2
                 v += t1
                 np.sqrt(v, out=t2)
-                t2 += eps_hat
+                t2 += eps
                 np.divide(m, t2, out=t1)
                 t1 *= alpha
                 x -= t1

@@ -672,11 +672,12 @@ class TestAdam:
         assert (adam.lr, adam.beta1, adam.beta2, adam.eps) == (0.00625, 0.9, 0.98, 1e-9)
 
     @staticmethod
-    def six_steps(rng, update):
+    def six_steps(rng, update, scaled):
         """Six steps on parameters of 1, ``CHUNK + 1`` and 200 x 200 entries
         and an F-ordered one, with gradients spanning 8 decades and zeros.
         Yields ``(t, i, parameter, want)`` after each step, where ``want`` is
-        the numpy reference's value: ``update(x, m, v, t)`` from the moments."""
+        the numpy reference's value: ``update(x, m, v, t)`` from the moments,
+        which are kept divided by ``1 - beta`` when ``scaled`` is set."""
         beta1, beta2 = 0.9, 0.98
         datas = [rng.normal(size=(1, 1)), rng.normal(size=(1, AdamState.CHUNK + 1)), rng.normal(size=(200, 200)),
                  np.asfortranarray(rng.normal(size=(90, 70)))]
@@ -692,21 +693,25 @@ class TestAdam:
                 p.grad[...] = g
             adam.step()
             for i, g in enumerate(grads):
-                m[i] = beta1 * m[i] + (1.0 - beta1) * g
-                v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
+                if scaled:
+                    m[i] = beta1 * m[i] + g
+                    v[i] = beta2 * v[i] + g * g
+                else:
+                    m[i] = beta1 * m[i] + (1.0 - beta1) * g
+                    v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
                 want[i] = update(want[i], m[i], v[i], t)
                 yield t, i, params[i], want[i]
 
     def test_sliced_pass_has_the_bits_of_the_formula(self, rng):
-        # the efficient form: alpha_t and eps_hat as Python floats, then divide, then scale
+        # the efficient form on scaled moments: alpha' and eps' as Python floats, then divide, then scale
         beta1, beta2, lr, eps = 0.9, 0.98, 0.00625, 1e-9
 
         def efficient(x, m, v, t):
-            root_bc2 = math.sqrt(1.0 - beta2**t)
-            alpha, eps_hat = lr * root_bc2 / (1.0 - beta1**t), eps * root_bc2
-            return x - (m / (np.sqrt(v) + eps_hat)) * alpha
+            root_bc2, root_c2 = math.sqrt(1.0 - beta2**t), math.sqrt(1.0 - beta2)
+            alpha = lr * root_bc2 / (1.0 - beta1**t) * (1.0 - beta1) / root_c2
+            return x - (m / (np.sqrt(v) + eps * root_bc2 / root_c2)) * alpha
 
-        for t, i, p, want in self.six_steps(rng, efficient):
+        for t, i, p, want in self.six_steps(rng, efficient, scaled=True):
             assert p.data.tobytes() == want.tobytes(), (t, i)
             assert not p.grad.any()
 
@@ -717,7 +722,7 @@ class TestAdam:
         def textbook(x, m, v, t):
             return x - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
 
-        for t, i, p, want in self.six_steps(rng, textbook):
+        for t, i, p, want in self.six_steps(rng, textbook, scaled=False):
             assert np.abs(p.data - want).max() <= 1e-12 * lr, (t, i)
 
     def test_step_allocates_no_parameter_sized_temporary(self):
@@ -758,7 +763,7 @@ class TestAdam:
 
     def test_a_parameter_no_backward_reaches_steps_with_a_zero_gradient(self, rng):
         data, g1, g3 = rng.normal(size=(3, 3, 4))
-        lazy, written = param(data, "p"), param(data, "p")
+        lazy, written = param(data.copy(), "p"), param(data.copy(), "p")
         adams = AdamState([lazy]), AdamState([written])
         for t, g in enumerate([g1, None, g3]):
             if g is not None:  # else the lazy buffer still holds g1, marked zero

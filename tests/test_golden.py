@@ -5,7 +5,7 @@ order, so their bytes do not depend on the platform, numpy version or BLAS.
 The draw digests were recorded from the scalar per-entry draw; any change
 to how parameters, stub sequences, mel targets or synthetic vectors are
 drawn must reproduce them bit for bit. The Adam digest pins the bits of a
-five-step update in Kingma and Ba's efficient form (see
+five-step update in Kingma and Ba's efficient form on scaled moments (see
 ``emodub.autodiff.AdamState``), and the library digest the ``.mrfl``
 bytes of a seeded clustered library (Gaussian noise, labels, speakers and
 movie ids); its Box-Muller noise also goes through the C library's
@@ -19,7 +19,10 @@ features, losses and checkpoints go through BLAS matrix products, whose
 summation order depends on the OpenBLAS kernel the CPU selects. Each must
 be one of the digests recorded for the five x86-64 kernel families
 (``OPENBLAS_CORETYPE`` SkylakeX, Haswell, Sandybridge, Nehalem and Core2
-and their aliases), so a changed bit under any of them still fails.
+and their aliases), so a changed bit under any of them still fails. A
+3-step run's losses agree to all 17 digits across small changes to Adam's
+roundings, so a 20-step loss curve pins them too; its five digests are
+distinct.
 """
 
 import hashlib
@@ -160,6 +163,12 @@ def test_train_toy_outputs(tmp_path):
     assert digests in TRAIN_TOY
 
 
+def test_train_toy_loss_curve(tmp_path):
+    csv = tmp_path / "loss.csv"
+    CliRunner().invoke(main, ["train-toy", "--steps", "20", "--dim", "16", "--out", str(csv)], catch_exceptions=False)
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() in TRAIN_TOY_LOSSES
+
+
 NAMES_DIM64 = "04c4a5d61d481112fa32e9bd7dd45a4cddaae5b842a617ec667cd9414f81a942"
 PARAMS_DIM64 = "97db654312294d492b377e7549106e56c5e685d4355cb3ebae5fbca84f52544e"
 STUB_3_8_64 = "91ece463477f6523e5f154d6aa32c403abc4133240d9fede0202478e6f9adefb"
@@ -167,7 +176,7 @@ MEL_TARGET_5 = "5df7973d716fbe7dcfdd35c5a7ce139412be760d249f727839531856684df0e4
 SYNTHETIC_EXTRACT = "38b44d823fa55f8f3bebd225281d3d953313ac3b23637db8ba93a6c4c640fb99"
 RETRIEVE_CSV = "6e8215cf5bafd755241c92e2078e1b5048781675118b700676c22f7011aed1e1"
 SWEEP_CSV = "9a838066c8be003455ae89f11c941c11e1b7fe5c5f68e063ce24094420b0221e"
-ADAM_5_STEPS = "92c7eadd91943698715f66b897eeb35349e4e4fc5b0a03277b96e4bbdc3e5bf2"
+ADAM_5_STEPS = "2d831d754eb84b66ad59060ba8175fff22053d4b83d9a1591db147e233d04151"
 CLUSTERED_64 = "e5d8797efb202923282b31b1d7d027b271c515378638f3199f286a31db19801a"
 #: one digest per OpenBLAS x86-64 kernel family (see the module docstring)
 ENCODE_JSON = frozenset({
@@ -181,22 +190,30 @@ ENCODE_JSON = frozenset({
 TRAIN_TOY = frozenset({
     (  # SkylakeX, Cooperlake, SapphireRapids
         "9168a816aac833bc65fdef36afdb056d5c144543d89d32a5e3c0a356ef362fdc",
-        "ee5f7b7bb5a3d47dbc3263fe41b5667c99b0dbb92da2e817aa5f32515053736b",
+        "7cea956ffb0713f50ea65d18bf5f06a74e2ac7c3e2ae1b8dfa25ab26d12e794d",
     ),
     (  # Haswell, Zen
-        "9168a816aac833bc65fdef36afdb056d5c144543d89d32a5e3c0a356ef362fdc",
-        "c2fda608d0c103af83f2f2a693224705142cb91c36dda7732427e6aba843517e",
+        "4f82e37f59b58b9550e649133333b1b6a2287437d9d0117e3dfdcb810074ff69",
+        "c5081c809e0668066ea83d8e9fd519944403a2c60b9d0ee8cd91495dc0aa5b61",
     ),
     (  # Sandybridge, Bulldozer, Excavator
         "4f82e37f59b58b9550e649133333b1b6a2287437d9d0117e3dfdcb810074ff69",
-        "c6a84fc778d01133e36d0ed884612e2714cb66e6c736b8cb15168cc9b9d3ae11",
+        "a753540093ccc18af970d6de83b6dd78aa4b54fc77678dcef71260c09f553e43",
     ),
     (  # Nehalem, Atom, Barcelona
-        "4f82e37f59b58b9550e649133333b1b6a2287437d9d0117e3dfdcb810074ff69",
-        "df7a281e4f9a485293bd3af4bf6ace6fb44ab83bd29c9406aa3a0ef9c9d4e1db",
+        "9168a816aac833bc65fdef36afdb056d5c144543d89d32a5e3c0a356ef362fdc",
+        "f9c5b0b918ee7376a4bd7110ad9538e09a2bb47478db8942c4737ef9b092365a",
     ),
     (  # Core2, Penryn, Prescott, Opteron
         "9168a816aac833bc65fdef36afdb056d5c144543d89d32a5e3c0a356ef362fdc",
-        "bec8c75cbcc2fa69f2d9eb5d88e751e620e942f71ad16170ecc425a40a23ab86",
+        "18bb48d1156d48bb66ed9dd87390e8a338f96bb155d24816a913c543056078b6",
     ),
+})
+#: 20-step dim-16 loss CSV digests, one per OpenBLAS x86-64 kernel family
+TRAIN_TOY_LOSSES = frozenset({
+    "6507765ae4a855decf2ef48434da9aa9bc0a0f4daad1dcd181952b38d70eb104",  # SkylakeX, Cooperlake, SapphireRapids
+    "860697688f324108e5d9b05ba2c5d6164467ae909eeb566dc88b4f73ecb811f8",  # Haswell, Zen
+    "5418cd59e77fd4186d58666d0131f52a5dd051e1edb54c6d8f37d002dc5c917e",  # Sandybridge, Bulldozer, Excavator
+    "4b40289c6d75eca181a61646f5aa43782ab8ae0d0031855bfd58f391ec9da39b",  # Nehalem, Atom, Barcelona
+    "23554187c7ad9c4f19c0b13e205ea8f962adb056b3bd27e9da01653e610fc14d",  # Core2, Penryn, Prescott, Opteron
 })
