@@ -208,8 +208,7 @@ class FootageLibrary:
         self.speaker_codes = _frozen(np.empty(0, dtype=np.int64))
         self.speaker_names: list[str] = []
         self._code_of: dict[str, int] = {}
-        self._norms: dict[Modality, np.ndarray] = {}
-        self._zero_norms: dict[Modality, np.ndarray] = {}
+        self._norm_cache: dict[Modality, tuple[np.ndarray, np.ndarray, bool]] = {}
 
     @classmethod
     def from_columns(
@@ -271,23 +270,30 @@ class FootageLibrary:
         contiguous."""
         return self._vectors[modality]
 
-    def norms(self, modality: Modality) -> np.ndarray:
-        """Each row's L2 norm, the cosine normaliser: ``np.sqrt`` of its
-        :func:`~emodub.retrieval.squared_norms`. Read-only, computed on first
-        use and kept; readers that fill it at once compute the same bits."""
-        if modality not in self._norms:
+    def _normalisers(self, modality: Modality) -> tuple[np.ndarray, np.ndarray, bool]:
+        """``(norms, zero_norms, has_zero_norm)`` of the modality, computed on
+        first use and kept; readers that fill it at once compute the same bits."""
+        cached = self._norm_cache.get(modality)
+        if cached is None:
             from .retrieval import squared_norms  # retrieval imports this module
             norms = np.sqrt(squared_norms(self._vectors[modality]))
-            self._zero_norms[modality] = _frozen(norms == 0.0)  # sqrt(x) == 0 exactly when x == 0
-            self._norms[modality] = _frozen(norms)
-        return self._norms[modality]
+            zero = norms == 0.0  # sqrt(x) == 0 exactly when x == 0
+            cached = self._norm_cache[modality] = (_frozen(norms), _frozen(zero), bool(zero.any()))
+        return cached
+
+    def norms(self, modality: Modality) -> np.ndarray:
+        """Each row's L2 norm, the cosine normaliser: ``np.sqrt`` of its
+        :func:`~emodub.retrieval.squared_norms`. Read-only, computed once."""
+        return self._normalisers(modality)[0]
 
     def zero_norms(self, modality: Modality) -> np.ndarray:
         """Boolean mask of the rows whose :meth:`norms` entry is 0.0, on
-        which cosine similarity is undefined. Read-only, filled with the
-        norms."""
-        self.norms(modality)
-        return self._zero_norms[modality]
+        which cosine similarity is undefined. Read-only, kept with the norms."""
+        return self._normalisers(modality)[1]
+
+    def has_zero_norm(self, modality: Modality) -> bool:
+        """Whether any :meth:`zero_norms` entry is set, kept with the norms."""
+        return self._normalisers(modality)[2]
 
     @property
     def speaker_ids(self) -> list[str]:

@@ -22,16 +22,22 @@ reads one contiguous run of N floats. A built library is immutable; build
 a new one with ``FootageLibrary.from_columns``. So the scan takes each
 library row's cosine normaliser from ``FootageLibrary.norms``, computed once,
 and computes each query row's from the rows it is given.
-Each row's pool top K are ordered by (score desc, record_id asc).
-:func:`retrieve_modality` is its one-row case; ``evaluate_purity`` scans
-the library's own rows in blocks.
+Each row's pool top K are ordered by (score desc, record_id asc), ids
+compared as the unsigned 64-bit integers they are. :func:`_top_k` selects
+each row's K-th score (the row maximum at K = 1, one partition otherwise)
+and sorts only the survivors: one per-row sort when each row has exactly K
+and none tie, else a sort by (row, score desc, id asc), so a tie still goes
+to the lower record id. :func:`retrieve_modality` is the one-row case;
+``evaluate_purity`` scans the library's own rows in blocks.
 
 Errors are those of a scalar scan of each query's pool in turn, raised at
 the first (query, channel, candidate) it rejects: under cosine a zero
 squared norm, of the query's vector or the candidate's, is an
 ``ArgumentError``, and a NaN score (from sums that overflow) a
-``NumericError``, so no NaN is sorted. The scan is the one place that
-checks a query's values.
+``NumericError``, so no NaN is sorted. A record outside the pool raises
+nothing, whatever it scores. The masks that locate a fault are built only
+when a channel's block holds a NaN or, under cosine, the library a zero
+norm. The scan is the one place that checks a query's values.
 """
 
 from __future__ import annotations
@@ -161,19 +167,41 @@ def squared_norms(rows: np.ndarray) -> np.ndarray:
 
 def _top_k(scores: np.ndarray, pool: np.ndarray, ids: np.ndarray, k: int):
     """``(rows, cols, scores)`` of each row's top min(K, pool size) pool
-    columns, in (row asc, score desc, id asc) order."""
-    n = scores.shape[1]
+    columns, in (row asc, score desc, id asc) order.
+
+    ``scores`` is the block's own (Q, N) array, free of NaN in the pool; its
+    entries outside the pool are set to -inf in place. Each row's K-th score
+    is its maximum at K = 1 and comes from one partition otherwise, and the
+    pool columns scoring at least that survive. When every row has exactly
+    K survivors, one per-row sort of the Q×K block orders them if Q > 1 and
+    no two of a row tie. Any other block (a pool smaller than K, a tie at or
+    above the K-th score, or one row, where this costs less) is sorted by
+    (row, score desc, id asc), each row keeping its first K.
+    """
+    q, n = scores.shape
     k = min(k, n)
     if k == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
-    # columns outside the pool sink to -inf, below or tied with every pool score
-    scores = np.where(pool, scores, -np.inf)
-    # a row whose pool is smaller than K has -inf at column n - K, so its
-    # whole pool survives
-    kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
-    flat = np.flatnonzero((scores >= kth) & pool)
+    np.copyto(scores, -np.inf, where=~pool)
+    kth = scores.max(axis=1, keepdims=True) if k == 1 else np.partition(scores, n - k, axis=1)[:, n - k, None]
+    survivors, short = scores >= kth, bool(np.isneginf(kth).any())
+    if short:
+        # such a row's pool is smaller than K, or its pool scores -inf: each
+        # of its pool columns survives, and only those
+        survivors &= pool
+    flat = np.flatnonzero(survivors)
     rows, cols = np.divmod(flat, n)
     top_scores = scores.ravel()[flat]
+    if flat.size == q * k and not short:
+        # every row has at least K survivors, so exactly K, grouped by row
+        if k == 1:
+            return rows, cols, top_scores
+        if q > 1:  # for a single row the lexsort below costs less
+            order = np.argsort(-top_scores.reshape(q, k), axis=1)
+            order += np.arange(0, q * k, k)[:, None]
+            ordered = top_scores[order]
+            if not (ordered[:, 1:] == ordered[:, :-1]).any():
+                return rows, cols[order].ravel(), ordered.ravel()
     order = np.lexsort((ids[cols], -top_scores, rows))
     # survivors are grouped by row before and after the sort, so a sorted
     # position's rank in its row is its distance from the row's first position
@@ -214,10 +242,10 @@ def retrieve_block(
     yields no hits and no error.
     """
     _check_k(k)
-    found, rejected, zeros, zero_queries = {}, {}, {}, {}
+    found, rejected, zero_queries = {}, {}, {}
     with np.errstate(all="ignore"):
         for channel in channels:
-            scores, zero = [], np.zeros(len(lib), dtype=bool)
+            scores, zero = [], False
             for modality in _CHANNEL_MODALITIES[channel]:
                 # q[j]: entry j of every query, as a column; one query's
                 # entries as Python floats, which numpy broadcasts faster
@@ -228,28 +256,45 @@ def retrieve_block(
                     continue
                 dot = _sum(x * c for x, c in zip(q, columns))
                 if metric is Metric.COSINE:
-                    norm, query_norm = lib.norms(modality), np.sqrt(_sum(x * x for x in q))
-                    zero |= lib.zero_norms(modality)
+                    query_norm = np.sqrt(_sum(x * x for x in q))
                     zero_queries[modality] = np.reshape(query_norm == 0.0, len(pool))
-                    dot = dot / (query_norm * norm)
+                    zero = zero or lib.has_zero_norm(modality)
+                    dot /= query_norm * lib.norms(modality)
                 scores.append(dot)
-            scores = (scores[0] if len(scores) == 1 else 0.5 * (scores[0] + scores[1])).reshape(pool.shape)
-            rejected[channel], zeros[channel] = pool & (zero | np.isnan(scores)), zero
+            if len(scores) == 2:
+                scores[0] += scores[1]
+                scores[0] *= 0.5
+            scores = scores[0].reshape(pool.shape)
+            # a zero library norm need not give NaN: a nonzero row whose
+            # squares all underflow scores +-inf
+            if zero or np.isnan(scores).any():
+                channel_rejected = np.isnan(scores)
+                if zero:
+                    channel_rejected |= _zero_rows(lib, channel)
+                channel_rejected &= pool
+                if channel_rejected.any():
+                    rejected[channel] = channel_rejected
+                    continue
             found[channel] = _top_k(scores, pool, lib.ids, k)
-    faults = [*rejected.values(), *zero_queries.values()]
-    if any(f.any() for f in faults):
-        row = min(int(np.argmax(f.reshape(len(pool), -1).any(axis=1))) for f in faults if f.any())
-        for channel, channel_rejected in rejected.items():
+    faults = [f for f in (*rejected.values(), *zero_queries.values()) if f.any()]
+    if faults:
+        row = min(int(np.argmax(f.reshape(len(pool), -1).any(axis=1))) for f in faults)
+        for channel in channels:
             for modality in _CHANNEL_MODALITIES[channel]:
                 if modality in zero_queries and zero_queries[modality][row]:
                     raise ArgumentError(f"cosine similarity is undefined for a zero vector: query {modality.value}")
-            cols = np.flatnonzero(channel_rejected[row])
-            if cols.size:
+            cols = np.flatnonzero(rejected[channel][row]) if channel in rejected else ()
+            if len(cols):
                 record_id = lib.ids[cols[0]]
-                if zeros[channel][cols[0]]:
+                if metric is Metric.COSINE and _zero_rows(lib, channel)[cols[0]]:
                     raise ArgumentError(f"cosine similarity is undefined for a zero vector: record {record_id}")
                 raise NumericError(f"{channel} score of record {record_id} is NaN: a sum overflows float64")
     return found
+
+
+def _zero_rows(lib: FootageLibrary, channel: str) -> np.ndarray:
+    """The library rows with a zero norm in a modality the channel reads."""
+    return np.logical_or.reduce([lib.zero_norms(m) for m in _CHANNEL_MODALITIES[channel]])
 
 
 def _pool_mask(lib: FootageLibrary, query: Query, mode: Mode) -> np.ndarray:

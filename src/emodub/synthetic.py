@@ -119,9 +119,13 @@ def evaluate_purity(
     each, so no N×N matrix is built. The pool of a row is every other row,
     of the same speaker under SPEAKER_SPECIFIC. Results and errors are those
     of :func:`~emodub.retrieval.retrieve_all` called for each record in
-    turn: the hits are the same, the scores are added to ``mean_score`` in
-    the same (query, channel, rank) order, and the error raised is the one
-    at the first (query, channel, candidate) that loop rejects.
+    turn: the hits are the same, ties going to the lower record id, the
+    scores are added to ``mean_score`` in the same (query, channel, rank)
+    order, and the error raised is the one at the first (query, channel,
+    candidate) that loop rejects; a record outside a query's pool raises
+    nothing. Each block's scores are added by one ``np.add.accumulate``,
+    which adds left to right, each addition rounded once, as Python's float
+    adds do, and is kept as silent as they are on overflow and ``inf - inf``.
     """
     n = len(lib)
     labels = _codes(lib.emotion_labels)
@@ -142,8 +146,9 @@ def evaluate_purity(
         total += hit_rows.size
         # channels are concatenated in order, so a stable sort by query row
         # gives the (query, channel, rank) order of the per-record loop
-        for score in scores[np.argsort(query_rows, kind="stable")].tolist():
-            score_sum += score
+        ordered = scores[np.argsort(query_rows, kind="stable")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            score_sum = float(np.add.accumulate(np.concatenate(([score_sum], ordered)))[-1])
     purity = hits / total if total else 0.0
     mean_score = score_sum / total if total else 0.0
     return PurityResult(purity=purity, mean_score=mean_score, retrieved=total, queries=n)

@@ -19,11 +19,13 @@ from emodub.retrieval import (
     Metric,
     Mode,
     Query,
+    _top_k,
     retrieve_all,
     retrieve_modality,
     similarity,
     text_criterion,
 )
+from emodub.synthetic import evaluate_purity
 
 from conftest import near_tie_rows, random_library, rebuilt
 
@@ -292,6 +294,24 @@ class TestZeroNormCandidates:
                 assert 4 not in [rid for rid, _ in got]
 
 
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_zero_norm_record_beside_a_nan_score_is_scored_under_dot(self, rng, channel):
+        """Only cosine rejects a zero vector: under dot, a zero row ahead of
+        a row whose products overflow to +inf and -inf scores 0.0, and the
+        NaN row raises."""
+        modality = self.ZEROED[channel]
+        lib = random_library(rng, 12, speakers=1)
+        signs = np.where(np.arange(8) % 2 == 0, 1.0, -1.0)
+        lib = rebuilt(lib, {(0, modality): 2.0, (3, modality): 0.0, (6, modality): 1.5e308 * signs})
+        q = Query.from_record(lib.records[0])
+        with pytest.raises(NumericError, match="record 6 scores NaN"):
+            brute_force_rank(lib, q, channel, 3, Metric.DOT, Mode.SPEAKER_AGNOSTIC)
+        with pytest.raises(NumericError, match=f"{channel} score of record 6 is NaN"):
+            retrieve_modality(lib, q, channel, 3, Metric.DOT)
+        with pytest.raises(NumericError, match=f"{channel} score of record 6 is NaN"):
+            evaluate_purity(lib, 3, Metric.DOT)
+
+
 def reference_score(metric, query, rec, channel):
     """The scalar reference score of one record; a NaN score is rejected."""
     if channel == "text":
@@ -546,3 +566,127 @@ class TestRetrieveAll:
         res = retrieve_all(lib, q, k=3, mode=Mode.SPEAKER_SPECIFIC)
         for channel in CHANNELS:
             assert [rid for rid, _ in res.rankings[channel]] == [1]
+
+
+# --- ranking a block of scores ----------------------------------------------
+
+
+def full_sort_top_k(scores, pool, ids, k):
+    """Each row's pool columns fully sorted by (score desc, id asc), cut to K."""
+    rows, cols, top = [], [], []
+    for row in range(scores.shape[0]):
+        ranked = sorted((-scores[row, col], int(ids[col]), col) for col in np.flatnonzero(pool[row]))
+        for neg, _id, col in ranked[:k]:
+            rows.append(row)
+            cols.append(col)
+            top.append(-neg)
+    return rows, cols, struct.pack(f"<{len(top)}d", *top)
+
+
+class TestTopK:
+    """``_top_k`` against a full sort, on hand-built rows of every shape its
+    shortcuts must leave alone: with K = 3, one sort orders a block only
+    when every row has exactly K survivors with no tie among them."""
+
+    N = 9
+    # ids fall as the column rises, so the lower id of a tie is the later column
+    IDS = np.array([2**64 - 1 - 5 * c for c in range(N)], dtype=np.uint64)
+    INF = np.inf
+    ROWS = {
+        "distinct": ([0.3, -1.0, 2.5, 0.7, 0.1, 1.5, -0.2, 0.9, 0.0], "111111111"),
+        "pool smaller than K": ([0.3, 5.0, 2.5, 6.0, 0.1, 1.5, -0.2, 0.9, 0.0], "001000010"),
+        # the excluded columns score above the pool, or -inf beside its -inf members
+        "-inf pool members": ([0.5, 9.0, -INF, 7.0, -INF, -INF, -INF, -INF, 8.0], "101010100"),
+        "tie at the K-th place": ([0.25, 0.75, 0.5, 0.25, 0.25, 0.1, 1.0, 0.25, -3.0], "111111111"),
+        "tie inside the top K": ([0.5, 0.75, 0.75, 0.25, 0.125, 0.1, 0.2, 0.3, 0.75], "111111011"),
+        "signed zeros tie": ([2.0, -0.0, -1.0, -0.5, 0.0, -2.0, -0.25, -1.5, -0.75], "111111111"),
+        "empty pool": ([0.3, 5.0, 2.5, 6.0, 0.1, 1.5, -0.2, 0.9, 0.0], "000000000"),
+    }
+
+    def block(self, names):
+        scores = np.array([self.ROWS[name][0] for name in names])
+        pool = np.array([[flag == "1" for flag in self.ROWS[name][1]] for name in names])
+        return scores, pool
+
+    def check(self, names, k):
+        scores, pool = self.block(names)
+        want = full_sort_top_k(scores, pool, self.IDS, k)
+        rows, cols, top = _top_k(scores.copy(), pool, self.IDS, k)
+        assert (rows.tolist(), cols.tolist(), top.tobytes()) == want
+
+    @pytest.mark.parametrize("k", [1, 3, 9, 12])
+    @pytest.mark.parametrize("name", list(ROWS))
+    def test_one_row(self, name, k):
+        self.check([name], k)
+
+    @pytest.mark.parametrize("k", [1, 3, 9, 12])
+    def test_seven_rows_of_every_kind(self, k):
+        names = list(self.ROWS)
+        assert len(names) == 7
+        self.check(names, k)
+        self.check(["distinct", "empty pool", "tie inside the top K", "pool smaller than K",
+                    "tie at the K-th place", "empty pool", "-inf pool members"], k)
+
+    @pytest.mark.parametrize("tied", ["tie inside the top K", "signed zeros tie", "distinct"])
+    def test_seven_rows_of_exactly_k_survivors(self, tied):
+        """Every row has exactly three survivors, so the block goes to the
+        one sort, which must give way when a row ties inside its top K."""
+        names = ["distinct"] * 3 + [tied] + ["distinct"] * 3
+        scores, pool = self.block(names)
+        scores[1] *= -1.0  # rows that differ from each other
+        scores[5] += 10.0
+        want = full_sort_top_k(scores, pool, self.IDS, 3)
+        assert len(want[0]) == 7 * 3
+        rows, cols, top = _top_k(scores.copy(), pool, self.IDS, 3)
+        assert (rows.tolist(), cols.tolist(), top.tobytes()) == want
+
+
+class TestHighRecordIds:
+    """Record ids are uint64: a tie goes to the lower id also at and above
+    2**63, where a signed 64-bit id would turn negative."""
+
+    IDS = [2**63, 5, 2**64 - 1, 2**63 - 1, 2**63 + 1, 0, 2**64 - 2, 17, 2**63 + 2, 3, 2**64 - 3, 2**62]
+
+    def library(self, rng):
+        """Four groups of three records with identical vectors (exact ties
+        under every metric); two of a group share a label, so the tie a
+        query breaks decides whether it retrieves a hit."""
+        base = rng.normal(size=(4, len(MODALITY_ORDER), 4))
+        tables = {m: np.repeat(base[:, j], 3, axis=0) for j, m in enumerate(MODALITY_ORDER)}
+        n = len(self.IDS)
+        return FootageLibrary.from_columns(
+            {m: 4 for m in MODALITY_ORDER}, self.IDS, ["m0"] * n, [f"spk{i % 2}" for i in range(n)],
+            [f"lab{i % 3 // 2}" for i in range(n)], tables,
+        )
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_retrieve_modality(self, rng, metric):
+        lib = self.library(rng)
+        for row in range(len(lib)):
+            q = Query.from_record(lib.records[row], exclude_self=row % 2 == 0)
+            for channel in CHANNELS:
+                for k in (1, 2, 4, 12):
+                    want = brute_force_rank(lib, q, channel, k, metric, Mode.SPEAKER_AGNOSTIC)
+                    assert bits(retrieve_modality(lib, q, channel, k, metric)) == bits(want)
+        if metric is Metric.DOT:
+            return  # another group may outscore a record's own
+        q = Query.from_record(lib.records[1], exclude_self=False)  # ids 2**63, 5, 2**64 - 1 tie
+        assert [rid for rid, _ in retrieve_modality(lib, q, "scene", 3, metric)] == [5, 2**63, 2**64 - 1]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_evaluate_purity(self, rng, metric, mode):
+        lib = self.library(rng)
+        for k in (1, 2, 4):
+            hits = total = 0
+            score_sum = 0.0
+            for rec in lib.records:
+                q = Query.from_record(rec)
+                for channel in CHANNELS:
+                    for record_id, score in brute_force_rank(lib, q, channel, k, metric, mode):
+                        hits += lib.lookup(record_id).emotion_label == rec.emotion_label
+                        total += 1
+                        score_sum += score
+            got = evaluate_purity(lib, k, metric, mode)
+            assert (got.purity, got.retrieved) == (hits / total, total)
+            assert struct.pack("<d", got.mean_score) == struct.pack("<d", score_sum / total)
