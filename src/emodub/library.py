@@ -208,7 +208,7 @@ class FootageLibrary:
         self.speaker_codes = _frozen(np.empty(0, dtype=np.int64))
         self.speaker_names: list[str] = []
         self._code_of: dict[str, int] = {}
-        self._norm_cache: dict[Modality, tuple[np.ndarray, np.ndarray, bool]] = {}
+        self._norm_cache: dict[Modality, tuple[np.ndarray, np.ndarray, tuple[float, float]]] = {}
 
     @classmethod
     def from_columns(
@@ -270,15 +270,16 @@ class FootageLibrary:
         contiguous."""
         return self._vectors[modality]
 
-    def _normalisers(self, modality: Modality) -> tuple[np.ndarray, np.ndarray, bool]:
-        """``(norms, zero_norms, has_zero_norm)`` of the modality, computed on
+    def _normalisers(self, modality: Modality) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+        """``(norms, zero_norms, norm_range)`` of the modality, computed on
         first use and kept; readers that fill it at once compute the same bits."""
         cached = self._norm_cache.get(modality)
         if cached is None:
             from .retrieval import squared_norms  # retrieval imports this module
             norms = np.sqrt(squared_norms(self._vectors[modality]))
             zero = norms == 0.0  # sqrt(x) == 0 exactly when x == 0
-            cached = self._norm_cache[modality] = (_frozen(norms), _frozen(zero), bool(zero.any()))
+            span = (float(norms.min(initial=np.inf)), float(norms.max(initial=0.0)))
+            cached = self._norm_cache[modality] = (_frozen(norms), _frozen(zero), span)
         return cached
 
     def norms(self, modality: Modality) -> np.ndarray:
@@ -291,8 +292,11 @@ class FootageLibrary:
         which cosine similarity is undefined. Read-only, kept with the norms."""
         return self._normalisers(modality)[1]
 
-    def has_zero_norm(self, modality: Modality) -> bool:
-        """Whether any :meth:`zero_norms` entry is set, kept with the norms."""
+    def norm_range(self, modality: Modality) -> tuple[float, float]:
+        """``(min, max)`` of :meth:`norms`, kept with them, so retrieval's
+        guard reads a modality's range without a pass over its rows. A
+        minimum of 0.0 means some :meth:`zero_norms` entry is set; an empty
+        library's range is ``(inf, 0.0)``."""
         return self._normalisers(modality)[2]
 
     @property

@@ -12,32 +12,77 @@ operations: each inner product or squared norm adds the elementwise
 products left to right over the d dimensions (:func:`_sum`), each product
 and addition rounded once, with no fused multiply-add; the square root
 and the division follow. :func:`similarity` and :func:`text_criterion`
-evaluate it on Python floats. The one scan, :func:`retrieve_block`,
-runs the same operations for a block of Q query rows at once: one
-dimension at a time, each query entry broadcast across the column of the
-library's N×d array, so every (query, candidate) pair gets exactly the
-bits :func:`similarity` gives it alone, whatever the BLAS, the CPU or Q.
-The library stores each modality column-major, so each of those passes
-reads one contiguous run of N floats. A built library is immutable; build
-a new one with ``FootageLibrary.from_columns``. So the scan takes each
-library row's cosine normaliser from ``FootageLibrary.norms``, computed once,
-and computes each query row's from the rows it is given.
+evaluate it on Python floats, and :func:`_exact_scores` for a list of
+(query, candidate) pairs at once, one dimension at a time across the
+pairs, so each pair gets exactly the bits :func:`similarity` gives it
+alone, whatever the BLAS, the CPU or the number of pairs.
+
+The scan, :func:`retrieve_block`, scores exactly only the pairs that can
+reach a row's top K, the filter-and-refine scheme of Seidl and Kriegel
+(*Optimal Multi-Step k-Nearest Neighbor Search*, SIGMOD 1998). It first
+scores every (query, candidate) pair approximately, with one BLAS product
+per modality and the cached norms: cosine divides by both norms, euclid
+takes ``-sqrt(max(qn**2 + cn**2 - 2 D, 0))``, and text averages its
+halves. Each query row i gets a slack s_i that bounds the gap between the
+approximate score A and the exact score R of every candidate (below).
+:func:`_top_k` keeps each row's pool columns within 2 s_i of its K-th
+approximate score, which is every column that can reach the row's top K,
+and scores only those exactly. The BLAS only chooses how many pairs are
+scored exactly: hits, scores and their order are those of a full sort by
+exact score, on every BLAS kernel.
+
+The slack (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+ed. 2002, section 3.1). Let u = 2**-53 and gamma_n = n u / (1 - n u). A sum
+of d products, added in any order, with or without fused multiply-add,
+is within gamma_d * sum|x_j y_j| + d * 2**-1074 of the real inner product
+(the second term covers products that underflow, under IEEE 754 gradual
+underflow), and so is the exact score's left-to-right sum; by
+Cauchy-Schwarz sum|x_j y_j| <= |x| |y|. A computed norm n bounds the real
+one: |x| <= (1 + gamma_(d+2)) (n + sqrt(d) 2**-537). So with the query
+row's norm qn_i, the library's largest norm cn_max (both as computed),
+X = qn_i + 2**-500, Y = cn_max + 2**-500 and G = gamma_(d+5):
+
+- dot: |A - R| <= 2 gamma_d |x| |y| + 2 d 2**-1074, so s_i = 4 G X Y.
+- cosine: A divides the query row by qn before the product and the
+  product by cn after it; R divides by qn * cn. Both are within
+  about gamma_(d+3) * sum|x_j y_j| / (qn cn) of x.y / (qn cn), and that
+  ratio is at most (1 + gamma_(d+2))**2, so s_i = 4 G.
+- euclid: the root's argument is within 2.02 G (X**2 + Y**2) of the real
+  |x - y|**2, and |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), so the gap is
+  taken in square-root space; R's root is within G (X + Y) / 2 of the real
+  distance, and each root adds a rounding of u (X + Y). So
+  s_i = 2 sqrt(G (X**2 + Y**2)) + 2 G (X + Y).
+- text: the two halves' slacks add, which also covers the mean's two
+  roundings.
+
+Each slack exceeds the gap it bounds at least 1.4 times over, more than
+the roundings of computing it and the threshold take. None depends on the
+order of the BLAS's sums, so the filter keeps every pair it must on every
+kernel.
+
+The bound needs a guard, read from the rows given and the library's
+cached :meth:`~emodub.library.FootageLibrary.norm_range`: every norm is at
+most 2**500, so no product, sum or squared norm overflows, and under
+cosine every norm is at least 2**-500, so none is zero and every squared
+norm is a normal number. Where a channel fails the guard its survivors are
+the whole pool: every pool pair is scored exactly, and the fault location
+below runs on those scores.
+
 Each row's pool top K are ordered by (score desc, record_id asc), ids
-compared as the unsigned 64-bit integers they are. :func:`_top_k` selects
-each row's K-th score (the row maximum at K = 1, one partition otherwise)
-and sorts only the survivors: one per-row sort when each row has exactly K
-and none tie, else a sort by (row, score desc, id asc), so a tie still goes
-to the lower record id. :func:`retrieve_modality` is the one-row case;
-``evaluate_purity`` scans the library's own rows in blocks.
+compared as the unsigned 64-bit integers they are: one per-row sort when
+each row has exactly K survivors and none tie, else a sort by (row, score
+desc, id asc), so a tie still goes to the lower record id.
+:func:`retrieve_modality` is the one-row case; ``evaluate_purity`` scans
+the library's own rows in blocks.
 
 Errors are those of a scalar scan of each query's pool in turn, raised at
 the first (query, channel, candidate) it rejects: under cosine a zero
 squared norm, of the query's vector or the candidate's, is an
 ``ArgumentError``, and a NaN score (from sums that overflow) a
 ``NumericError``, so no NaN is sorted. A record outside the pool raises
-nothing, whatever it scores. The masks that locate a fault are built only
-when a channel's block holds a NaN or, under cosine, the library a zero
-norm. The scan is the one place that checks a query's values.
+nothing, whatever it scores. A channel that passes the guard has no fault,
+so the faults are located only where it fails. The scan is the one place
+that checks a query's values.
 """
 
 from __future__ import annotations
@@ -45,6 +90,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -165,33 +211,94 @@ def squared_norms(rows: np.ndarray) -> np.ndarray:
         return _sum(c * c for c in rows.T)
 
 
-def _top_k(scores: np.ndarray, pool: np.ndarray, ids: np.ndarray, k: int):
-    """``(rows, cols, scores)`` of each row's top min(K, pool size) pool
-    columns, in (row asc, score desc, id asc) order.
+#: The guard's limits on a norm (see the module docstring).
+_NORM_MAX, _NORM_MIN = 2.0**500, 2.0**-500
 
-    ``scores`` is the block's own (Q, N) array, free of NaN in the pool; its
-    entries outside the pool are set to -inf in place. Each row's K-th score
-    is its maximum at K = 1 and comes from one partition otherwise, and the
-    pool columns scoring at least that survive. When every row has exactly
-    K survivors, one per-row sort of the Q×K block orders them if Q > 1 and
-    no two of a row tie. Any other block (a pool smaller than K, a tie at or
-    above the K-th score, or one row, where this costs less) is sorted by
-    (row, score desc, id asc), each row keeping its first K.
+
+def _approximate(lib: FootageLibrary, q: np.ndarray, qn: np.ndarray, modality: Modality, metric: Metric):
+    """``(scores, slack)``: the BLAS score of every (query row, library
+    row) pair and each query row's slack (see the module docstring), or
+    None where the guard fails. ``qn`` holds the query rows' norms."""
+    lo, hi = lib.norm_range(modality)
+    top = max(hi, qn.max(initial=0.0))
+    if not top <= _NORM_MAX or metric is Metric.COSINE and not min(lo, qn.min(initial=np.inf)) >= _NORM_MIN:
+        return None
+    columns = lib.matrix(modality).T
+    g = (columns.shape[0] + 5) * 2.0**-53
+    g /= 1.0 - g
+    x, y = qn + _NORM_MIN, hi + _NORM_MIN
+    if metric is Metric.COSINE:
+        scores = (q / qn[:, None]) @ columns
+        scores /= lib.norms(modality)
+        return scores, 4.0 * g
+    if metric is Metric.DOT:
+        return q @ columns, 4.0 * g * x * y
+    scores = (-2.0 * q) @ columns
+    scores += (qn * qn)[:, None]
+    scores += lib.norms(modality) ** 2
+    np.sqrt(np.maximum(scores, 0.0, out=scores), out=scores)
+    np.negative(scores, out=scores)
+    return scores, 2.0 * np.sqrt(g * (x * x + y * y)) + 2.0 * g * (x + y)
+
+
+def _exact_scores(lib, queries, query_norms, metric, modalities, rows, cols) -> np.ndarray:
+    """The score of each (query row ``rows[i]``, library row ``cols[i]``)
+    pair, with the bits of :func:`similarity` or :func:`text_criterion`."""
+    scores = []
+    for modality in modalities:
+        q = np.take(queries[modality].T, rows, axis=1)  # q[j]: entry j of each pair's query
+        c = np.take(lib.matrix(modality).T, cols, axis=1)
+        if metric is Metric.NEG_EUCLIDEAN:
+            scores.append(-np.sqrt(_sum(d * d for d in (x - y for x, y in zip(q, c)))))
+            continue
+        dot = _sum(x * y for x, y in zip(q, c))
+        if metric is Metric.COSINE:
+            dot /= query_norms[modality][rows] * lib.norms(modality)[cols]
+        scores.append(dot)
+    if len(scores) == 2:
+        scores[0] += scores[1]
+        scores[0] *= 0.5
+    return scores[0]
+
+
+def _top_k(scores: np.ndarray, pool: np.ndarray, ids: np.ndarray, k: int, slack=0.0, exact=None):
+    """``(rows, cols, scores)`` of each row's top min(K, pool size) pool
+    columns by exact score, in (row asc, score desc, id asc) order.
+
+    ``scores`` is the block's own (Q, N) array of approximate scores, each
+    within ``slack`` (a scalar or one entry per row) of the exact score
+    that ``exact(rows, cols)`` gives for a list of pairs; its entries
+    outside the pool are set to -inf in place. With the defaults, the
+    scores are exact. Each row's K-th score a_K is its maximum at K = 1
+    and comes from one partition otherwise, and the pool columns scoring
+    at least a_K - 2 s survive, s the row's slack. They hold every column
+    whose exact score R reaches the row's K-th exact score R_K: at least K
+    pool columns have R >= R_K, so A >= R_K - s for K of them and
+    a_K >= R_K - s; at most K - 1 have R > R_K, so at most K - 1 have
+    A > R_K + s and a_K <= R_K + s. A column with R >= R_K then has
+    A >= R_K - s >= a_K - 2 s. A dropped column scores strictly below K
+    pool columns, so neither a tie nor an id can bring it back. Only the
+    survivors are scored exactly. When every row has exactly K survivors, one
+    per-row sort of the Q×K block orders them if Q > 1 and no two of a row
+    tie. Any other block (a pool smaller than K, a tie at or above the
+    K-th exact score, survivors past K within the slack, or one row, where
+    this costs less) is sorted by (row, score desc, id asc), each row
+    keeping its first K.
     """
     q, n = scores.shape
     k = min(k, n)
     if k == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
     np.copyto(scores, -np.inf, where=~pool)
-    kth = scores.max(axis=1, keepdims=True) if k == 1 else np.partition(scores, n - k, axis=1)[:, n - k, None]
-    survivors, short = scores >= kth, bool(np.isneginf(kth).any())
+    kth = scores.max(axis=1) if k == 1 else np.partition(scores, n - k, axis=1)[:, n - k]
+    survivors, short = scores >= (kth - 2.0 * slack)[:, None], bool((kth == -np.inf).any())
     if short:
         # such a row's pool is smaller than K, or its pool scores -inf: each
         # of its pool columns survives, and only those
         survivors &= pool
     flat = np.flatnonzero(survivors)
     rows, cols = np.divmod(flat, n)
-    top_scores = scores.ravel()[flat]
+    top_scores = scores.ravel()[flat] if exact is None else exact(rows, cols)
     if flat.size == q * k and not short:
         # every row has at least K survivors, so exactly K, grouped by row
         if k == 1:
@@ -230,65 +337,65 @@ def retrieve_block(
     row, library row and score of each row's top min(K, pool size) hits,
     in (query row, score desc, record_id asc) order.
 
-    Every score is that of :func:`similarity` or :func:`text_criterion`
-    (see the module docstring); under cosine the library's normalisers
-    come from ``lib.norms`` and the queries' from the same sums over the
-    rows given. Errors are those of a loop over the query rows, each
-    running a scalar scan of its pool in each channel in turn: at the
-    first query row with a fault, at its first channel with one, a zero
-    query vector under cosine (the first such modality), else that
-    channel's first rejected pool row, for its zero norm under cosine
-    (``ArgumentError``) or NaN score (``NumericError``). An empty pool
-    yields no hits and no error.
+    Every score is that of :func:`similarity` or :func:`text_criterion`,
+    and only the pairs that the BLAS filter keeps are scored (see the
+    module docstring); under cosine the library's normalisers come from
+    ``lib.norms`` and the queries' from the same sums over the rows given.
+    Errors are those of a loop over the query rows, each running a scalar
+    scan of its pool in each channel in turn: at the first query row with
+    a fault, at its first channel with one, a zero query vector under
+    cosine (the first such modality), else that channel's first rejected
+    pool row, for its zero norm under cosine (``ArgumentError``) or NaN
+    score (``NumericError``). An empty pool yields no hits and no error.
     """
     _check_k(k)
     found, rejected, zero_queries = {}, {}, {}
-    with np.errstate(all="ignore"):
-        for channel in channels:
-            scores, zero = [], False
-            for modality in _CHANNEL_MODALITIES[channel]:
-                # q[j]: entry j of every query, as a column; one query's
-                # entries as Python floats, which numpy broadcasts faster
-                q = queries[modality].T[:, :, None] if len(pool) != 1 else queries[modality][0].tolist()
-                columns = lib.matrix(modality).T  # columns[j]: entry j of every library row, contiguous
-                if metric is Metric.NEG_EUCLIDEAN:
-                    scores.append(-np.sqrt(_sum(d * d for d in (x - c for x, c in zip(q, columns)))))
-                    continue
-                dot = _sum(x * c for x, c in zip(q, columns))
-                if metric is Metric.COSINE:
-                    query_norm = np.sqrt(_sum(x * x for x in q))
-                    zero_queries[modality] = np.reshape(query_norm == 0.0, len(pool))
-                    zero = zero or lib.has_zero_norm(modality)
-                    dot /= query_norm * lib.norms(modality)
-                scores.append(dot)
-            if len(scores) == 2:
-                scores[0] += scores[1]
-                scores[0] *= 0.5
-            scores = scores[0].reshape(pool.shape)
-            # a zero library norm need not give NaN: a nonzero row whose
-            # squares all underflow scores +-inf
-            if zero or np.isnan(scores).any():
-                channel_rejected = np.isnan(scores)
-                if zero:
-                    channel_rejected |= _zero_rows(lib, channel)
-                channel_rejected &= pool
-                if channel_rejected.any():
-                    rejected[channel] = channel_rejected
-                    continue
-            found[channel] = _top_k(scores, pool, lib.ids, k)
-    faults = [f for f in (*rejected.values(), *zero_queries.values()) if f.any()]
+    for channel in channels:
+        modalities = _CHANNEL_MODALITIES[channel]
+        query_norms = {m: np.sqrt(squared_norms(queries[m])) for m in modalities}
+        if metric is Metric.COSINE:
+            zero_queries.update((m, query_norms[m] == 0.0) for m in modalities)
+        exact = partial(_exact_scores, lib, queries, query_norms, metric, modalities)
+        with np.errstate(all="ignore"):
+            approx = [_approximate(lib, queries[m], query_norms[m], m, metric) for m in modalities]
+            if None not in approx:
+                (scores, slack), *react = approx
+                if react:
+                    scores += react[0][0]
+                    scores *= 0.5
+                    slack = slack + react[0][1]
+                found[channel] = _top_k(scores, pool, lib.ids, k, slack, exact)
+                continue
+            # the guard failed: every pool pair is scored exactly
+            rows, cols = np.divmod(np.flatnonzero(pool), pool.shape[1])
+            scores = exact(rows, cols)
+        bad = np.isnan(scores)
+        # a zero library norm need not give NaN: a nonzero row whose
+        # squares all underflow scores +-inf
+        if metric is Metric.COSINE and min(lib.norm_range(m)[0] for m in modalities) == 0.0:
+            bad |= _zero_rows(lib, channel)[cols]
+        if bad.any():
+            rejected[channel] = rows[bad], cols[bad]
+            continue
+        dense = np.full(pool.shape, -np.inf)
+        dense[rows, cols] = scores
+        found[channel] = _top_k(dense, pool, lib.ids, k)
+    faults = [int(rows[0]) for rows, _cols in rejected.values()]
+    faults += [int(np.argmax(zero)) for zero in zero_queries.values() if zero.any()]
     if faults:
-        row = min(int(np.argmax(f.reshape(len(pool), -1).any(axis=1))) for f in faults)
+        row = min(faults)
         for channel in channels:
             for modality in _CHANNEL_MODALITIES[channel]:
                 if modality in zero_queries and zero_queries[modality][row]:
                     raise ArgumentError(f"cosine similarity is undefined for a zero vector: query {modality.value}")
-            cols = np.flatnonzero(rejected[channel][row]) if channel in rejected else ()
-            if len(cols):
-                record_id = lib.ids[cols[0]]
-                if metric is Metric.COSINE and _zero_rows(lib, channel)[cols[0]]:
-                    raise ArgumentError(f"cosine similarity is undefined for a zero vector: record {record_id}")
-                raise NumericError(f"{channel} score of record {record_id} is NaN: a sum overflows float64")
+            if channel in rejected:
+                rows, cols = rejected[channel]
+                cols = cols[rows == row]
+                if cols.size:
+                    record_id = lib.ids[cols[0]]
+                    if metric is Metric.COSINE and _zero_rows(lib, channel)[cols[0]]:
+                        raise ArgumentError(f"cosine similarity is undefined for a zero vector: record {record_id}")
+                    raise NumericError(f"{channel} score of record {record_id} is NaN: a sum overflows float64")
     return found
 
 

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from emodub import synthetic
 from emodub.errors import ArgumentError, EmodubError, NumericError, SchemaError
 from emodub.library import EmotionVector, FootageLibrary, Modality, MODALITY_ORDER
 from emodub.retrieval import (
     CHANNELS,
+    QUERY_MODALITIES,
     Metric,
     Mode,
     Query,
@@ -76,6 +78,72 @@ def oracle_rank(lib, query, channel, k, metric, mode):
         rows.append((rec.record_id, s))
     rows.sort(key=lambda t: (-t[1], t[0]))
     return rows[:k]
+
+
+def oracle_scores(lib, query, channel, metric):
+    """The oracle score of every library row for ``query`` in ``channel``:
+    a float, or the ``(class, message)`` of the error a scalar scan raises
+    at that row (under cosine a zero norm, then a NaN score). A query that
+    cosine rejects (a zero vector) gives that error alone, which a scan
+    raises whatever its pool."""
+    names = ("text_self", "text_react") if channel == "text" else (channel,)
+    qs = [getattr(query, name).values.tolist() for name in names]
+    if metric is Metric.COSINE:
+        for name, q in zip(names, qs):
+            if left_to_right([x * x for x in q]) == 0.0:
+                return ArgumentError, f"cosine similarity is undefined for a zero vector: query {name}"
+    columns = [lib.matrix(Modality(name)).tolist() for name in names]
+    table = []
+    for row, record_id in enumerate(lib.ids.tolist()):
+        rs = [column[row] for column in columns]
+        if metric is Metric.COSINE and any(left_to_right([y * y for y in r]) == 0.0 for r in rs):
+            table.append((ArgumentError, f"cosine similarity is undefined for a zero vector: record {record_id}"))
+            continue
+        sims = [oracle_similarity(metric, q, r) for q, r in zip(qs, rs)]
+        score = sims[0] if len(sims) == 1 else 0.5 * (sims[0] + sims[1])
+        nan = (NumericError, f"{channel} score of record {record_id} is NaN: a sum overflows float64")
+        table.append(nan if math.isnan(score) else score)
+    return table
+
+
+def oracle_ranking(lib, query, table, k, mode):
+    """The top K of ``query``'s pool by (score desc, id asc) from its
+    :func:`oracle_scores` table, as (record_id, score bits) pairs, or the
+    ``(class, message)`` of the first error its scan meets."""
+    if isinstance(table, tuple):
+        return table
+    scored = []
+    for record_id, speaker, outcome in zip(lib.ids.tolist(), lib.speaker_ids, table):
+        if record_id in query.exclude_ids or mode is Mode.SPEAKER_SPECIFIC and speaker != query.speaker_id:
+            continue
+        if isinstance(outcome, tuple):
+            return outcome
+        scored.append((-outcome, record_id))
+    scored.sort()
+    return [(record_id, struct.pack("<d", -neg)) for neg, record_id in scored[:k]]
+
+
+def oracle_purity(lib, k, metric, mode, tables=None):
+    """``evaluate_purity`` by the oracle, every record querying each channel
+    in turn: ``(purity and mean score bits, retrieved, queries)``, or the
+    ``(class, message)`` of the first error. ``tables[row][channel]`` may
+    hold the :func:`oracle_scores` of record ``row``'s query."""
+    hits = total = 0
+    score_sum = 0.0
+    labels = lib.emotion_labels
+    for row, rec in enumerate(lib.records):
+        query = Query.from_record(rec)
+        for channel in CHANNELS:
+            table = tables[row][channel] if tables else oracle_scores(lib, query, channel, metric)
+            ranking = oracle_ranking(lib, query, table, k, mode)
+            if isinstance(ranking, tuple):
+                return ranking
+            for record_id, score in ranking:
+                hits += labels[lib.id_index[record_id]] == labels[row]
+                total += 1
+                score_sum += struct.unpack("<d", score)[0]
+    purity, mean = (hits / total, score_sum / total) if total else (0.0, 0.0)
+    return struct.pack("<dd", purity, mean), total, len(lib)
 
 
 def assert_matches_oracle(got, expected):
@@ -690,3 +758,96 @@ class TestHighRecordIds:
             got = evaluate_purity(lib, k, metric, mode)
             assert (got.purity, got.retrieved) == (hits / total, total)
             assert struct.pack("<d", got.mean_score) == struct.pack("<d", score_sum / total)
+
+
+# --- the BLAS filter against the oracle -------------------------------------
+
+
+def filter_rows(r, n_base, dim, exponent, extreme):
+    """Rows whose BLAS and exact scores can order them differently: base
+    rows near 2**exponent, each with a copy of its entries permuted, a copy
+    rescaled by a power of two, copies one ulp above and below, and an
+    exact duplicate. With ``extreme``, also rows on both sides of the
+    guard: a zero row, rows near 2**490 and 2**510 and near 2**-490 and
+    2**-510, a row whose squares are subnormal, and one whose products
+    overflow."""
+    rows = []
+    for base in r.normal(size=(n_base, dim)) * 2.0**exponent:
+        rows += [base, r.permutation(base), base * 2.0 ** int(r.integers(-3, 4))]
+        rows += [np.nextafter(base, np.inf), np.nextafter(base, -np.inf), base.copy()]
+    if extreme:
+        unit = r.normal(size=dim)
+        rows += [np.zeros(dim), unit * 2.0**490, unit * 2.0**510, unit * 2.0**-490, unit * 2.0**-510]
+        rows += [unit * 1e-160, np.copysign(1.5e308, unit)]
+    return np.array(rows).reshape(-1, dim)
+
+
+def retrieval_outcome(lib, query, channel, k, metric, mode):
+    """The ranking as (record_id, score bits) pairs, or the error's class and message."""
+    try:
+        return bits(retrieve_modality(lib, query, channel, k, metric, mode))
+    except EmodubError as exc:
+        return type(exc), str(exc)
+
+
+def purity_outcome(lib, k, metric, mode, block_floats):
+    """``evaluate_purity`` in blocks of about ``block_floats`` floats, as
+    :func:`oracle_purity` reports it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthetic, "BLOCK_FLOATS", block_floats)
+        try:
+            res = evaluate_purity(lib, k, metric, mode)
+        except EmodubError as exc:
+            return type(exc), str(exc)
+    return struct.pack("<dd", res.purity, res.mean_score), res.retrieved, res.queries
+
+
+class TestFilterMatchesOracle:
+    """The BLAS filter keeps every pair that can reach a row's top K, where
+    BLAS and exact scores order pairs differently and on both sides of the
+    guard: ``retrieve_modality`` and ``evaluate_purity`` equal the scalar
+    oracle bit for bit, errors included, for N = 0 and N = 1 too."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_base=st.integers(0, 3),
+        size=st.integers(0, 24),
+        dim=st.sampled_from([1, 2, 8, 33]),
+        exponent=st.integers(-400, 400),
+        extreme=st.booleans(),
+        metric=st.sampled_from(list(Metric)),
+        block_floats=st.sampled_from([1, 50, 1 << 16]),
+    )
+    def test_matches_oracle_bit_for_bit(self, seed, n_base, size, dim, exponent, extreme, metric, block_floats):
+        r = np.random.default_rng(seed)
+        tables = {}
+        for m in MODALITY_ORDER:
+            rows = filter_rows(r, n_base, dim, exponent, extreme)
+            r.shuffle(rows)
+            tables[m] = rows[:size]
+        n = len(tables[Modality.SCENE])
+        lib = FootageLibrary.from_columns(
+            {m: dim for m in MODALITY_ORDER}, r.permutation(n).tolist(), ["m0"] * n,
+            [f"spk{r.integers(2)}" for _ in range(n)], [f"lab{r.integers(3)}" for _ in range(n)], tables,
+        )
+        if n == 0:
+            assert all(lib.norm_range(m) == (math.inf, 0.0) for m in MODALITY_ORDER)
+        queries = [Query.from_record(lib.records[int(row)], exclude_self=bool(r.integers(2)))
+                   for row in r.choice(n, min(n, 3), replace=False)]
+        # one ulp from a record, of a speaker with no records: its specific-mode pool is empty
+        sources = {m: tables[m][int(r.integers(n))] if n else r.normal(size=dim) * 2.0**exponent
+                   for m in QUERY_MODALITIES}
+        queries.append(Query(*(vec(np.nextafter(v, np.inf), m) for m, v in sources.items()), speaker_id="nobody"))
+        for query in queries:
+            for channel in CHANNELS:
+                table = oracle_scores(lib, query, channel, metric)
+                for mode in Mode:
+                    for k in (1, 3, n + 1):
+                        want = oracle_ranking(lib, query, table, k, mode)
+                        assert retrieval_outcome(lib, query, channel, k, metric, mode) == want
+        own = [{c: oracle_scores(lib, Query.from_record(rec), c, metric) for c in CHANNELS} for rec in lib.records]
+        for mode in Mode:
+            for k in (1, 3, n + 1):
+                want = oracle_purity(lib, k, metric, mode, own)
+                assert purity_outcome(lib, k, metric, mode, block_floats) == want

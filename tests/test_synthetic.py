@@ -13,6 +13,7 @@ from emodub.retrieval import CHANNELS, Metric, Mode, Query, retrieve_modality
 from emodub.synthetic import ClusterSpec, PurityResult, evaluate_purity, generate_clustered_library
 
 from conftest import near_tie_rows, random_library, rebuilt
+from test_retrieval import oracle_purity
 
 
 class TestGeneration:
@@ -202,8 +203,10 @@ class TestErrorParity:
     (query, channel, candidate), or nothing where the loop raises nothing."""
 
     # 1e-170 squares to a zero norm, 1.5e308 (with row 0's signs) overflows
-    # the sums into a NaN cosine, and 0.0 is a zero vector outright
-    @pytest.mark.parametrize("value", [1e-170, 1.5e308, 0.0])
+    # the sums into a NaN cosine, and 0.0 is a zero vector outright; the
+    # retrieval guard's norm limits 2**500 and 2**-500 lie between 1e150 and
+    # 1e160 and between 1e-160 and 1e-150 (norm 2 * value at d = 4)
+    @pytest.mark.parametrize("value", [1e-170, 1.5e308, 0.0, 1e150, 1e160, 1e-150, 1e-160])
     @pytest.mark.parametrize("row", [0, 6])  # met first as a query, or as a candidate
     @pytest.mark.parametrize("alone", [False, True])  # outside every specific-mode pool
     @pytest.mark.parametrize("modality", [Modality.SCENE, Modality.TEXT_REACT])
@@ -215,6 +218,18 @@ class TestErrorParity:
             for mode in Mode:
                 assert_block_matches_loop(lib, 3, metric, mode)
                 assert_block_matches_loop(lib, 3, metric, mode, block_floats=12)
+
+    @pytest.mark.parametrize("value", [1e150, 1e160, 1e-150, 1e-160, 1.5e308, 0.0])
+    @pytest.mark.parametrize("row", [0, 6])
+    @pytest.mark.parametrize("modality", [Modality.SCENE, Modality.TEXT_REACT])
+    def test_guard_boundaries_match_the_oracle(self, rng, value, row, modality):
+        """On both sides of the guard's limits, the purity or the error
+        (class and message) is the scalar oracle's."""
+        lib = random_library(rng, 12, dims=4, speakers=2)
+        lib = rebuilt(lib, {(row, modality): np.copysign(value, lib.records[0].vector(modality).values)})
+        for metric in Metric:
+            for mode in Mode:
+                assert outcome(evaluate_purity, lib, 3, metric, mode) == oracle_purity(lib, 3, metric, mode)
 
     def test_errors_raised(self, rng):
         base = random_library(rng, 12, dims=4, speakers=2)
