@@ -13,9 +13,9 @@ products left to right over the d dimensions (:func:`_sum`), each product
 and addition rounded once, with no fused multiply-add; the square root
 and the division follow. :func:`similarity` and :func:`text_criterion`
 evaluate it on Python floats, and :func:`_exact_scores` for a list of
-(query, candidate) pairs at once, one dimension at a time across the
-pairs, so each pair gets exactly the bits :func:`similarity` gives it
-alone, whatever the BLAS, the CPU or the number of pairs.
+(query, candidate) pairs at once, each sum taken down a column of one
+(d, pairs) array (:func:`_sum_rows`), so each pair gets exactly the bits
+:func:`similarity` gives it alone, whatever the BLAS, CPU or pair count.
 
 The scan, :func:`retrieve_block`, scores exactly only the pairs that can
 reach a row's top K, the filter-and-refine scheme of Seidl and Kriegel
@@ -115,16 +115,30 @@ class Mode(Enum):
 def _sum(terms):
     """The terms added left to right, each addition rounded once.
 
-    The terms are Python floats, or fresh arrays holding one term per
-    (query, candidate) pair (the first is updated in place): numpy's
-    elementwise add rounds like Python's float add, so every pair gets the
-    bits of its own scalar sum. Python's ``sum`` is compensated from 3.12 on.
+    The terms are Python floats, or the rows of a fresh (d, P) array past
+    :data:`_ACCUMULATE_MAX` columns (:func:`_sum_rows`), the first updated
+    in place: numpy's add rounds like Python's float add, so each pair gets
+    its scalar sum's bits. Python's ``sum`` is compensated from 3.12 on.
     """
     terms = iter(terms)
     total = next(terms)
     for term in terms:
         total += term
     return total
+
+
+#: Widest (d, P) array of terms that :func:`_sum_rows` adds by one
+#: accumulate: on a 2-vCPU Xeon (numpy 2.4) that beats the loop over the
+#: rows up to P = 90 at d = 8 and up to P = 110-130 at d = 16 and 32.
+_ACCUMULATE_MAX = 96
+
+
+def _sum_rows(terms: np.ndarray) -> np.ndarray:
+    """:func:`_sum` of a fresh (d, P) array's rows, by one accumulate (which
+    adds in sequence) up to :data:`_ACCUMULATE_MAX` columns: the same bits."""
+    if terms.shape[1] <= _ACCUMULATE_MAX:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return _sum(terms)
 
 
 def similarity(metric: Metric, a: EmotionVector, b: EmotionVector) -> float:
@@ -205,10 +219,10 @@ _CHANNEL_MODALITIES: dict[str, tuple[Modality, ...]] = {
 
 def squared_norms(rows: np.ndarray) -> np.ndarray:
     """The squared norm of each row of a (Q, d) array, its products added
-    left to right: bit for bit the cosine normaliser of :func:`similarity`.
-    A sum that overflows is +inf."""
+    left to right (:func:`_sum_rows`): bit for bit the cosine normaliser of
+    :func:`similarity`. A sum that overflows is +inf."""
     with np.errstate(over="ignore"):
-        return _sum(c * c for c in rows.T)
+        return _sum_rows(rows.T * rows.T)
 
 
 #: The guard's limits on a norm (see the module docstring).
@@ -249,9 +263,9 @@ def _exact_scores(lib, queries, query_norms, metric, modalities, rows, cols) -> 
         q = np.take(queries[modality].T, rows, axis=1)  # q[j]: entry j of each pair's query
         c = np.take(lib.matrix(modality).T, cols, axis=1)
         if metric is Metric.NEG_EUCLIDEAN:
-            scores.append(-np.sqrt(_sum(d * d for d in (x - y for x, y in zip(q, c)))))
+            scores.append(-np.sqrt(_sum_rows(np.square(q - c))))
             continue
-        dot = _sum(x * y for x, y in zip(q, c))
+        dot = _sum_rows(q * c)
         if metric is Metric.COSINE:
             dot /= query_norms[modality][rows] * lib.norms(modality)[cols]
         scores.append(dot)

@@ -7,12 +7,13 @@ with the retrieval path it checks.
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from emodub import synthetic
+from emodub import retrieval, synthetic
 from emodub.errors import ArgumentError, EmodubError, NumericError, SchemaError
 from emodub.library import EmotionVector, FootageLibrary, Modality, MODALITY_ORDER
 from emodub.retrieval import (
@@ -21,10 +22,12 @@ from emodub.retrieval import (
     Metric,
     Mode,
     Query,
+    _sum_rows,
     _top_k,
     retrieve_all,
     retrieve_modality,
     similarity,
+    squared_norms,
     text_criterion,
 )
 from emodub.synthetic import evaluate_purity
@@ -203,6 +206,53 @@ class TestSimilarity:
         a, b = r.normal(size=dim), r.normal(size=dim)
         got = similarity(metric, vec(a), vec(b))
         assert struct.pack("<d", got) == struct.pack("<d", oracle_similarity(metric, a, b))
+
+
+class TestSumRows:
+    """A block's sums, by one accumulate up to the crossover and by the row
+    loop past it, have the bits of a left-to-right sum of Python floats."""
+
+    # factors whose products are ordinary, overflow, are subnormal, or are
+    # signed zeros; 1e154 squared is within a factor of two of the largest
+    # float, so two such products overflow the sum
+    FACTORS = [0.3, -1.7, 2.5, 1e200, -1e200, 1e154, 1e-160, -1e-160, 0.0, -0.0]
+
+    def terms(self, d, p):
+        """``(x, y)``: (d, p) factors whose column 0 holds only -0.0
+        products, column 1 an overflow to +inf then to -inf (NaN from
+        d = 2), column 2 subnormal products, and column 3 products whose
+        sum overflows; the other columns draw from :data:`FACTORS`."""
+        r = np.random.default_rng(1000 * d + p)
+        x = r.choice(self.FACTORS, size=(d, p))
+        y = r.choice(self.FACTORS, size=(d, p))
+        x[:, 0], y[:, 0] = -0.0, 1.0
+        x[:, 1], y[:, 1] = 1e200, np.resize([1e200, -1e200], d)
+        x[:, 2], y[:, 2] = 1e-160, -3e-160
+        x[:, 3], y[:, 3] = 1e154, 1.5e154
+        return x, y
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 33])
+    @pytest.mark.parametrize("p", [4, retrieval._ACCUMULATE_MAX, retrieval._ACCUMULATE_MAX + 1, 300])
+    def test_both_branches_match_python_floats(self, monkeypatch, d, p):
+        x, y = self.terms(d, p)
+        want = [left_to_right([a * b for a, b in zip(xc, yc)]) for xc, yc in zip(x.T.tolist(), y.T.tolist())]
+        want = struct.pack(f"<{p}d", *want)
+        for widest in (p, p - 1):  # accumulate, then the row loop
+            monkeypatch.setattr(retrieval, "_ACCUMULATE_MAX", widest)
+            with np.errstate(all="ignore"):
+                assert _sum_rows(x * y).tobytes() == want
+        if d > 1:
+            assert math.isnan(struct.unpack_from("<d", want, 8)[0])
+        assert want[:8] == struct.pack("<d", -0.0)
+
+    @pytest.mark.parametrize("q", [1, retrieval._ACCUMULATE_MAX + 1])
+    def test_squared_norms_are_silent_on_either_side(self, q):
+        rows = np.asfortranarray(np.random.default_rng(q).choice(self.FACTORS, size=(q, 33)))
+        rows[0] = 1e154  # each square is finite, their sum overflows
+        want = [left_to_right([v * v for v in row]) for row in rows.tolist()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert squared_norms(rows).tobytes() == struct.pack(f"<{q}d", *want)
 
 
 class TestTextCriterion:
@@ -819,6 +869,12 @@ class TestFilterMatchesOracle:
         metric=st.sampled_from(list(Metric)),
         block_floats=st.sampled_from([1, 50, 1 << 16]),
     )
+    # n = 18 or 24 rows: one query scores at most n - 1 pairs per channel
+    # exactly, fewer than the accumulate crossover, and the one-block purity
+    # scan at K = n + 1 (or past the guard) n (n - 1) = 306 or 552, more
+    @example(seed=7, n_base=3, size=24, dim=8, exponent=0, extreme=False, metric=Metric.COSINE, block_floats=1 << 16)
+    @example(seed=8, n_base=3, size=24, dim=33, exponent=-5, extreme=True, metric=Metric.DOT, block_floats=1 << 16)
+    @example(seed=9, n_base=3, size=24, dim=2, exponent=3, extreme=True, metric=Metric.NEG_EUCLIDEAN, block_floats=1 << 16)
     def test_matches_oracle_bit_for_bit(self, seed, n_base, size, dim, exponent, extreme, metric, block_floats):
         r = np.random.default_rng(seed)
         tables = {}
