@@ -193,8 +193,9 @@ class FootageLibrary:
     loading, ingestion, synthesis and subsampling all call;
     ``FootageLibrary(schema)`` is the empty library. A built library is
     immutable; build a new one with :meth:`from_columns`. So its cosine
-    normalisers (:meth:`norms`) are computed once, and it is safe to share
-    across concurrent readers.
+    normalisers (:meth:`norms`) and the float32 unit columns the cosine
+    filter reads (:meth:`unit_columns`) are computed once, and it is safe
+    to share across concurrent readers.
     """
 
     def __init__(self, schema: Schema):
@@ -209,6 +210,7 @@ class FootageLibrary:
         self.speaker_names: list[str] = []
         self._code_of: dict[str, int] = {}
         self._norm_cache: dict[Modality, tuple[np.ndarray, np.ndarray, tuple[float, float]]] = {}
+        self._unit_cache: dict[Modality, np.ndarray] = {}
 
     @classmethod
     def from_columns(
@@ -298,6 +300,18 @@ class FootageLibrary:
         minimum of 0.0 means some :meth:`zero_norms` entry is set; an empty
         library's range is ``(inf, 0.0)``."""
         return self._normalisers(modality)[2]
+
+    def unit_columns(self, modality: Modality) -> np.ndarray:
+        """The ``(d, N)`` float32 array ``(matrix(m).T / norms(m))``: each
+        row divided by its norm in float64, then rounded once to float32.
+        Read-only, built on first use and kept, 4 d N bytes. Retrieval's
+        cosine filter reads it, and asks for it only once its guard has
+        checked that every norm is in range (none is zero)."""
+        cached = self._unit_cache.get(modality)
+        if cached is None:
+            unit = (self._vectors[modality].T / self.norms(modality)).astype(np.float32)
+            cached = self._unit_cache[modality] = _frozen(unit)
+        return cached
 
     @property
     def speaker_ids(self) -> list[str]:

@@ -21,32 +21,55 @@ The scan, :func:`retrieve_block`, scores exactly only the pairs that can
 reach a row's top K, the filter-and-refine scheme of Seidl and Kriegel
 (*Optimal Multi-Step k-Nearest Neighbor Search*, SIGMOD 1998). It first
 scores every (query, candidate) pair approximately, with one BLAS product
-per modality and the cached norms: cosine divides by both norms, euclid
-takes ``-sqrt(max(qn**2 + cn**2 - 2 D, 0))``, and text averages its
-halves. Each query row i gets a slack s_i that bounds the gap between the
-approximate score A and the exact score R of every candidate (below).
-:func:`_top_k` keeps each row's pool columns within 2 s_i of its K-th
-approximate score, which is every column that can reach the row's top K,
-and scores only those exactly. The BLAS only chooses how many pairs are
-scored exactly: hits, scores and their order are those of a full sort by
-exact score, on every BLAS kernel.
+per modality. Cosine multiplies the query rows, each divided by its norm
+and rounded to float32, by the library's float32 unit columns
+(:meth:`~emodub.library.FootageLibrary.unit_columns`: each library row
+divided by its cached norm in float64, then rounded once, 4 d N bytes per
+modality, built by the first cosine scan that passes the guard below),
+and upcasts the product to float64. Dot takes the float64 product of the
+rows as given, and euclid ``-sqrt(max(qn**2 + cn**2 - 2 D, 0))`` from it
+and the cached norms. Text averages its halves in float64. Dot and euclid
+stay in float64: neither divides by a norm, so a float32 product saves
+no pass, and the power-of-two scaling that would keep their products in
+float32's range cost more than the narrower product saved. Each query row
+i gets a slack s_i that bounds the gap between the approximate score A
+and the exact score R of every candidate (below). :func:`_top_k` keeps
+each row's pool columns within 2 s_i of its K-th approximate score,
+which is every column that can reach the row's top K, and scores only
+those exactly. The BLAS only chooses how many pairs are scored exactly:
+hits, scores and their order are those of a full sort by exact score, on
+every BLAS kernel.
 
 The slack (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-ed. 2002, section 3.1). Let u = 2**-53 and gamma_n = n u / (1 - n u). A sum
-of d products, added in any order, with or without fused multiply-add,
-is within gamma_d * sum|x_j y_j| + d * 2**-1074 of the real inner product
-(the second term covers products that underflow, under IEEE 754 gradual
+ed. 2002, section 3.1; for filtering in a lower precision, Higham and
+Mary, *Mixed precision algorithms in numerical linear algebra*, Acta
+Numerica 2022). Let gamma_n(w) = n w / (1 - n w) for a unit roundoff w:
+u = 2**-53 for float64, v = 2**-24 for float32. A sum of d products,
+added in any order, with or without fused multiply-add, is within
+gamma_d(u) * sum|x_j y_j| + d * 2**-1074 of the real inner product (the
+second term covers products that underflow, under IEEE 754 gradual
 underflow), and so is the exact score's left-to-right sum; by
 Cauchy-Schwarz sum|x_j y_j| <= |x| |y|. A computed norm n bounds the real
-one: |x| <= (1 + gamma_(d+2)) (n + sqrt(d) 2**-537). So with the query
+one: |x| <= (1 + gamma_(d+2)(u)) (n + sqrt(d) 2**-537). So with the query
 row's norm qn_i, the library's largest norm cn_max (both as computed),
-X = qn_i + 2**-500, Y = cn_max + 2**-500 and G = gamma_(d+5):
+X = qn_i + 2**-500, Y = cn_max + 2**-500 and G = gamma_(d+5)(u):
 
-- dot: |A - R| <= 2 gamma_d |x| |y| + 2 d 2**-1074, so s_i = 4 G X Y.
-- cosine: A divides the query row by qn before the product and the
-  product by cn after it; R divides by qn * cn. Both are within
-  about gamma_(d+3) * sum|x_j y_j| / (qn cn) of x.y / (qn cn), and that
-  ratio is at most (1 + gamma_(d+2))**2, so s_i = 4 G.
+- dot: |A - R| <= 2 gamma_d(u) |x| |y| + 2 d 2**-1074, so s_i = 4 G X Y.
+- cosine: let T = x.y / (qn cn) and rho = sum|x_j y_j| / (qn cn), which
+  is at most ((1 + gamma_(d+2)(u)) (1 + 2**-26))**2 under the guard. R
+  divides its float64 sum by qn * cn, so it is within gamma_(d+3)(u) rho
+  of T. A sums in float32 the products a_j b_j, where a_j is x_j / qn
+  rounded to float64 and then to float32, and b_j is y_j / cn likewise.
+  Each is within a relative v (1 + 2**-28) of its real quotient or,
+  below float32's normal range, within 2**-126 absolutely; that holds
+  also where the BLAS reads a subnormal input as zero. The BLAS's
+  float32 sum, in any order, with or without fused multiply-add, is
+  within gamma_d(v) sum|a_j b_j| of the real sum of its inputs, plus
+  2**-126 for each of its 2 d - 1 roundings (carried by at most d
+  further ones), also where it flushes a subnormal result to zero. The
+  upcast is exact. With d v < 1/4 this puts A within
+  gamma_(d+2)(v) (1 + 2**-27) rho + 6 d 2**-126 of T, and the gap below
+  gamma_(d+3)(v) rho + 6 d 2**-126. So s_i = 2 gamma_(d+5)(v) + d 2**-122.
 - euclid: the root's argument is within 2.02 G (X**2 + Y**2) of the real
   |x - y|**2, and |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), so the gap is
   taken in square-root space; R's root is within G (X + Y) / 2 of the real
@@ -57,16 +80,17 @@ X = qn_i + 2**-500, Y = cn_max + 2**-500 and G = gamma_(d+5):
 
 Each slack exceeds the gap it bounds at least 1.4 times over, more than
 the roundings of computing it and the threshold take. None depends on the
-order of the BLAS's sums, so the filter keeps every pair it must on every
-kernel.
+order of the BLAS's sums or on whether it keeps subnormals, so the filter
+keeps every pair it must on every kernel.
 
 The bound needs a guard, read from the rows given and the library's
 cached :meth:`~emodub.library.FootageLibrary.norm_range`: every norm is at
 most 2**500, so no product, sum or squared norm overflows, and under
 cosine every norm is at least 2**-500, so none is zero and every squared
-norm is a normal number. Where a channel fails the guard its survivors are
-the whole pool: every pool pair is scored exactly, and the fault location
-below runs on those scores.
+norm is a normal number, and d < 2**22, so d v < 1/4. Where a channel
+fails the guard its survivors are the whole pool: every pool pair is
+scored exactly, no unit columns are built, and the fault location below
+runs on those scores.
 
 Each row's pool top K are ordered by (score desc, record_id asc), ids
 compared as the unsigned 64-bit integers they are: one per-row sort when
@@ -225,8 +249,15 @@ def squared_norms(rows: np.ndarray) -> np.ndarray:
         return _sum_rows(rows.T * rows.T)
 
 
-#: The guard's limits on a norm (see the module docstring).
+#: The guard's limits on a norm, and on the dimension of a cosine channel,
+#: whose float32 slack needs d v < 1/4 (see the module docstring).
 _NORM_MAX, _NORM_MIN = 2.0**500, 2.0**-500
+_COSINE_DIM_MAX = 2**22
+
+
+def _gamma(n: int, unit: float) -> float:
+    """Higham's gamma_n(w) = n w / (1 - n w) for the unit roundoff w."""
+    return n * unit / (1.0 - n * unit)
 
 
 def _approximate(lib: FootageLibrary, q: np.ndarray, qn: np.ndarray, modality: Modality, metric: Metric):
@@ -234,17 +265,17 @@ def _approximate(lib: FootageLibrary, q: np.ndarray, qn: np.ndarray, modality: M
     row) pair and each query row's slack (see the module docstring), or
     None where the guard fails. ``qn`` holds the query rows' norms."""
     lo, hi = lib.norm_range(modality)
-    top = max(hi, qn.max(initial=0.0))
-    if not top <= _NORM_MAX or metric is Metric.COSINE and not min(lo, qn.min(initial=np.inf)) >= _NORM_MIN:
+    d = q.shape[1]
+    if not max(hi, qn.max(initial=0.0)) <= _NORM_MAX:
         return None
-    columns = lib.matrix(modality).T
-    g = (columns.shape[0] + 5) * 2.0**-53
-    g /= 1.0 - g
-    x, y = qn + _NORM_MIN, hi + _NORM_MIN
     if metric is Metric.COSINE:
-        scores = (q / qn[:, None]) @ columns
-        scores /= lib.norms(modality)
-        return scores, 4.0 * g
+        if not (min(lo, qn.min(initial=np.inf)) >= _NORM_MIN and d < _COSINE_DIM_MAX):
+            return None
+        scores = (q / qn[:, None]).astype(np.float32) @ lib.unit_columns(modality)
+        return scores.astype(np.float64), 2.0 * _gamma(d + 5, 2.0**-24) + d * 2.0**-122
+    columns = lib.matrix(modality).T
+    g = _gamma(d + 5, 2.0**-53)
+    x, y = qn + _NORM_MIN, hi + _NORM_MIN
     if metric is Metric.DOT:
         return q @ columns, 4.0 * g * x * y
     scores = (-2.0 * q) @ columns

@@ -19,7 +19,9 @@ features, losses and checkpoints go through BLAS matrix products, whose
 summation order depends on the OpenBLAS kernel the CPU selects. Each must
 be one of the digests recorded for the five x86-64 kernel families
 (``OPENBLAS_CORETYPE`` SkylakeX, Haswell, Sandybridge, Nehalem and Core2
-and their aliases), so a changed bit under any of them still fails. A
+and their aliases; ``Core2`` loads the Katmai core, as
+``tests/openblas_core.py`` prints), so a changed bit under any of them
+still fails. A
 3-step run's losses agree to all 17 digits across small changes to Adam's
 roundings, so a 20-step loss curve pins them too; its five digests are
 distinct.

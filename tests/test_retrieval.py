@@ -907,3 +907,112 @@ class TestFilterMatchesOracle:
             for k in (1, 3, n + 1):
                 want = oracle_purity(lib, k, metric, mode, own)
                 assert purity_outcome(lib, k, metric, mode, block_floats) == want
+
+
+# --- the float32 cosine filter ----------------------------------------------
+
+
+def float32_rows(r, n_rows, dim):
+    """Rows that a float32 cosine cannot order and float64 can: steps of
+    2**-30 to 2**-20 from one base row along one direction, so that their
+    cosine scores, against each other and against a query in their line,
+    lie about that far apart. In half of the rows each entry past the
+    first half is scaled by 2**-127 to 2**-150: divided by the row's norm,
+    it is a float32 subnormal or rounds to zero."""
+    base, step = r.normal(size=(2, dim))
+    rows = base + np.cumsum(2.0 ** -r.uniform(20, 30, size=n_rows))[:, None] * step
+    tiny = r.random(n_rows) < 0.5
+    rows[tiny, dim // 2:] *= 2.0 ** -r.integers(127, 151, size=(int(tiny.sum()), dim - dim // 2))
+    return r.permutation(rows)
+
+
+class TestFloat32Filter:
+    """The cosine filter scores in float32: it cannot order scores 2**-30
+    to 2**-20 apart, and it sees unit components below 2**-126 as
+    subnormals or zeros, so each text half adds an error of its own. Its
+    slack still keeps every pair that can rank: ``retrieve_modality`` and
+    ``evaluate_purity`` equal the scalar oracle bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [2, 8, 33])
+    def test_matches_oracle_bit_for_bit(self, seed, dim):
+        r = np.random.default_rng(seed)
+        n = 20
+        tables = {m: float32_rows(r, n + 1, dim) for m in MODALITY_ORDER}
+        lib = FootageLibrary.from_columns(
+            {m: dim for m in MODALITY_ORDER}, r.permutation(n).tolist(), ["m0"] * n,
+            [f"spk{r.integers(2)}" for _ in range(n)], [f"lab{r.integers(3)}" for _ in range(n)],
+            {m: rows[:n] for m, rows in tables.items()},
+        )
+        queries = [Query.from_record(lib.records[int(row)], exclude_self=bool(r.integers(2)))
+                   for row in r.choice(n, 3, replace=False)]
+        # a row of the same line that is no record, of the first record's speaker
+        queries.append(Query(*(vec(tables[m][n], m) for m in QUERY_MODALITIES), speaker_id=lib.speaker_ids[0]))
+        misordered = 0
+        for query in queries:
+            for channel in CHANNELS:
+                table = oracle_scores(lib, query, channel, Metric.COSINE)
+                if channel == "scene":
+                    q = query.scene.values
+                    approx = (q / np.linalg.norm(q)).astype(np.float32) @ lib.unit_columns(Modality.SCENE)
+                    misordered += not np.array_equal(np.argsort(approx, kind="stable"), np.argsort(table, kind="stable"))
+                for mode in Mode:
+                    for k in (1, 3, n + 1):
+                        want = oracle_ranking(lib, query, table, k, mode)
+                        assert retrieval_outcome(lib, query, channel, k, Metric.COSINE, mode) == want
+        assert misordered  # the float32 product alone would rank some query wrongly
+        own = [{c: oracle_scores(lib, Query.from_record(rec), c, Metric.COSINE) for c in CHANNELS}
+               for rec in lib.records]
+        for mode in Mode:
+            for k in (1, 3, n + 1):
+                want = oracle_purity(lib, k, Metric.COSINE, mode, own)
+                for block_floats in (50, 1 << 16):
+                    assert purity_outcome(lib, k, Metric.COSINE, mode, block_floats) == want
+
+
+class TestUnitColumns:
+    """The float32 unit columns the cosine filter reads are cached beside
+    the norms, and only a cosine scan that passes the guard builds them."""
+
+    def test_float32_read_only_and_bit_equal(self, rng):
+        lib = random_library(rng, 30, dims=5)
+        retrieve_all(lib, Query.from_record(lib.records[0]), 3)
+        assert set(lib._unit_cache) == set(QUERY_MODALITIES)
+        for m in QUERY_MODALITIES:
+            unit = lib.unit_columns(m)
+            assert unit is lib._unit_cache[m]
+            assert unit.dtype == np.float32 and unit.shape == (5, 30)
+            assert unit.tobytes() == (lib.matrix(m).T / lib.norms(m)).astype(np.float32).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                unit[0, 0] = 1.0
+
+    @pytest.mark.parametrize("metric", [Metric.DOT, Metric.NEG_EUCLIDEAN])
+    def test_none_under_dot_or_euclid(self, rng, metric):
+        lib = random_library(rng, 30, dims=5)
+        retrieve_all(lib, Query.from_record(lib.records[0]), 3, metric)
+        evaluate_purity(lib, 3, metric, Mode.SPEAKER_AGNOSTIC)
+        assert lib._unit_cache == {}
+
+    def test_none_for_a_zero_norm_row_and_no_warning(self, rng):
+        lib = rebuilt(random_library(rng, 30, dims=5), {(4, Modality.SCENE): 0.0}, {4: "alone"})
+        q = Query.from_record(lib.records[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match=f"zero vector: record {lib.ids[4]}"):
+                retrieve_modality(lib, q, "scene", 3)
+            got = retrieve_modality(lib, q, "scene", 3, mode=Mode.SPEAKER_SPECIFIC)  # record 4 is outside the pool
+            assert got == brute_force_rank(lib, q, "scene", 3, Metric.COSINE, Mode.SPEAKER_SPECIFIC)
+            assert lib._unit_cache == {}
+            with pytest.raises(ArgumentError, match="zero vector"):
+                evaluate_purity(lib, 3, Metric.COSINE, Mode.SPEAKER_AGNOSTIC)  # scans every channel
+        assert set(lib._unit_cache) == set(QUERY_MODALITIES) - {Modality.SCENE}
+
+    def test_none_past_the_dimension_limit(self, rng, monkeypatch):
+        """A cosine channel too wide for the float32 slack is scored exactly."""
+        monkeypatch.setattr(retrieval, "_COSINE_DIM_MAX", 5)
+        lib = random_library(rng, 30, dims=5)
+        q = Query.from_record(lib.records[0])
+        for channel in CHANNELS:
+            want = brute_force_rank(lib, q, channel, 3, Metric.COSINE, Mode.SPEAKER_AGNOSTIC)
+            assert bits(retrieve_modality(lib, q, channel, 3)) == bits(want)
+        assert lib._unit_cache == {}
