@@ -70,7 +70,6 @@ from .library import (
     read_jsonl,
     save_library,
     subsample,
-    synthetic_extract,
     uniform_schema,
     write_jsonl,
 )

@@ -55,9 +55,9 @@ def uniform_schema(dim: int) -> Schema:
     return {m: dim for m in MODALITY_ORDER}
 
 
-def _check_dim(dim: int, minimum: int = 1) -> None:
-    if dim < minimum:
-        raise SchemaError(f"emotion vector dimension must be >= {minimum}, got {dim}")
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise SchemaError(f"emotion vector dimension must be >= 1, got {dim}")
 
 
 class EmotionVector:
@@ -93,18 +93,6 @@ class EmotionVector:
 
     def __repr__(self) -> str:
         return f"EmotionVector({self.modality.value}, dim={self.dim})"
-
-
-def synthetic_extract(seed: int, content_key: str, modality: Modality, dim: int) -> EmotionVector:
-    """Deterministic stand-in for a pretrained emotion extractor.
-
-    Draws ``dim`` values in [-1, 1) from the SplitMix64 stream keyed by
-    ``(seed, content_key, modality.value)``; see :mod:`emodub.rng` for the
-    exact algorithm. Identical inputs always produce identical vectors.
-    """
-    _check_dim(dim, minimum=2)
-    rng = stream(seed, content_key, modality.value)
-    return EmotionVector(modality, 2.0 * rng.floats(dim) - 1.0)
 
 
 class FootageRecord:
@@ -193,9 +181,10 @@ class FootageLibrary:
     loading, ingestion, synthesis and subsampling all call;
     ``FootageLibrary(schema)`` is the empty library. A built library is
     immutable; build a new one with :meth:`from_columns`. So its cosine
-    normalisers (:meth:`norms`) and the float32 unit columns the cosine
-    filter reads (:meth:`unit_columns`) are computed once, and it is safe
-    to share across concurrent readers.
+    normalisers (:meth:`norms`), retrieval's guard on each row
+    (:meth:`guard`) and the float32 unit columns the cosine filter reads
+    (:meth:`unit_columns`) are computed once, and it is safe to share
+    across concurrent readers.
     """
 
     def __init__(self, schema: Schema):
@@ -209,7 +198,7 @@ class FootageLibrary:
         self.speaker_codes = _frozen(np.empty(0, dtype=np.int64))
         self.speaker_names: list[str] = []
         self._code_of: dict[str, int] = {}
-        self._norm_cache: dict[Modality, tuple[np.ndarray, np.ndarray, tuple[float, float]]] = {}
+        self._norm_cache: dict[Modality, tuple[np.ndarray, tuple]] = {}
         self._unit_cache: dict[Modality, np.ndarray] = {}
 
     @classmethod
@@ -272,16 +261,15 @@ class FootageLibrary:
         contiguous."""
         return self._vectors[modality]
 
-    def _normalisers(self, modality: Modality) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-        """``(norms, zero_norms, norm_range)`` of the modality, computed on
-        first use and kept; readers that fill it at once compute the same bits."""
+    def _normalisers(self, modality: Modality) -> tuple[np.ndarray, tuple]:
+        """``(norms, guard)`` of the modality, computed on first use and
+        kept; readers that fill it at once compute the same bits."""
         cached = self._norm_cache.get(modality)
         if cached is None:
-            from .retrieval import squared_norms  # retrieval imports this module
+            from .retrieval import guard_failures, squared_norms  # retrieval imports this module
             norms = np.sqrt(squared_norms(self._vectors[modality]))
-            zero = norms == 0.0  # sqrt(x) == 0 exactly when x == 0
-            span = (float(norms.min(initial=np.inf)), float(norms.max(initial=0.0)))
-            cached = self._norm_cache[modality] = (_frozen(norms), _frozen(zero), span)
+            over, y, outside = guard_failures(norms)
+            cached = self._norm_cache[modality] = (_frozen(norms), (_frozen(over), y, _frozen(outside)))
         return cached
 
     def norms(self, modality: Modality) -> np.ndarray:
@@ -289,28 +277,24 @@ class FootageLibrary:
         :func:`~emodub.retrieval.squared_norms`. Read-only, computed once."""
         return self._normalisers(modality)[0]
 
-    def zero_norms(self, modality: Modality) -> np.ndarray:
-        """Boolean mask of the rows whose :meth:`norms` entry is 0.0, on
-        which cosine similarity is undefined. Read-only, kept with the norms."""
+    def guard(self, modality: Modality) -> tuple[np.ndarray, float, np.ndarray]:
+        """:func:`~emodub.retrieval.guard_failures` of :meth:`norms`, kept with
+        them: the rows retrieval's filter cannot bound, as read-only indices."""
         return self._normalisers(modality)[1]
-
-    def norm_range(self, modality: Modality) -> tuple[float, float]:
-        """``(min, max)`` of :meth:`norms`, kept with them, so retrieval's
-        guard reads a modality's range without a pass over its rows. A
-        minimum of 0.0 means some :meth:`zero_norms` entry is set; an empty
-        library's range is ``(inf, 0.0)``."""
-        return self._normalisers(modality)[2]
 
     def unit_columns(self, modality: Modality) -> np.ndarray:
         """The ``(d, N)`` float32 array ``(matrix(m).T / norms(m))``: each
-        row divided by its norm in float64, then rounded once to float32.
-        Read-only, built on first use and kept, 4 d N bytes. Retrieval's
-        cosine filter reads it, and asks for it only once its guard has
-        checked that every norm is in range (none is zero)."""
+        row divided by its norm in float64, then rounded once to float32,
+        but 0 in each row that the cosine guard fails (``guard(m)[2]``, a
+        zero or out-of-range norm), whose norm is never divided. Read-only,
+        built on first use and kept, 4 d N bytes. Retrieval's cosine filter
+        reads it."""
         cached = self._unit_cache.get(modality)
         if cached is None:
-            unit = (self._vectors[modality].T / self.norms(modality)).astype(np.float32)
-            cached = self._unit_cache[modality] = _frozen(unit)
+            unit, passing = self._vectors[modality].T, np.ones(len(self), dtype=bool)
+            passing[self.guard(modality)[2]] = False
+            unit = np.divide(unit, self.norms(modality), out=np.zeros(unit.shape), where=passing)
+            cached = self._unit_cache[modality] = _frozen(unit.astype(np.float32))
         return cached
 
     @property

@@ -25,7 +25,7 @@ per modality. Cosine multiplies the query rows, each divided by its norm
 and rounded to float32, by the library's float32 unit columns
 (:meth:`~emodub.library.FootageLibrary.unit_columns`: each library row
 divided by its cached norm in float64, then rounded once, 4 d N bytes per
-modality, built by the first cosine scan that passes the guard below),
+modality, built by the first cosine scan),
 and upcasts the product to float64. Dot takes the float64 product of the
 rows as given, and euclid ``-sqrt(max(qn**2 + cn**2 - 2 D, 0))`` from it
 and the cached norms. Text averages its halves in float64. Dot and euclid
@@ -51,7 +51,7 @@ second term covers products that underflow, under IEEE 754 gradual
 underflow), and so is the exact score's left-to-right sum; by
 Cauchy-Schwarz sum|x_j y_j| <= |x| |y|. A computed norm n bounds the real
 one: |x| <= (1 + gamma_(d+2)(u)) (n + sqrt(d) 2**-537). So with the query
-row's norm qn_i, the library's largest norm cn_max (both as computed),
+row's norm qn_i, the largest passing library norm cn_max (as computed),
 X = qn_i + 2**-500, Y = cn_max + 2**-500 and G = gamma_(d+5)(u):
 
 - dot: |A - R| <= 2 gamma_d(u) |x| |y| + 2 d 2**-1074, so s_i = 4 G X Y.
@@ -83,14 +83,16 @@ the roundings of computing it and the threshold take. None depends on the
 order of the BLAS's sums or on whether it keeps subnormals, so the filter
 keeps every pair it must on every kernel.
 
-The bound needs a guard, read from the rows given and the library's
-cached :meth:`~emodub.library.FootageLibrary.norm_range`: every norm is at
-most 2**500, so no product, sum or squared norm overflows, and under
-cosine every norm is at least 2**-500, so none is zero and every squared
-norm is a normal number, and d < 2**22, so d v < 1/4. Where a channel
-fails the guard its survivors are the whole pool: every pool pair is
-scored exactly, no unit columns are built, and the fault location below
-runs on those scores.
+The bound needs a guard, checked per record, on the query rows given and
+on the library rows' cached :meth:`~emodub.library.FootageLibrary.guard`:
+a norm is at most 2**500, so no product, sum or squared norm overflows;
+under cosine at least 2**-500, so none is zero and every squared norm is
+normal; and a cosine channel has d < 2**22, so d v < 1/4. A pool pair
+whose query or library row fails, in either text half, is scored exactly
+first, its exact score replacing its approximate one with an error of 0.
+A failing query row's slack is 0, a failing library row's unit column 0
+(its norm is never divided), and past the dimension limit every pair
+fails and no unit columns are built.
 
 Each row's pool top K are ordered by (score desc, record_id asc), ids
 compared as the unsigned 64-bit integers they are: one per-row sort when
@@ -104,9 +106,9 @@ the first (query, channel, candidate) it rejects: under cosine a zero
 squared norm, of the query's vector or the candidate's, is an
 ``ArgumentError``, and a NaN score (from sums that overflow) a
 ``NumericError``, so no NaN is sorted. A record outside the pool raises
-nothing, whatever it scores. A channel that passes the guard has no fault,
-so the faults are located only where it fails. The scan is the one place
-that checks a query's values.
+nothing, whatever it scores. A pair that passes the guard has no fault,
+so the faults are located only among the failing pairs. The scan is the
+one place that checks a query's values.
 """
 
 from __future__ import annotations
@@ -260,30 +262,36 @@ def _gamma(n: int, unit: float) -> float:
     return n * unit / (1.0 - n * unit)
 
 
+def guard_failures(norms: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """``(over, y, outside)`` for a modality's library norms: the rows past
+    the dot and euclid guard (norm above 2**500), the largest other norm,
+    and the rows past the cosine guard (also norm below 2**-500)."""
+    over = norms > _NORM_MAX
+    return np.flatnonzero(over), float(norms.max(initial=0.0, where=~over)), np.flatnonzero(over | (norms < _NORM_MIN))
+
+
 def _approximate(lib: FootageLibrary, q: np.ndarray, qn: np.ndarray, modality: Modality, metric: Metric):
-    """``(scores, slack)``: the BLAS score of every (query row, library
-    row) pair and each query row's slack (see the module docstring), or
-    None where the guard fails. ``qn`` holds the query rows' norms."""
-    lo, hi = lib.norm_range(modality)
+    """``(scores, slack, rows, cols)``: the BLAS score of every (query row,
+    library row) pair, each query row's slack (see the module docstring),
+    and the query rows (a mask) and library rows that fail the guard, whose
+    scores and slacks are arbitrary. ``qn`` holds the query rows' norms."""
+    over, y, outside = lib.guard(modality)
     d = q.shape[1]
-    if not max(hi, qn.max(initial=0.0)) <= _NORM_MAX:
-        return None
     if metric is Metric.COSINE:
-        if not (min(lo, qn.min(initial=np.inf)) >= _NORM_MIN and d < _COSINE_DIM_MAX):
-            return None
-        scores = (q / qn[:, None]).astype(np.float32) @ lib.unit_columns(modality)
-        return scores.astype(np.float64), 2.0 * _gamma(d + 5, 2.0**-24) + d * 2.0**-122
-    columns = lib.matrix(modality).T
+        if d >= _COSINE_DIM_MAX:  # no float32 slack holds: every pair fails
+            return np.zeros((q.shape[0], len(lib))), 0.0, np.ones(q.shape[0], dtype=bool), outside
+        scores = ((q / qn[:, None]).astype(np.float32) @ lib.unit_columns(modality)).astype(np.float64)
+        return scores, 2.0 * _gamma(d + 5, 2.0**-24) + d * 2.0**-122, (qn < _NORM_MIN) | (qn > _NORM_MAX), outside
     g = _gamma(d + 5, 2.0**-53)
-    x, y = qn + _NORM_MIN, hi + _NORM_MIN
+    x, y = qn + _NORM_MIN, y + _NORM_MIN
     if metric is Metric.DOT:
-        return q @ columns, 4.0 * g * x * y
-    scores = (-2.0 * q) @ columns
+        return q @ lib.matrix(modality).T, 4.0 * g * x * y, qn > _NORM_MAX, over
+    scores = (-2.0 * q) @ lib.matrix(modality).T
     scores += (qn * qn)[:, None]
     scores += lib.norms(modality) ** 2
     np.sqrt(np.maximum(scores, 0.0, out=scores), out=scores)
     np.negative(scores, out=scores)
-    return scores, 2.0 * np.sqrt(g * (x * x + y * y)) + 2.0 * g * (x + y)
+    return scores, 2.0 * np.sqrt(g * (x * x + y * y)) + 2.0 * g * (x + y), qn > _NORM_MAX, over
 
 
 def _exact_scores(lib, queries, query_norms, metric, modalities, rows, cols) -> np.ndarray:
@@ -291,8 +299,8 @@ def _exact_scores(lib, queries, query_norms, metric, modalities, rows, cols) -> 
     pair, with the bits of :func:`similarity` or :func:`text_criterion`."""
     scores = []
     for modality in modalities:
-        q = np.take(queries[modality].T, rows, axis=1)  # q[j]: entry j of each pair's query
-        c = np.take(lib.matrix(modality).T, cols, axis=1)
+        q = queries[modality].T.take(rows, axis=1)  # q[j]: entry j of each pair's query
+        c = lib.matrix(modality).T.take(cols, axis=1)
         if metric is Metric.NEG_EUCLIDEAN:
             scores.append(-np.sqrt(_sum_rows(np.square(q - c))))
             continue
@@ -321,14 +329,15 @@ def _top_k(scores: np.ndarray, pool: np.ndarray, ids: np.ndarray, k: int, slack=
     pool columns have R >= R_K, so A >= R_K - s for K of them and
     a_K >= R_K - s; at most K - 1 have R > R_K, so at most K - 1 have
     A > R_K + s and a_K <= R_K + s. A column with R >= R_K then has
-    A >= R_K - s >= a_K - 2 s. A dropped column scores strictly below K
-    pool columns, so neither a tie nor an id can bring it back. Only the
-    survivors are scored exactly. When every row has exactly K survivors, one
-    per-row sort of the Q×K block orders them if Q > 1 and no two of a row
-    tie. Any other block (a pool smaller than K, a tie at or above the
-    K-th exact score, survivors past K within the slack, or one row, where
-    this costs less) is sorted by (row, score desc, id asc), each row
-    keeping its first K.
+    A >= R_K - s >= a_K - 2 s. An entry already exact (A = R, an error of
+    0) is within any slack, so the bound holds for a block that mixes them
+    in. A dropped column scores strictly below K pool columns, so neither
+    a tie nor an id can bring it back. Only the survivors are scored
+    exactly. When every row has exactly K survivors, one per-row sort of
+    the Q×K block orders them if Q > 1 and no two of a row tie. Any other
+    block (a pool smaller than K, a tie at or above the K-th exact score,
+    survivors past K within the slack, or one row, where this costs less)
+    is sorted by (row, score desc, id asc), each row keeping its first K.
     """
     q, n = scores.shape
     k = min(k, n)
@@ -402,35 +411,46 @@ def retrieve_block(
             zero_queries.update((m, query_norms[m] == 0.0) for m in modalities)
         exact = partial(_exact_scores, lib, queries, query_norms, metric, modalities)
         with np.errstate(all="ignore"):
-            approx = [_approximate(lib, queries[m], query_norms[m], m, metric) for m in modalities]
-            if None not in approx:
-                (scores, slack), *react = approx
-                if react:
-                    scores += react[0][0]
-                    scores *= 0.5
-                    slack = slack + react[0][1]
-                found[channel] = _top_k(scores, pool, lib.ids, k, slack, exact)
-                continue
-            # the guard failed: every pool pair is scored exactly
-            rows, cols = np.divmod(np.flatnonzero(pool), pool.shape[1])
-            scores = exact(rows, cols)
-        bad = np.isnan(scores)
-        # a zero library norm need not give NaN: a nonzero row whose
-        # squares all underflow scores +-inf
-        if metric is Metric.COSINE and min(lib.norm_range(m)[0] for m in modalities) == 0.0:
-            bad |= _zero_rows(lib, channel)[cols]
-        if bad.any():
-            rejected[channel] = rows[bad], cols[bad]
-            continue
-        dense = np.full(pool.shape, -np.inf)
-        dense[rows, cols] = scores
-        found[channel] = _top_k(dense, pool, lib.ids, k)
+            (scores, slack, failing, columns), *react = [
+                _approximate(lib, queries[m], query_norms[m], m, metric) for m in modalities
+            ]
+            if react:
+                scores += react[0][0]
+                scores *= 0.5
+                slack = slack + react[0][1]
+                failing = failing | react[0][2]
+                if react[0][3].size:
+                    columns = np.union1d(columns, react[0][3])
+            if failing.any() or columns.size:
+                # the failing pool pairs, row by row, are scored exactly; only they can fault
+                if failing.any():
+                    mask = np.zeros(pool.shape, dtype=bool)
+                    mask[failing] = True
+                    mask[:, columns] = True
+                    rows, cols = np.divmod(np.flatnonzero(mask & pool), pool.shape[1])
+                    slack = np.where(failing, 0.0, slack)  # not inf, so that no threshold is NaN
+                else:
+                    rows, cols = np.nonzero(pool[:, columns])
+                    cols = columns[cols]
+                exact_scores = exact(rows, cols)
+                bad = np.isnan(exact_scores)
+                # a zero library norm need not give NaN: a nonzero row whose
+                # squares all underflow scores +-inf
+                if metric is Metric.COSINE:
+                    for m in modalities:
+                        bad |= lib.norms(m)[cols] == 0.0
+                if bad.any():
+                    rejected[channel] = rows[bad], cols[bad]
+                    continue
+                scores[rows, cols] = exact_scores
+            found[channel] = _top_k(scores, pool, lib.ids, k, slack, exact)
     faults = [int(rows[0]) for rows, _cols in rejected.values()]
     faults += [int(np.argmax(zero)) for zero in zero_queries.values() if zero.any()]
     if faults:
         row = min(faults)
         for channel in channels:
-            for modality in _CHANNEL_MODALITIES[channel]:
+            modalities = _CHANNEL_MODALITIES[channel]
+            for modality in modalities:
                 if modality in zero_queries and zero_queries[modality][row]:
                     raise ArgumentError(f"cosine similarity is undefined for a zero vector: query {modality.value}")
             if channel in rejected:
@@ -438,15 +458,10 @@ def retrieve_block(
                 cols = cols[rows == row]
                 if cols.size:
                     record_id = lib.ids[cols[0]]
-                    if metric is Metric.COSINE and _zero_rows(lib, channel)[cols[0]]:
+                    if metric is Metric.COSINE and any(lib.norms(m)[cols[0]] == 0.0 for m in modalities):
                         raise ArgumentError(f"cosine similarity is undefined for a zero vector: record {record_id}")
                     raise NumericError(f"{channel} score of record {record_id} is NaN: a sum overflows float64")
     return found
-
-
-def _zero_rows(lib: FootageLibrary, channel: str) -> np.ndarray:
-    """The library rows with a zero norm in a modality the channel reads."""
-    return np.logical_or.reduce([lib.zero_norms(m) for m in _CHANNEL_MODALITIES[channel]])
 
 
 def _pool_mask(lib: FootageLibrary, query: Query, mode: Mode) -> np.ndarray:

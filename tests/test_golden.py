@@ -35,7 +35,7 @@ from click.testing import CliRunner
 from emodub.autodiff import AdamState, Parameter
 from emodub.cli import main
 from emodub.head import PipelineParams, make_toy_batch, stub_aligned_sequence
-from emodub.library import Modality, save_library, synthetic_extract
+from emodub.library import save_library
 from emodub.retrieval import Query
 from emodub.rng import stream
 from emodub.synthetic import ClusterSpec, generate_clustered_library
@@ -70,19 +70,6 @@ def test_toy_batch_mel_target():
     lib = small_library()
     batch = make_toy_batch(lib, Query.from_record(lib.records[0]), 5, 7, 16, 80, k=2)
     assert digest(batch.target_mel) == MEL_TARGET_5
-
-
-def test_synthetic_extract():
-    vectors = [
-        synthetic_extract(seed, key, modality, dim).values
-        for seed, key, modality, dim in [
-            (7, "a", Modality.SCENE, 8),
-            (0, "clip-001", Modality.FACE, 64),
-            (2**40 + 3, "ünïcode", Modality.TEXT_REACT, 2),
-            (11, "", Modality.AUDIO, 257),
-        ]
-    ]
-    assert digest(*vectors) == SYNTHETIC_EXTRACT
 
 
 def test_adam_five_steps():
@@ -175,7 +162,6 @@ NAMES_DIM64 = "04c4a5d61d481112fa32e9bd7dd45a4cddaae5b842a617ec667cd9414f81a942"
 PARAMS_DIM64 = "97db654312294d492b377e7549106e56c5e685d4355cb3ebae5fbca84f52544e"
 STUB_3_8_64 = "91ece463477f6523e5f154d6aa32c403abc4133240d9fede0202478e6f9adefb"
 MEL_TARGET_5 = "5df7973d716fbe7dcfdd35c5a7ce139412be760d249f727839531856684df0e4"
-SYNTHETIC_EXTRACT = "38b44d823fa55f8f3bebd225281d3d953313ac3b23637db8ba93a6c4c640fb99"
 RETRIEVE_CSV = "6e8215cf5bafd755241c92e2078e1b5048781675118b700676c22f7011aed1e1"
 SWEEP_CSV = "9a838066c8be003455ae89f11c941c11e1b7fe5c5f68e063ce24094420b0221e"
 ADAM_5_STEPS = "2d831d754eb84b66ad59060ba8175fff22053d4b83d9a1591db147e233d04151"

@@ -1,4 +1,4 @@
-"""Footage library: extraction, construction, serialization, subsampling."""
+"""Footage library: construction, serialization, subsampling."""
 
 import gc
 import json
@@ -18,7 +18,6 @@ from emodub.library import (
     load_library,
     read_jsonl,
     save_library,
-    synthetic_extract,
     uniform_schema,
     write_jsonl,
 )
@@ -26,52 +25,6 @@ from emodub.retrieval import Mode, Query, retrieve_all, squared_norms
 from emodub.synthetic import ClusterSpec, evaluate_purity, generate_clustered_library
 
 from conftest import near_tie_rows, random_library, rebuilt
-
-# Frozen offline from the documented PRNG algorithm: seed=7, key="a", scene, dim=8.
-EXPECTED_SCENE_7A = [
-    -0.06153235701194848,
-    -0.9713804759437044,
-    -0.14192241957874951,
-    0.8185360841803708,
-    0.6357544513474851,
-    0.7481600636784598,
-    -0.2813114051708938,
-    0.7834866355465839,
-]
-
-
-class TestSyntheticExtract:
-    def test_deterministic(self):
-        a = synthetic_extract(7, "a", Modality.SCENE, 8)
-        b = synthetic_extract(7, "a", Modality.SCENE, 8)
-        assert a == b
-
-    def test_seed_keys_the_stream(self):
-        a = synthetic_extract(7, "a", Modality.SCENE, 8)
-        b = synthetic_extract(8, "a", Modality.SCENE, 8)
-        assert a != b
-
-    def test_content_and_modality_key_the_stream(self):
-        base = synthetic_extract(7, "a", Modality.SCENE, 8)
-        assert base != synthetic_extract(7, "b", Modality.SCENE, 8)
-        assert not np.array_equal(
-            base.values, synthetic_extract(7, "a", Modality.FACE, 8).values
-        )
-
-    def test_matches_frozen_reference_values(self):
-        vec = synthetic_extract(7, "a", Modality.SCENE, 8)
-        assert vec.values.tolist() == EXPECTED_SCENE_7A
-
-    def test_values_in_range(self):
-        vec = synthetic_extract(3, "content", Modality.AUDIO, 512)
-        assert np.all(vec.values >= -1.0) and np.all(vec.values < 1.0)
-
-    def test_zero_dim_rejected(self):
-        with pytest.raises(SchemaError):
-            synthetic_extract(1, "x", Modality.SCENE, 0)
-        with pytest.raises(SchemaError):
-            synthetic_extract(1, "x", Modality.SCENE, 1)
-
 
 class TestEmotionVector:
     def test_rejects_non_finite(self):
@@ -87,12 +40,10 @@ class TestEmotionVector:
         assert a == EmotionVector(Modality.FACE, [0.0, 1.0])
 
 
-def extracted_columns(seed, content_keys, dim):
-    """Per-modality vector arrays with one synthetic-extractor row per content key."""
-    return {
-        m: np.array([synthetic_extract(seed, key, m, dim).values for key in content_keys])
-        for m in MODALITY_ORDER
-    }
+def drawn_columns(seed, n, dim):
+    """Per-modality (n, dim) arrays of standard-normal draws."""
+    r = np.random.default_rng(seed)
+    return {m: r.normal(size=(n, dim)) for m in MODALITY_ORDER}
 
 
 class TestBuildRecord:
@@ -100,14 +51,14 @@ class TestBuildRecord:
         with pytest.raises(SchemaError, match="duplicate"):
             FootageLibrary.from_columns(
                 uniform_schema(4), [1, 1], ["m"] * 2, ["s"] * 2, [None] * 2,
-                extracted_columns(0, ["a", "b"], 4),
+                drawn_columns(0, 2, 4),
             )
 
     def test_wrong_extractor_dim_rejected(self):
         with pytest.raises(SchemaError, match="dimension mismatch"):
             FootageLibrary.from_columns(
                 uniform_schema(4), [1], ["m"], ["s"], [None],
-                extracted_columns(0, ["a"], 6),  # dim 6 into dim 4
+                drawn_columns(0, 1, 6),  # dim 6 into dim 4
             )
 
     @pytest.mark.parametrize("column", ["movie_ids", "speaker_ids", "labels"])
@@ -116,7 +67,7 @@ class TestBuildRecord:
         columns[column] = columns[column][:2]
         with pytest.raises(SchemaError, match=f"^{column} has 2 entries, record_ids has 4$"):
             FootageLibrary.from_columns(
-                uniform_schema(2), [0, 1, 2, 3], **columns, vectors=extracted_columns(0, "abcd", 2)
+                uniform_schema(2), [0, 1, 2, 3], **columns, vectors=drawn_columns(0, 4, 2)
             )
 
     def test_precomputed_vectors_stored_unchanged(self, rng):
@@ -243,7 +194,7 @@ class TestImmutable:
         lib = random_library(rng, 6, dims=3)
         lib.norms(Modality.FACE)
         arrays = [lib.matrix(Modality.SCENE), lib.records[2].face.values, lib.speaker_codes, lib.ids,
-                  lib.norms(Modality.FACE), lib.zero_norms(Modality.TEXT_SELF)]
+                  lib.norms(Modality.FACE), *lib.guard(Modality.TEXT_SELF)[::2]]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
@@ -263,13 +214,17 @@ class TestImmutable:
             assert lib.norms(m).tobytes() == np.sqrt(squared_norms(lib.matrix(m))).tobytes()
             assert lib.norms(m) is lib.norms(m)  # computed once
 
-    def test_zero_norm_mask_is_cached_beside_the_norms(self, rng):
-        lib = rebuilt(random_library(rng, 8, dims=3), {(2, Modality.SCENE): 0.0, (5, Modality.SCENE): 1e-170})
-        zero = lib.zero_norms(Modality.SCENE)
-        assert zero.tolist() == [False, False, True, False, False, True, False, False]  # 1e-170 squared underflows
-        assert np.array_equal(zero, lib.norms(Modality.SCENE) == 0.0)
-        assert lib.zero_norms(Modality.SCENE) is zero  # computed once
-        assert not lib.zero_norms(Modality.FACE).any()
+    def test_guard_is_cached_beside_the_norms(self, rng):
+        rows = {(2, Modality.SCENE): 0.0, (5, Modality.SCENE): 1e-170, (6, Modality.SCENE): 2.0**-520,
+                (1, Modality.SCENE): 2.0**510, (4, Modality.SCENE): 2.0**499}
+        lib = rebuilt(random_library(rng, 8, dims=3), rows)
+        over, y, outside = guard = lib.guard(Modality.SCENE)
+        assert over.tolist() == [1]
+        assert y == lib.norms(Modality.SCENE)[4] == math.sqrt(3.0) * 2.0**499
+        assert outside.tolist() == [1, 2, 5, 6]  # 1e-170 squared underflows to a zero norm
+        assert lib.guard(Modality.SCENE) is guard  # computed once
+        over, y, outside = lib.guard(Modality.FACE)
+        assert not over.size and not outside.size and y == lib.norms(Modality.FACE).max()
 
     def test_read_only_arrays_are_adopted_without_a_copy(self, rng):
         lib = random_library(rng, 40, dims=4)

@@ -19,6 +19,7 @@ from emodub.library import EmotionVector, FootageLibrary, Modality, MODALITY_ORD
 from emodub.retrieval import (
     CHANNELS,
     QUERY_MODALITIES,
+    _CHANNEL_MODALITIES,
     Metric,
     Mode,
     Query,
@@ -888,7 +889,8 @@ class TestFilterMatchesOracle:
             [f"spk{r.integers(2)}" for _ in range(n)], [f"lab{r.integers(3)}" for _ in range(n)], tables,
         )
         if n == 0:
-            assert all(lib.norm_range(m) == (math.inf, 0.0) for m in MODALITY_ORDER)
+            assert all(not over.size and y == 0.0 and not outside.size
+                       for over, y, outside in map(lib.guard, MODALITY_ORDER))
         queries = [Query.from_record(lib.records[int(row)], exclude_self=bool(r.integers(2)))
                    for row in r.choice(n, min(n, 3), replace=False)]
         # one ulp from a record, of a speaker with no records: its specific-mode pool is empty
@@ -972,7 +974,8 @@ class TestFloat32Filter:
 
 class TestUnitColumns:
     """The float32 unit columns the cosine filter reads are cached beside
-    the norms, and only a cosine scan that passes the guard builds them."""
+    the norms, only a cosine scan within the dimension limit builds them,
+    and a row that fails the guard is a column of zeros in them."""
 
     def test_float32_read_only_and_bit_equal(self, rng):
         lib = random_library(rng, 30, dims=5)
@@ -993,7 +996,7 @@ class TestUnitColumns:
         evaluate_purity(lib, 3, metric, Mode.SPEAKER_AGNOSTIC)
         assert lib._unit_cache == {}
 
-    def test_none_for_a_zero_norm_row_and_no_warning(self, rng):
+    def test_zero_column_for_a_zero_norm_row_and_no_warning(self, rng):
         lib = rebuilt(random_library(rng, 30, dims=5), {(4, Modality.SCENE): 0.0}, {4: "alone"})
         q = Query.from_record(lib.records[0])
         with warnings.catch_warnings():
@@ -1002,10 +1005,15 @@ class TestUnitColumns:
                 retrieve_modality(lib, q, "scene", 3)
             got = retrieve_modality(lib, q, "scene", 3, mode=Mode.SPEAKER_SPECIFIC)  # record 4 is outside the pool
             assert got == brute_force_rank(lib, q, "scene", 3, Metric.COSINE, Mode.SPEAKER_SPECIFIC)
-            assert lib._unit_cache == {}
+            assert set(lib._unit_cache) == {Modality.SCENE}
+            unit = lib.unit_columns(Modality.SCENE)
+            assert not unit[:, 4].any()
+            others = np.arange(30) != 4
+            want = lib.matrix(Modality.SCENE).T[:, others] / lib.norms(Modality.SCENE)[others]
+            assert unit[:, others].tobytes() == want.astype(np.float32).tobytes()
             with pytest.raises(ArgumentError, match="zero vector"):
                 evaluate_purity(lib, 3, Metric.COSINE, Mode.SPEAKER_AGNOSTIC)  # scans every channel
-        assert set(lib._unit_cache) == set(QUERY_MODALITIES) - {Modality.SCENE}
+        assert set(lib._unit_cache) == set(QUERY_MODALITIES)
 
     def test_none_past_the_dimension_limit(self, rng, monkeypatch):
         """A cosine channel too wide for the float32 slack is scored exactly."""
@@ -1016,3 +1024,113 @@ class TestUnitColumns:
             want = brute_force_rank(lib, q, channel, 3, Metric.COSINE, Mode.SPEAKER_AGNOSTIC)
             assert bits(retrieve_modality(lib, q, channel, 3)) == bits(want)
         assert lib._unit_cache == {}
+
+
+# --- the guard, record by record ----------------------------------------------
+
+
+def guard_fails(rows, metric):
+    """Which (.., d) rows the filter cannot bound: a norm above 2**500, or
+    under cosine one below 2**-500 (test-side norms)."""
+    norms = np.sqrt((rows * rows).sum(axis=-1))
+    return (norms > 2.0**500) | ((metric is Metric.COSINE) & (norms < 2.0**-500))
+
+
+def exact_bound(pools, row_fails, col_fails, k, tables):
+    """The most pairs a scan of ``pools`` (one row per query) may score
+    exactly: each query's failing pool pairs (its whole pool where the
+    query fails) and its survivors. These are at most 2 K (K and their near
+    ties), or every pool entry whose :func:`oracle_scores` entry in
+    ``tables`` ties or beats the K-th (a table that is an error scores none)."""
+    scores = np.array([[s if isinstance(s, float) else np.nan for s in t] if isinstance(t, list)
+                       else np.full(pools.shape[1], np.nan) for t in tables])
+    sizes = pools.sum(axis=1)
+    failing = np.where(row_fails, sizes, (pools & col_fails).sum(axis=1))
+    ranked = -np.sort(-np.where(pools, scores, -np.inf), axis=1)
+    kth = ranked[:, min(k, pools.shape[1]) - 1]
+    tied = (pools & (scores >= kth[:, None])).sum(axis=1)
+    return int((failing + np.maximum(np.minimum(sizes, 2 * k), tied)).sum())
+
+
+class TestGuardPerRecord:
+    """A record the guard fails is left to exact scoring on its own, and the
+    filter still ranks the rest of its channel: a norm below 2**-500 (not
+    zero), a norm above 2**500 whose sums do not overflow, and a zero row,
+    inside and outside a speaker-specific pool. ``retrieve_modality`` and
+    ``evaluate_purity`` equal the scalar oracle bit for bit, errors
+    included, and the pairs scored exactly are the failing pool pairs and
+    the survivors, not the pool."""
+
+    N = 200
+
+    def library(self, zero):
+        r = np.random.default_rng(28)
+        lib = random_library(r, self.N)
+        unit = r.normal(size=8)
+        planted = {(5, Modality.SCENE): unit * 2.0**-512, (5, Modality.TEXT_SELF): unit * 2.0**-505,
+                   (17, Modality.FACE): unit * 2.0**505, (17, Modality.TEXT_REACT): -unit * 2.0**503}
+        if zero:
+            planted.update({(40, m): np.zeros(8) for m in (Modality.SCENE, Modality.FACE, Modality.TEXT_REACT)})
+        return rebuilt(lib, planted)
+
+    def queries(self, lib):
+        r = np.random.default_rng(5)
+        speakers = lib.speaker_ids
+        rows = [5, 17, 40] + [speakers.index(s) for s in sorted(set(speakers))]
+        queries = [Query.from_record(lib.records[row], exclude_self=row != 17) for row in rows]
+        # off the library, failing in scene and face, of record 40's speaker
+        vectors = r.normal(size=(4, 8)) * [[2.0**-520], [2.0**502], [1.0], [1.0]]
+        queries.append(Query(*(vec(v, m) for v, m in zip(vectors, QUERY_MODALITIES)), speaker_id=speakers[40]))
+        return queries
+
+    def counting(self, monkeypatch):
+        counted = []
+        real = retrieval._exact_scores
+        monkeypatch.setattr(retrieval, "_exact_scores", lambda *args: counted.append(len(args[-1])) or real(*args))
+        return counted
+
+    @pytest.mark.parametrize("zero", [False, True])
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_retrieve_modality_matches_oracle_and_scores_few_pairs(self, monkeypatch, metric, zero):
+        lib = self.library(zero)
+        counted = self.counting(monkeypatch)
+        speakers = np.array(lib.speaker_ids)
+        for query in self.queries(lib):
+            for channel in CHANNELS:
+                modalities = _CHANNEL_MODALITIES[channel]
+                row_fails = any(guard_fails(getattr(query, m.value).values, metric) for m in modalities)
+                col_fails = np.logical_or.reduce([guard_fails(lib.matrix(m), metric) for m in modalities])
+                table = oracle_scores(lib, query, channel, metric)
+                for mode in Mode:
+                    pool = ~np.isin(lib.ids, list(query.exclude_ids))
+                    if mode is Mode.SPEAKER_SPECIFIC:
+                        pool &= speakers == query.speaker_id
+                    for k in (1, 3, self.N + 1):
+                        counted.clear()
+                        want = oracle_ranking(lib, query, table, k, mode)
+                        assert retrieval_outcome(lib, query, channel, k, metric, mode) == want
+                        assert sum(counted) <= exact_bound(pool[None], [row_fails], col_fails, k, [table])
+
+    @pytest.mark.parametrize("zero", [False, True])
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_evaluate_purity_matches_oracle_and_scores_few_pairs(self, monkeypatch, metric, zero):
+        lib = self.library(zero)
+        counted = self.counting(monkeypatch)
+        codes = lib.speaker_codes
+        # under cosine the zero row raises at once, so the oracle scores lazily
+        own = None if zero and metric is Metric.COSINE else [
+            {c: oracle_scores(lib, Query.from_record(rec), c, metric) for c in CHANNELS} for rec in lib.records]
+        for mode in Mode:
+            pools = ~np.eye(self.N, dtype=bool)
+            if mode is Mode.SPEAKER_SPECIFIC:
+                pools &= codes[:, None] == codes
+            for k in (1, 3):
+                counted.clear()
+                assert purity_outcome(lib, k, metric, mode, 1 << 16) == oracle_purity(lib, k, metric, mode, own)
+                bound = 0
+                for channel in CHANNELS:
+                    modalities = _CHANNEL_MODALITIES[channel]
+                    fails = np.logical_or.reduce([guard_fails(lib.matrix(m), metric) for m in modalities])
+                    tables = [own[row][channel] if own else None for row in range(self.N)]
+                    bound += exact_bound(pools, fails, fails, k, tables)
+                assert sum(counted) <= bound
