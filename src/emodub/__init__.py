@@ -37,7 +37,6 @@ from .errors import (
 from .graph import (
     EmotionGraph,
     GAEParams,
-    GraphNode,
     GraphStage,
     ProgressiveEncoding,
     ProjectionParams,

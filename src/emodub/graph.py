@@ -17,11 +17,14 @@ node, attention over its neighborhood plus a self-loop, scores
 sum of the projected neighbor features. One stage is one autodiff op with
 a hand-written backward.
 
-Each node is typed by the stage that added it and the channel it serves
-(scene, face or text); each edge carries the stage of its non-basic end.
-Basic edges join two basic nodes; an indirect or direct edge joins a
-node of its stage to the basic node of the same channel. The types label
-topology only; all edges share the same learned transform.
+A stage is arrays: its features, the boolean attention mask with
+self-loops, a stage code and a channel code per node (indices into
+``STAGES`` and ``CHANNELS``), and the source record ids of its non-basic
+nodes. The basic nodes form a triangle, and each later node is wired to
+the basic node of its channel, whose index is the channel code. So the
+hit counts per channel fix the topology: each stage's mask and codes are
+leading blocks of the direct stage's, built once per distinct counts.
+All edges share the same learned transform.
 
 Node order is fixed so the encoded feature matrices are reproducible:
 basic (scene, face, text), then indirect hits per channel in rank order,
@@ -36,6 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -52,7 +58,7 @@ from .autodiff import (
     uniform_init,
 )
 from .errors import ArgumentError, SchemaError, StateError
-from .library import Modality, Schema
+from .library import Modality, Schema, _frozen
 from .retrieval import CHANNELS, RetrievalResult
 from .rng import SplitMix64
 
@@ -63,50 +69,40 @@ class GraphStage(Enum):
     DIRECT = "direct"
 
 
-#: index of each channel's basic node, by construction order
-BASIC_NODE_INDEX = {"scene": 0, "face": 1, "text": 2}
+#: a node's stage code indexes this tuple
+STAGES = tuple(GraphStage)
+
+_NO_RECORDS = _frozen(np.empty(0, dtype=np.uint64))
 
 
-@dataclass
-class GraphNode:
-    """A node typed by the stage that added it and the channel it serves."""
-
-    stage: GraphStage
-    channel: str
-    source_record_id: int | None = None
-
-    @property
-    def kind(self) -> str:
-        """Label such as ``basic_scene``, ``indirect_face`` or ``direct_audio_text``."""
-        prefix = "direct_audio" if self.stage is GraphStage.DIRECT else self.stage.value
-        return f"{prefix}_{self.channel}"
+@lru_cache(maxsize=8)
+def _topology(counts: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The direct stage's mask, stage codes and channel codes for ``counts``
+    hits per channel, read-only; each earlier stage's are leading blocks."""
+    stages = np.repeat([0, 1, 2], (3, sum(counts), sum(counts)))
+    channels = np.repeat([0, 1, 2] * 3, (1, 1, 1) + counts * 2)
+    basic = stages == 0
+    # an edge joins two basic nodes, or a basic node and a node of its channel
+    edges = (basic[:, None] | basic) & ((basic[:, None] & basic) | (channels[:, None] == channels))
+    return _frozen(edges | np.eye(len(stages), dtype=bool)), _frozen(stages), _frozen(channels)
 
 
 @dataclass
 class EmotionGraph:
-    """Undirected graph of typed nodes and stage-labelled edges, with node features.
-
-    ``features`` is an (n_nodes x d) tensor; row i belongs to ``nodes[i]``.
+    """One stage: (n x d) ``features``, the symmetric (n x n) boolean ``mask``
+    with self-loops that GAE attention reads, the per-node ``stages`` and
+    ``channels`` codes, and the non-basic nodes' source ``record_ids``.
     ``encoded`` flips to True after a GAE pass; the extension constructors
     require their input stage to be encoded.
     """
 
     stage: GraphStage
-    nodes: list[GraphNode]
-    edges: list[tuple[int, int, GraphStage]]
     features: Tensor
+    mask: np.ndarray
+    stages: np.ndarray
+    channels: np.ndarray
+    record_ids: np.ndarray
     encoded: bool = False
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    def adjacency_mask(self) -> np.ndarray:
-        """Symmetric boolean mask with self-loops, used by GAE attention."""
-        mask = np.eye(self.node_count, dtype=bool)
-        for a, b, _ in self.edges:
-            mask[a, b] = mask[b, a] = True
-        return mask
 
 
 @dataclass
@@ -217,18 +213,20 @@ def gae_encode(
     + g_dst a_dst^T``, then the features' and ``W``'s products of ``g_wh``.
     A product whose operand needs no gradient is not computed.
     """
-    if graph.node_count == 0:
-        raise ArgumentError("cannot encode an empty graph")
     x, w, attn = graph.features, params.weight, params.attn
-    dim = w.rows
+    n, dim = x.rows, w.rows
+    if n == 0:
+        raise ArgumentError("cannot encode an empty graph")
     if x.cols != dim:
         raise SchemaError(f"feature dim {x.cols} does not match encoder dim {dim}")
+    if graph.mask.shape != (n, n) or not graph.mask.diagonal().all():  # a row with no entry would be NaN
+        raise SchemaError(f"adjacency mask of shape {graph.mask.shape} is not {n} x {n} with self-loops")
     wh = x.data @ w.data
     a_src, a_dst = attn.data.reshape(2, dim, 1)  # the two d x 1 halves
     scores = wh @ a_src + (wh @ a_dst).T
     positive = scores > 0
     leaky = np.where(positive, scores, LEAKY_SLOPE * scores)
-    alpha = _softmax_rows(np.where(graph.adjacency_mask(), leaky, -np.inf))
+    alpha = _softmax_rows(np.where(graph.mask, leaky, -np.inf))
 
     def backward(g):
         g_alpha = g @ wh.T
@@ -244,13 +242,8 @@ def gae_encode(
         if w.requires_grad:
             _accum_product(w, x.data.T, g_wh)
 
-    out = EmotionGraph(
-        stage=graph.stage,
-        nodes=list(graph.nodes),
-        edges=list(graph.edges),
-        features=_make(alpha @ wh, (x, w, attn), backward),
-        encoded=True,
-    )
+    features = _make(alpha @ wh, (x, w, attn), backward)
+    out = EmotionGraph(graph.stage, features, graph.mask, graph.stages, graph.channels, graph.record_ids, encoded=True)
     return (out, [alpha]) if with_attention else out
 
 
@@ -261,18 +254,7 @@ def build_basic_graph(scene_raw, face_raw, text_concat_raw, proj: ProjectionPara
         project_input(face_raw, proj.face),
         project_input(text_concat_raw, proj.text),
     ]
-    nodes = [GraphNode(GraphStage.BASIC, c) for c in CHANNELS]
-    edges = [
-        (0, 1, GraphStage.BASIC),
-        (0, 2, GraphStage.BASIC),
-        (1, 2, GraphStage.BASIC),
-    ]
-    return EmotionGraph(
-        stage=GraphStage.BASIC,
-        nodes=nodes,
-        edges=edges,
-        features=concat_rows(rows),
-    )
+    return EmotionGraph(GraphStage.BASIC, concat_rows(rows), *_topology((0, 0, 0)), _NO_RECORDS)
 
 
 def extend_graph(
@@ -285,28 +267,39 @@ def extend_graph(
     An encoded basic graph gains one indirect node per retrieved hit,
     projected from the hit's own channel vector; an encoded indirect graph
     gains one direct node per hit, projected from its matched audio. Each
-    channel's block of hits is projected by one op. Each new node is wired
-    to the basic node of the channel whose query found the hit, and every
-    encoded feature row is carried over as-is.
+    channel's block of hits is projected by one op, and every encoded
+    feature row is carried over as-is. Each new node is wired to the basic
+    node of the channel whose query found the hit. The hit counts fix the
+    topology, so ``retrieved`` must be the result whose hits the encoded
+    stage holds; an encoded stage whose node count does not match is a
+    StateError.
     """
     if not encoded.encoded or encoded.stage is GraphStage.DIRECT:
         raise StateError("only an encoded basic or indirect graph can be extended")
     stage = GraphStage.INDIRECT if encoded.stage is GraphStage.BASIC else GraphStage.DIRECT
-    nodes = list(encoded.nodes)
-    edges = list(encoded.edges)
+    rankings = [retrieved.rankings[c] for c in CHANNELS]
+    counts = tuple(map(len, rankings))
+    h = sum(counts)
+    n = 3 + STAGES.index(stage) * h  # the basic nodes, then h per later stage
+    if len(encoded.mask) != n - h:
+        raise StateError(f"the encoded stage has {len(encoded.mask)} nodes, not {n - h} for {h} hits")
     blocks: list[Tensor] = [encoded.features]
     for channel in CHANNELS:
         if stage is GraphStage.INDIRECT:
             vectors, projection = retrieved.indirect_vectors[channel], getattr(proj, channel)
         else:
             vectors, projection = retrieved.matched_audio[channel], proj.audio
-        for record_id, _score in retrieved.rankings[channel]:
-            edges.append((BASIC_NODE_INDEX[channel], len(nodes), stage))
-            nodes.append(GraphNode(stage, channel, record_id))
         if len(vectors):
             blocks.append(project_input(vectors, projection))
-    features = concat_rows(blocks) if len(blocks) > 1 else encoded.features
-    return EmotionGraph(stage, nodes, edges, features)
+    mask, stages, channels = _topology(counts)
+    return EmotionGraph(
+        stage,
+        concat_rows(blocks) if len(blocks) > 1 else encoded.features,
+        mask[:n, :n],
+        stages[:n],
+        channels[:n],
+        np.concatenate([encoded.record_ids, np.fromiter(map(itemgetter(0), chain(*rankings)), np.uint64)]),
+    )
 
 
 @dataclass
@@ -316,7 +309,7 @@ class ProgressiveEncoding:
     h_basic: Tensor  # 3 x d
     h_indirect: Tensor  # (3 + sum of indirect hits) x d
     h_direct: Tensor  # (3 + 2 * sum of hits) x d
-    graphs: tuple[EmotionGraph, EmotionGraph, EmotionGraph] = field(repr=False, default=())
+    graphs: tuple[EmotionGraph, EmotionGraph, EmotionGraph] = field(repr=False)
 
 
 def progressive_encode(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emodub.errors import SchemaError
-from emodub.graph import EmotionGraph, GraphStage
+from emodub.graph import STAGES, EmotionGraph, GraphStage
 from emodub.library import FootageLibrary, MODALITY_ORDER
 from emodub.retrieval import CHANNELS, RetrievalResult
 
@@ -85,41 +85,73 @@ def near_tie_rows(r, n_base, dim, big):
     return np.array(rows)
 
 
+def pair_mask(n: int, pairs) -> np.ndarray:
+    """The (n, n) adjacency mask, with self-loops, of the undirected edges ``pairs``."""
+    mask = np.eye(n, dtype=bool)
+    for a, b in pairs:
+        mask[a, b] = mask[b, a] = True
+    return mask
+
+
+def graph_of(features, pairs=(), stage=GraphStage.INDIRECT) -> EmotionGraph:
+    """A ``stage`` graph over the rows of ``features`` with the undirected
+    edges ``pairs``. Every node is a scene node of that stage, and a
+    non-basic node i came from record i."""
+    n = features.rows
+    code = STAGES.index(stage)
+    record_ids = np.arange(n if code else 0, dtype=np.uint64)
+    return EmotionGraph(stage, features, pair_mask(n, pairs), np.full(n, code), np.zeros(n, dtype=int), record_ids)
+
+
+def node_table(graph: EmotionGraph) -> list[tuple[GraphStage, str, int | None]]:
+    """(stage, channel, source record id) of each node, read off the codes;
+    the leading basic nodes have no source record."""
+    sources = [None] * (len(graph.stages) - len(graph.record_ids)) + graph.record_ids.tolist()
+    return [(STAGES[s], CHANNELS[c], r) for s, c, r in zip(graph.stages.tolist(), graph.channels.tolist(), sources)]
+
+
+def node_kinds(graph: EmotionGraph) -> list[str]:
+    """Each node's label, such as ``basic_scene``, ``indirect_face`` or ``direct_audio_text``."""
+    return [f"{'direct_audio' if s is GraphStage.DIRECT else s.value}_{c}" for s, c, _ in node_table(graph)]
+
+
+def edge_count(graph: EmotionGraph) -> int:
+    """Number of undirected edges: the mask's entries above the diagonal."""
+    return int(np.triu(graph.mask, 1).sum())
+
+
 def degree(graph: EmotionGraph, index: int) -> int:
-    """Number of edges of ``graph`` that touch node ``index``."""
-    return sum(1 for a, b, _ in graph.edges if index in (a, b))
+    """Number of edges of ``graph`` that touch node ``index``: its mask row
+    less the self-loop."""
+    row = graph.mask[index]
+    return int(row.sum() - row[index])
 
 
 def is_connected(graph: EmotionGraph) -> bool:
     """True if ``graph`` has a node and every node is reachable from node 0."""
-    n = graph.node_count
-    if n == 0:
-        return False
-    neighbors: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b, _ in graph.edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        for nxt in neighbors[frontier.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen) == n
+    n = len(graph.mask)
+    reached = np.arange(n) == 0
+    for _ in range(n):
+        reached = reached | graph.mask[reached].any(axis=0)
+    return n > 0 and bool(reached.all())
 
 
 def check_edge_kinds(graph: EmotionGraph) -> None:
-    """Raise SchemaError unless every edge joins two basic nodes, for a basic
-    edge, or a node of the edge's stage to the basic node of the same channel."""
-    for a, b, stage in graph.edges:
-        na, nb = graph.nodes[a], graph.nodes[b]
-        if stage is GraphStage.BASIC:
-            legal = na.stage is nb.stage is GraphStage.BASIC
+    """Raise SchemaError unless the mask is symmetric with self-loops, and
+    every edge joins two basic nodes, for a basic edge, or a node of the
+    edge's stage to the basic node of the same channel. An edge is of the
+    stage of its higher end, as ``encode`` labels it."""
+    mask, stages, channels = graph.mask, graph.stages, graph.channels
+    if not (mask == mask.T).all() or not mask.diagonal().all():
+        raise SchemaError("adjacency mask is not symmetric with self-loops")
+    kinds = node_kinds(graph)
+    for a, b in zip(*np.nonzero(np.triu(mask, 1))):
+        if stages[b] == 0:
+            legal = stages[a] == 0
         else:
-            legal = {na.stage, nb.stage} == {GraphStage.BASIC, stage} and na.channel == nb.channel
+            legal = stages[a] == 0 and channels[a] == channels[b]
         if not legal:
-            raise SchemaError(f"{stage.value} edge cannot join {na.kind} and {nb.kind}")
+            raise SchemaError(f"{STAGES[stages[b]].value} edge cannot join {kinds[a]} and {kinds[b]}")
 
 
 def tape_ops(out) -> int:

@@ -41,7 +41,7 @@ from emodub.sweeps import sweep_topk
 from emodub.synthetic import ClusterSpec, evaluate_purity, generate_clustered_library
 from emodub.autodiff import Tensor
 
-from conftest import check_edge_kinds, is_connected, random_library, rebuilt, synthetic_retrieval
+from conftest import check_edge_kinds, edge_count, is_connected, random_library, rebuilt, synthetic_retrieval
 from test_retrieval import assert_matches_oracle, oracle_rank
 
 
@@ -101,7 +101,7 @@ def test_criterion_2_graph_topology():
             retrieved = retrieve_all(lib, Query.from_record(base), k)
         enc = progressive_encode(base.scene.values, base.face.values, text, retrieved, proj, gae)
         expect = [(3, 3), (3 + 3 * k, 3 + 3 * k), (3 + 6 * k, 3 + 6 * k)]
-        got = [(g.node_count, len(g.edges)) for g in enc.graphs]
+        got = [(len(g.stages), edge_count(g)) for g in enc.graphs]
         assert got == expect, f"K={k}: {got} != {expect}"
         for g in enc.graphs:
             check_edge_kinds(g)
@@ -124,7 +124,7 @@ def test_criterion_3_attention_normalization():
         text = np.concatenate([base.text_self.values, base.text_react.values])
         enc = progressive_encode(base.scene.values, base.face.values, text, retrieved, proj, gae)
         for g in enc.graphs:
-            plain = g.__class__(g.stage, g.nodes, g.edges, g.features)
+            plain = dataclasses.replace(g, encoded=False)
             _, maps = gae_encode(plain, gae, with_attention=True)
             for alpha in maps:
                 np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)

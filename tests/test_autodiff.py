@@ -33,8 +33,10 @@ from emodub.autodiff import (
     save_checkpoint,
 )
 from emodub.errors import ConfigError, FormatError, NumericError, ShapeError
-from emodub.graph import EmotionGraph, GAEParams, GraphNode, GraphStage, gae_encode
+from emodub.graph import GAEParams, gae_encode
 from emodub.rng import SplitMix64
+
+from conftest import graph_of
 
 
 # --- naive oracles -----------------------------------------------------------
@@ -134,10 +136,7 @@ def frozen(params):
 
 def path_stage(features):
     """One GAE stage over a path through the rows of ``features``."""
-    n = features.rows
-    nodes = [GraphNode(GraphStage.INDIRECT, "scene", i) for i in range(n)]
-    edges = [(i, i + 1, GraphStage.INDIRECT) for i in range(n - 1)]
-    return EmotionGraph(GraphStage.INDIRECT, nodes, edges, features)
+    return graph_of(features, [(i, i + 1) for i in range(features.rows - 1)])
 
 
 #: each op on 4x3 inputs; ``b`` supplies a second operand or a constant;

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import emodub
 from emodub import autodiff
@@ -376,6 +377,48 @@ class TestEncode:
             )
         assert_error_exit(result, 4, "indirect stage features are non-finite")
         assert not out.exists()
+
+
+def extreme_ints(lo, hi):
+    """0, -1, +-2**64 and a few more edges, small values in [lo, hi], and
+    random values past 64 bits."""
+    return (
+        st.sampled_from([0, -1, 1 << 64, -(1 << 64), (1 << 63) - 1, (1 << 64) - 1])
+        | st.integers(lo, hi)
+        | st.integers(-(1 << 70), 1 << 70)
+    )
+
+
+@pytest.fixture(scope="module")
+def flag_lib(tmp_path_factory):
+    """12 records over 3 speakers: 11 candidates per query agnostic, 3 specific."""
+    path = tmp_path_factory.mktemp("flags") / "lib.mrfl"
+    run_ok(CliRunner(), ["gen-synthetic", "--out", str(path), "--n", "12", "--speakers", "3", "--dim", "4"])
+    return path
+
+
+class TestEncodeFlags:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=extreme_ints(-2, 14),
+        seed=extreme_ints(-2, 14),
+        query_id=extreme_ints(-2, 14),
+        dim=st.integers(1, 64),
+        mode=st.sampled_from(["agnostic", "specific"]),
+    )
+    def test_exit_code_and_stage_sizes(self, flag_lib, k, seed, query_id, dim, mode):
+        result = CliRunner().invoke(main, [
+            "encode", "--lib", str(flag_lib), "--k", str(k), "--seed", str(seed),
+            "--query-id", str(query_id), "--dim", str(dim), "--mode", mode,
+        ])
+        assert result.exit_code in (0, 2, 3, 4), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        if result.exit_code == 0:
+            hits = 3 * min(k, 11 if mode == "agnostic" else 3)
+            doc = json.loads(result.stdout)
+            sizes = [(len(stage["nodes"]), len(stage["edges"])) for stage in doc["stages"]]
+            assert sizes == [(3, 3), (3 + hits, 3 + hits), (3 + 2 * hits, 3 + 2 * hits)]
 
 
 class TestTrainToy:

@@ -14,7 +14,8 @@ scores of the fixed-order similarity (see ``emodub.retrieval``); the
 sweep digest pins the CSVs of the three sweeps on a library large enough
 that ``evaluate_purity`` scans it in more than one row block.
 
-The ``encode`` and ``train-toy`` digests are the exception: their
+The ``encode`` and ``train-toy`` digests are the exception (but for the
+topology-only ``encode`` documents, which hold no features): their
 features, losses and checkpoints go through BLAS matrix products, whose
 summation order depends on the OpenBLAS kernel the CPU selects. Each must
 be one of the digests recorded for the five x86-64 kernel families
@@ -143,6 +144,42 @@ def test_encode_json(tmp_path):
     assert h.hexdigest() in ENCODE_JSON
 
 
+def short_pool_library():
+    """Eight speakers over ten records: speaker_0 holds records 0 and 8, and
+    speaker_5 holds record 5 alone."""
+    return generate_clustered_library(ClusterSpec(n=10, clusters=3, separation=2.0, dim=6, seed=3, speakers=8))
+
+
+def encode_bytes(lib_path, out, query_id, *args) -> bytes:
+    CliRunner().invoke(main, [
+        "encode", "--lib", str(lib_path), "--query-id", str(query_id), "--dim", "16", *args, "--out", str(out),
+    ], catch_exceptions=False)
+    return out.read_bytes()
+
+
+def test_encode_json_short_pools(tmp_path):
+    # speaker-specific pools shorter than K: one hit per channel for query 0,
+    # none for query 5
+    save_library(short_pool_library(), tmp_path / "lib.mrfl")
+    h = hashlib.sha256()
+    for query_id in (0, 5):
+        h.update(encode_bytes(tmp_path / "lib.mrfl", tmp_path / "encode.json", query_id, "--mode", "specific", "--features"))
+    assert h.hexdigest() in ENCODE_JSON_SHORT_POOLS
+
+
+def test_encode_json_topology(tmp_path):
+    # without features the document is topology only, so one digest holds
+    # under every kernel: full K, one hit per channel, and no hits
+    lib = generate_clustered_library(ClusterSpec(n=48, clusters=3, separation=2.0, dim=6, seed=3, speakers=2))
+    save_library(lib, tmp_path / "full.mrfl")
+    save_library(short_pool_library(), tmp_path / "short.mrfl")
+    h = hashlib.sha256()
+    h.update(encode_bytes(tmp_path / "full.mrfl", tmp_path / "encode.json", 5, "--no-features"))
+    for query_id in (0, 5):
+        h.update(encode_bytes(tmp_path / "short.mrfl", tmp_path / "encode.json", query_id, "--mode", "specific", "--no-features"))
+    assert h.hexdigest() == ENCODE_JSON_TOPOLOGY
+
+
 def test_train_toy_outputs(tmp_path):
     csv, adpk = tmp_path / "loss.csv", tmp_path / "final.adpk"
     CliRunner().invoke(main, [
@@ -174,6 +211,16 @@ ENCODE_JSON = frozenset({
     "7e77580ade38a07a35ff8878f84d4dbc6c4183898e385ab53d50530dae583776",  # Nehalem, Atom, Barcelona
     "faf0eb2414c74bb62932738af94ca039b1b89761a411fe323c3740d15598610e",  # Core2, Penryn, Prescott, Opteron
 })
+#: speaker-specific pools shorter than K, one digest per OpenBLAS x86-64 kernel family
+ENCODE_JSON_SHORT_POOLS = frozenset({
+    "4b0203a702f549c204aafdc0e378a982b734a84e95335460e13adfca27b7a511",  # SkylakeX, Cooperlake, SapphireRapids
+    "ab96aaca23a2859fbc45a04d9c3e17d4e234c0abdcdb0fc64f8440f0d1ffe9c6",  # Haswell, Zen
+    "0743269933ab8b7daf622df0267f3b45535123bedf01043fbac7dd9477d2781a",  # Sandybridge, Bulldozer, Excavator
+    "266e08648a6971f38ff0d25716df2af5f0f4c94a64cb6a08b76273844d7a3934",  # Nehalem, Atom, Barcelona
+    "9b800c445e0482a2f557ab330912fb151e4c20d06b36e2ef927b490e55ee8688",  # Core2, Penryn, Prescott, Opteron
+})
+#: topology-only documents, the same under every kernel
+ENCODE_JSON_TOPOLOGY = "337a91d3281dbec1d9b0cba8844c66d9e48cdd149821d472c9d43e733b5d9740"
 #: (loss CSV, checkpoint) digests, one pair per OpenBLAS x86-64 kernel family
 TRAIN_TOY = frozenset({
     (  # SkylakeX, Cooperlake, SapphireRapids

@@ -10,10 +10,7 @@ import pytest
 from emodub.autodiff import Parameter, Tensor, grad_check, mse
 from emodub.errors import ArgumentError, SchemaError, StateError
 from emodub.graph import (
-    BASIC_NODE_INDEX,
-    EmotionGraph,
     GAEParams,
-    GraphNode,
     GraphStage,
     ProjectionParams,
     build_basic_graph,
@@ -24,10 +21,22 @@ from emodub.graph import (
     project_input,
 )
 from emodub.library import Modality
-from emodub.retrieval import CHANNELS, Metric, Mode, Query, retrieve_all
+from emodub.retrieval import CHANNELS, Metric, Mode, Query, RetrievalResult, retrieve_all
 from emodub.rng import SplitMix64
 
-from conftest import check_edge_kinds, degree, is_connected, random_library, rebuilt, synthetic_retrieval, tape_ops
+from conftest import (
+    check_edge_kinds,
+    degree,
+    edge_count,
+    graph_of,
+    is_connected,
+    node_kinds,
+    node_table,
+    random_library,
+    rebuilt,
+    synthetic_retrieval,
+    tape_ops,
+)
 
 
 BASIC, INDIRECT, DIRECT = GraphStage.BASIC, GraphStage.INDIRECT, GraphStage.DIRECT
@@ -103,10 +112,10 @@ class TestBasicGraph:
     def test_triangle_construction(self, rng, proj):
         g = build_basic_graph(rng.normal(size=D_VEC), rng.normal(size=D_VEC), rng.normal(size=2 * D_VEC), proj)
         assert g.stage is GraphStage.BASIC
-        assert g.node_count == 3 and len(g.edges) == 3
-        assert all(stage is BASIC for _, _, stage in g.edges)
-        assert [(n.stage, n.channel) for n in g.nodes] == [(BASIC, c) for c in CHANNELS]
-        assert [n.kind for n in g.nodes] == ["basic_scene", "basic_face", "basic_text"]
+        assert len(g.stages) == 3 and edge_count(g) == 3
+        assert g.mask.all()  # every edge joins two basic nodes
+        assert node_table(g) == [(BASIC, c, None) for c in CHANNELS]
+        assert node_kinds(g) == ["basic_scene", "basic_face", "basic_text"]
         assert all(degree(g, i) == 2 for i in range(3))
         check_edge_kinds(g)
         assert is_connected(g)
@@ -117,20 +126,17 @@ class TestGAEEncode:
         w = np.array([[1.0, 2.0], [0.5, -1.0]])
         params = GAEParams(Parameter(w, "w"), Parameter(np.array([[0.3, -0.2, 0.5, 0.1]]), "a"))
         h = np.array([[2.0, -1.0]])
-        g = EmotionGraph(GraphStage.BASIC, [GraphNode(BASIC, "scene")], [], Tensor(h))
+        g = graph_of(Tensor(h), stage=BASIC)
         out = gae_encode(g, params)
         np.testing.assert_allclose(out.features.data, h @ w, rtol=1e-14)
 
     def test_attention_rows_sum_to_one(self, rng, proj, gae):
         _, _, _, _, _, direct_enc, _ = encode_stages(rng, proj, gae, k=3)
-        g = EmotionGraph(
-            direct_enc.stage, direct_enc.nodes, direct_enc.edges, direct_enc.features
-        )
+        g = dataclasses.replace(direct_enc, encoded=False)
         _, maps = gae_encode(g, gae, with_attention=True)
         for alpha in maps:
             np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
-            mask = g.adjacency_mask()
-            assert np.all(alpha[mask == 0.0] == 0.0)
+            assert np.all(alpha[~g.mask] == 0.0)
 
     def test_matches_loop_oracle_on_triangle(self):
         # hand-set 2-dim parameters, explicit per-node loop oracle
@@ -138,9 +144,7 @@ class TestGAEEncode:
         a_vec = np.array([0.3, -0.2, 0.5, 0.1])
         slope = 0.2
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        nodes = [GraphNode(BASIC, c) for c in CHANNELS]
-        edges = [(0, 1, BASIC), (0, 2, BASIC), (1, 2, BASIC)]
-        g = EmotionGraph(GraphStage.BASIC, nodes, edges, Tensor(feats))
+        g = graph_of(Tensor(feats), [(0, 1), (0, 2), (1, 2)], BASIC)
         params = GAEParams(Parameter(w, "w"), Parameter(a_vec.reshape(1, -1), "a"))
         got = gae_encode(g, params).features.data
 
@@ -161,17 +165,15 @@ class TestGAEEncode:
 
     def test_topology_preserved_exactly(self, rng, proj, gae):
         _, _, indirect, indirect_enc, _, _, _ = encode_stages(rng, proj, gae, k=2)
-        assert indirect_enc.nodes == indirect.nodes
-        assert indirect_enc.edges == indirect.edges
+        for field in ("mask", "stages", "channels", "record_ids"):
+            assert np.array_equal(getattr(indirect_enc, field), getattr(indirect, field))
         assert indirect_enc.stage is indirect.stage
         assert indirect_enc.encoded
 
     @staticmethod
     def path_graph(rng, n=5):
         """A path of ``n`` nodes, so most pairs are off the adjacency."""
-        nodes = [GraphNode(INDIRECT, "scene", i) for i in range(n)]
-        edges = [(i, i + 1, INDIRECT) for i in range(n - 1)]
-        return EmotionGraph(GraphStage.INDIRECT, nodes, edges, Parameter(rng.normal(size=(n, D_H)), "features"))
+        return graph_of(Parameter(rng.normal(size=(n, D_H)), "features"), [(i, i + 1) for i in range(n - 1)])
 
     def test_stage_gradient(self, rng, gae):
         g = self.path_graph(rng)
@@ -201,8 +203,7 @@ class TestGAEEncode:
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     def test_attention_matches_masked_softmax_oracle(self, rng, gae, topology):
         pairs = self.TOPOLOGIES[topology]
-        nodes = [GraphNode(INDIRECT, "scene", i) for i in range(5)]
-        g = EmotionGraph(GraphStage.INDIRECT, nodes, [(a, b, INDIRECT) for a, b in pairs], Tensor(rng.normal(size=(5, D_H))))
+        g = graph_of(Tensor(rng.normal(size=(5, D_H))), pairs)
         out, (alpha,) = gae_encode(g, gae, with_attention=True)
         wh = g.features.data @ gae.weight.data
         a_vec = gae.attn.data[0]
@@ -226,8 +227,7 @@ class TestGAEEncode:
         # dim 1, W = 1 and attn = [0, 1]: both rows score the two nodes 0 and
         # ``second``; a negative score is scaled by the leaky slope first
         params = GAEParams(Parameter(np.array([[1.0]]), "w"), Parameter(np.array([[0.0, 1.0]]), "a"))
-        nodes = [GraphNode(INDIRECT, "scene", i) for i in range(2)]
-        g = EmotionGraph(GraphStage.INDIRECT, nodes, [(0, 1, INDIRECT)], Tensor(np.array([[0.0], [second]])))
+        g = graph_of(Tensor(np.array([[0.0], [second]])), [(0, 1)])
         out, (alpha,) = gae_encode(g, params, with_attention=True)
         np.testing.assert_allclose(alpha, [want, want], atol=1e-15)
         np.testing.assert_allclose(out.features.data, [[want[1] * second]] * 2, rtol=1e-15)
@@ -257,16 +257,32 @@ class TestGAEEncode:
         assert np.abs(wh @ big.attn.data[0, :D_H]).max() > 1e3  # exp would overflow without the row max
         assert np.isfinite(alpha).all()
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(alpha[~g.adjacency_mask()] == 0.0)
+        assert np.all(alpha[~g.mask] == 0.0)
 
     def test_empty_graph_rejected(self, gae):
-        empty = EmotionGraph(GraphStage.BASIC, [], [], Tensor(np.zeros((0, D_H))))
+        empty = graph_of(Tensor(np.zeros((0, D_H))), stage=BASIC)
         with pytest.raises(ArgumentError):
             gae_encode(empty, gae)
 
     def test_feature_dim_mismatch(self, gae):
-        g = EmotionGraph(GraphStage.BASIC, [GraphNode(BASIC, "scene")], [], Tensor(np.zeros((1, D_H + 1))))
+        g = graph_of(Tensor(np.zeros((1, D_H + 1))), stage=BASIC)
         with pytest.raises(SchemaError):
+            gae_encode(g, gae)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 6), (5, 4), (5,), (5, 5, 1)])
+    def test_mask_shape_mismatch(self, rng, gae, shape):
+        # a mask of another size than the feature rows is refused before any product
+        g = dataclasses.replace(self.path_graph(rng), mask=np.ones(shape, dtype=bool))
+        with pytest.raises(SchemaError, match=rf"adjacency mask of shape \({shape[0]},.* is not 5 x 5 with self-loops"):
+            gae_encode(g, gae)
+
+    @pytest.mark.parametrize("node", [0, 2, 4])
+    def test_mask_without_a_self_loop(self, rng, gae, node):
+        # refused: a node with neither a self-loop nor an edge would get a NaN softmax row
+        g = self.path_graph(rng)
+        g.mask = g.mask.copy()
+        g.mask[node, node] = False
+        with pytest.raises(SchemaError, match="with self-loops"):
             gae_encode(g, gae)
 
 
@@ -274,14 +290,14 @@ class TestExtensions:
     @pytest.mark.parametrize("k,nodes,edges", [(0, 3, 3), (1, 6, 6), (3, 12, 12)])
     def test_indirect_counts(self, rng, proj, gae, k, nodes, edges):
         _, _, indirect, _, _, _, _ = encode_stages(rng, proj, gae, k)
-        assert (indirect.node_count, len(indirect.edges)) == (nodes, edges)
+        assert (len(indirect.stages), edge_count(indirect)) == (nodes, edges)
         check_edge_kinds(indirect)
         assert is_connected(indirect)
 
     @pytest.mark.parametrize("k,nodes,edges", [(0, 3, 3), (1, 9, 9), (3, 21, 21)])
     def test_direct_counts(self, rng, proj, gae, k, nodes, edges):
         _, _, _, _, direct, _, _ = encode_stages(rng, proj, gae, k)
-        assert (direct.node_count, len(direct.edges)) == (nodes, edges)
+        assert (len(direct.stages), edge_count(direct)) == (nodes, edges)
         check_edge_kinds(direct)
         assert is_connected(direct)
 
@@ -300,25 +316,46 @@ class TestExtensions:
         _, _, _, _, direct, _, retrieved = encode_stages(rng, proj, gae, k=3)
         # scene-rank-2 audio node carries the scene rank-2 record id
         scene_rank2_id = retrieved.rankings["scene"][1][0]
-        audio_nodes = [n for n in direct.nodes if (n.stage, n.channel) == (DIRECT, "scene")]
-        assert audio_nodes[1].source_record_id == scene_rank2_id
-        indirect_nodes = [n for n in direct.nodes if (n.stage, n.channel) == (INDIRECT, "face")]
-        assert [n.source_record_id for n in indirect_nodes] == [
+        audio_nodes = [n for n in node_table(direct) if n[:2] == (DIRECT, "scene")]
+        assert audio_nodes[1][2] == scene_rank2_id
+        indirect_nodes = [n for n in node_table(direct) if n[:2] == (INDIRECT, "face")]
+        assert [source for _, _, source in indirect_nodes] == [
             rid for rid, _ in retrieved.rankings["face"]
         ]
 
     def test_degrees_after_direct_extension(self, rng, proj, gae):
         k = 3
         _, _, _, _, direct, _, _ = encode_stages(rng, proj, gae, k)
-        for channel in CHANNELS:
-            assert degree(direct, BASIC_NODE_INDEX[channel]) == 2 + 2 * k
-        for i, node in enumerate(direct.nodes):
-            if node.stage is DIRECT:
+        for basic_node in range(len(CHANNELS)):
+            assert degree(direct, basic_node) == 2 + 2 * k
+        for i, (stage, _, _) in enumerate(node_table(direct)):
+            if stage is DIRECT:
                 assert degree(direct, i) == 1
+
+    def test_unequal_hit_counts(self, rng, proj, gae):
+        # 3, 1 and 0 hits: each hit is still wired to its own channel's basic node
+        full = synthetic_retrieval(rng, 3, D_VEC)
+        keep = {"scene": 3, "face": 1, "text": 0}
+        retrieved = RetrievalResult(
+            {c: full.rankings[c][:k] for c, k in keep.items()},
+            {c: full.indirect_vectors[c][:k] for c, k in keep.items()},
+            {c: full.matched_audio[c][:k] for c, k in keep.items()},
+        )
+        basic = build_basic_graph(rng.normal(size=D_VEC), rng.normal(size=D_VEC), rng.normal(size=2 * D_VEC), proj)
+        indirect_enc = gae_encode(extend_graph(gae_encode(basic, gae), retrieved, proj), gae)
+        direct = extend_graph(indirect_enc, retrieved, proj)
+        assert node_kinds(direct) == [
+            "basic_scene", "basic_face", "basic_text", *["indirect_scene"] * 3, "indirect_face",
+            *["direct_audio_scene"] * 3, "direct_audio_face",
+        ]
+        assert [source for _, _, source in node_table(direct)][3:] == [100, 101, 102, 103] * 2
+        assert [degree(direct, c) for c in range(3)] == [2 + 6, 2 + 2, 2]
+        check_edge_kinds(direct)
+        assert is_connected(direct)
 
     def test_node_ordering_convention(self, rng, proj, gae):
         _, _, _, _, direct, _, _ = encode_stages(rng, proj, gae, k=2)
-        kinds = [n.kind for n in direct.nodes]
+        kinds = node_kinds(direct)
         assert kinds == [
             "basic_scene",
             "basic_face",
@@ -336,7 +373,7 @@ class TestExtensions:
             "direct_audio_text",
             "direct_audio_text",
         ]
-        assert [n.stage for n in direct.nodes] == [BASIC] * 3 + [INDIRECT] * 6 + [DIRECT] * 6
+        assert [stage for stage, _, _ in node_table(direct)] == [BASIC] * 3 + [INDIRECT] * 6 + [DIRECT] * 6
 
     def test_stage_gating(self, rng, proj, gae):
         basic, basic_enc, indirect, indirect_enc, _, direct_enc, retrieved = encode_stages(rng, proj, gae, k=1)
@@ -345,21 +382,32 @@ class TestExtensions:
                 extend_graph(graph, retrieved, proj)
         assert extend_graph(basic_enc, retrieved, proj).stage is INDIRECT
         assert extend_graph(indirect_enc, retrieved, proj).stage is DIRECT
+        # the hit counts fix the topology, so the direct stage needs the indirect stage's hits
+        for k in (0, 2):
+            with pytest.raises(StateError, match="encoded stage has 6 nodes, not "):
+                extend_graph(indirect_enc, synthetic_retrieval(rng, k, D_VEC), proj)
 
     def test_edge_check_rejects_illegal_wiring(self, rng, proj, gae):
         _, _, _, _, direct, _, _ = encode_stages(rng, proj, gae, k=1)
-        scene_audio = next(i for i, n in enumerate(direct.nodes) if (n.stage, n.channel) == (DIRECT, "scene"))
-        face_hit = next(i for i, n in enumerate(direct.nodes) if (n.stage, n.channel) == (INDIRECT, "face"))
-        bad_edges = [
-            (BASIC_NODE_INDEX["face"], scene_audio, DIRECT),  # crosses channels
-            (BASIC_NODE_INDEX["face"], face_hit, DIRECT),  # edge stage differs from its node's
-            (BASIC_NODE_INDEX["scene"], face_hit, BASIC),  # basic edge to a non-basic node
-            (face_hit, scene_audio, INDIRECT),  # no basic end
-        ]
-        for edge in bad_edges:
-            g = EmotionGraph(DIRECT, direct.nodes, direct.edges + [edge], direct.features)
+        check_edge_kinds(direct)
+        kinds = node_kinds(direct)
+        scene_audio, face_hit = kinds.index("direct_audio_scene"), kinds.index("indirect_face")
+        bad_masks = []
+        for a, b in [
+            (1, scene_audio),  # basic face to scene audio: crosses channels
+            (0, face_hit),  # basic scene to a face hit: crosses channels
+            (face_hit, scene_audio),  # no basic end
+        ]:
+            mask = direct.mask.copy()
+            mask[a, b] = mask[b, a] = True
+            bad_masks.append(mask)
+        one_way = direct.mask.copy()
+        one_way[1, scene_audio] = True  # not symmetric
+        no_loop = direct.mask.copy()
+        no_loop[face_hit, face_hit] = False  # a node without its self-loop
+        for mask in bad_masks + [one_way, no_loop]:
             with pytest.raises(SchemaError):
-                check_edge_kinds(g)
+                check_edge_kinds(dataclasses.replace(direct, mask=mask))
 
 
 class TestProgressiveEncode:
@@ -389,10 +437,7 @@ class TestProgressiveEncode:
         assert enc.h_direct.shape == (3, D_H)
         # with no hits, each later stage is one more encoding pass over the triangle
         basic_enc = gae_encode(build_basic_graph(scene, face, text, proj), gae)
-        twice = gae_encode(
-            EmotionGraph(GraphStage.INDIRECT, basic_enc.nodes, basic_enc.edges, basic_enc.features),
-            gae,
-        )
+        twice = gae_encode(dataclasses.replace(basic_enc, stage=INDIRECT, encoded=False), gae)
         np.testing.assert_array_equal(enc.h_indirect.data, twice.features.data)
 
     def test_end_to_end_gradient(self, rng):
@@ -486,8 +531,8 @@ class TestProgressiveEncode:
             GAEParams.init(D_H, SplitMix64(10)),
         )
         graphs = enc.graphs
-        assert [g.node_count for g in graphs] == [3, 12, 21]
-        assert [len(g.edges) for g in graphs] == [3, 12, 21]
+        assert [len(g.stages) for g in graphs] == [3, 12, 21]
+        assert [edge_count(g) for g in graphs] == [3, 12, 21]
         for g in graphs:
             check_edge_kinds(g)
             assert is_connected(g)
