@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .autodiff import grad_check, save_checkpoint
 from .errors import ArgumentError, ConfigError, NumericError, SchemaError
-from .graph import STAGES, GAEParams, ProjectionParams, progressive_encode
+from .graph import STAGES, GAEParams, ProjectionParams, node_labels, progressive_encode
 from .head import PipelineParams, make_toy_batch, toy_loss, train_toy
 from .library import load_library, read_jsonl, sample_indices, save_library
 from .retrieval import CHANNELS, Metric, Mode, Query, retrieve_all
@@ -31,8 +31,6 @@ from .synthetic import ClusterSpec, generate_clustered_library
 
 _METRICS = {m.value: m for m in Metric}
 _MODES = {m.value: m for m in Mode}
-#: a node's ``kind`` in the ``encode`` document, by stage code and channel code
-_NODE_KINDS = [[f"{prefix}_{c}" for c in CHANNELS] for prefix in ("basic", "indirect", "direct_audio")]
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -237,13 +235,11 @@ def cmd_encode(lib_path, query_id, k, metric, mode, seed, dim, features, out):
         if not np.isfinite(graph.features.data).all():
             raise NumericError(f"{graph.stage.value} stage features are non-finite")
         stages = graph.stages.tolist()
-        sources = [None] * (len(stages) - len(graph.record_ids)) + graph.record_ids.tolist()
         b, a = np.nonzero(np.triu(graph.mask, 1).T)  # each edge once, ordered by its higher end
         stage_doc = {
             "stage": graph.stage.value,
             "nodes": [
-                {"index": i, "kind": _NODE_KINDS[s][c], "source_record_id": r}
-                for i, (s, c, r) in enumerate(zip(stages, graph.channels.tolist(), sources))
+                {"index": i, "kind": kind, "source_record_id": r} for i, (kind, r) in enumerate(node_labels(graph))
             ],
             # an edge is of the stage that added its higher end
             "edges": [{"a": i, "b": j, "kind": STAGES[stages[j]].value} for i, j in zip(a.tolist(), b.tolist())],

@@ -21,10 +21,10 @@ A stage is arrays: its features, the boolean attention mask with
 self-loops, a stage code and a channel code per node (indices into
 ``STAGES`` and ``CHANNELS``), and the source record ids of its non-basic
 nodes. The basic nodes form a triangle, and each later node is wired to
-the basic node of its channel, whose index is the channel code. So the
-hit counts per channel fix the topology: each stage's mask and codes are
-leading blocks of the direct stage's, built once per distinct counts.
-All edges share the same learned transform.
+the basic node of its channel, whose index is the channel code. Each
+extension keeps the encoded stage's mask as its leading block and sets
+the new nodes' edges and self-loops in place. All edges share the same
+learned transform.
 
 Node order is fixed so the encoded feature matrices are reproducible:
 basic (scene, face, text), then indirect hits per channel in rank order,
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
@@ -71,20 +70,13 @@ class GraphStage(Enum):
 
 #: a node's stage code indexes this tuple
 STAGES = tuple(GraphStage)
+#: a node's kind, by stage code and channel code
+_NODE_KINDS = _frozen(np.array([[f"{p}_{c}" for c in CHANNELS] for p in ("basic", "indirect", "direct_audio")]))
 
 _NO_RECORDS = _frozen(np.empty(0, dtype=np.uint64))
-
-
-@lru_cache(maxsize=8)
-def _topology(counts: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The direct stage's mask, stage codes and channel codes for ``counts``
-    hits per channel, read-only; each earlier stage's are leading blocks."""
-    stages = np.repeat([0, 1, 2], (3, sum(counts), sum(counts)))
-    channels = np.repeat([0, 1, 2] * 3, (1, 1, 1) + counts * 2)
-    basic = stages == 0
-    # an edge joins two basic nodes, or a basic node and a node of its channel
-    edges = (basic[:, None] | basic) & ((basic[:, None] & basic) | (channels[:, None] == channels))
-    return _frozen(edges | np.eye(len(stages), dtype=bool)), _frozen(stages), _frozen(channels)
+_TRIANGLE = _frozen(np.ones((3, 3), dtype=bool))
+_BASIC_STAGES = _frozen(np.zeros(3, dtype=np.int64))
+_BASIC_CHANNELS = _frozen(np.arange(3, dtype=np.int64))  # the channel code is the basic node's index
 
 
 @dataclass
@@ -103,6 +95,12 @@ class EmotionGraph:
     channels: np.ndarray
     record_ids: np.ndarray
     encoded: bool = False
+
+
+def node_labels(graph: EmotionGraph) -> list[tuple[str, int | None]]:
+    """Each node's kind, such as ``direct_audio_text``, and source record id (None for a basic node)."""
+    kinds = _NODE_KINDS[graph.stages, graph.channels].tolist()
+    return list(zip(kinds, [None] * (len(kinds) - len(graph.record_ids)) + graph.record_ids.tolist()))
 
 
 @dataclass
@@ -254,7 +252,7 @@ def build_basic_graph(scene_raw, face_raw, text_concat_raw, proj: ProjectionPara
         project_input(face_raw, proj.face),
         project_input(text_concat_raw, proj.text),
     ]
-    return EmotionGraph(GraphStage.BASIC, concat_rows(rows), *_topology((0, 0, 0)), _NO_RECORDS)
+    return EmotionGraph(GraphStage.BASIC, concat_rows(rows), _TRIANGLE, _BASIC_STAGES, _BASIC_CHANNELS, _NO_RECORDS)
 
 
 def extend_graph(
@@ -269,20 +267,24 @@ def extend_graph(
     gains one direct node per hit, projected from its matched audio. Each
     channel's block of hits is projected by one op, and every encoded
     feature row is carried over as-is. Each new node is wired to the basic
-    node of the channel whose query found the hit. The hit counts fix the
-    topology, so ``retrieved`` must be the result whose hits the encoded
-    stage holds; an encoded stage whose node count does not match is a
-    StateError.
+    node of the channel whose query found the hit, and the encoded mask is
+    the new mask's leading block. An encoded stage whose shape or codes do
+    not match the hits of ``retrieved`` is a StateError.
     """
     if not encoded.encoded or encoded.stage is GraphStage.DIRECT:
         raise StateError("only an encoded basic or indirect graph can be extended")
     stage = GraphStage.INDIRECT if encoded.stage is GraphStage.BASIC else GraphStage.DIRECT
+    code = STAGES.index(stage)
     rankings = [retrieved.rankings[c] for c in CHANNELS]
-    counts = tuple(map(len, rankings))
-    h = sum(counts)
-    n = 3 + STAGES.index(stage) * h  # the basic nodes, then h per later stage
-    if len(encoded.mask) != n - h:
-        raise StateError(f"the encoded stage has {len(encoded.mask)} nodes, not {n - h} for {h} hits")
+    hits: list[int] = []  # each hit's channel code, in channel and rank order
+    for c, ranking in enumerate(rankings):
+        hits += [c] * len(ranking)
+    h = len(hits)
+    n, m = 3 + code * h, 3 + (code - 1) * h
+    # the basic nodes, then the indirect and the direct nodes; this stage keeps the leading n
+    stages, channels = ([0, 0, 0] + [1] * h + [2] * h)[:n], ([0, 1, 2] + hits * 2)[:n]
+    if (encoded.mask.shape, encoded.stages.tolist(), encoded.channels.tolist()) != ((m, m), stages[:m], channels[:m]):
+        raise StateError(f"the encoded stage does not hold {[len(r) for r in rankings]} hits per channel")
     blocks: list[Tensor] = [encoded.features]
     for channel in CHANNELS:
         if stage is GraphStage.INDIRECT:
@@ -291,14 +293,17 @@ def extend_graph(
             vectors, projection = retrieved.matched_audio[channel], proj.audio
         if len(vectors):
             blocks.append(project_input(vectors, projection))
-    mask, stages, channels = _topology(counts)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[:m, :m] = encoded.mask
+    new, hit_channels = np.arange(m, n), np.array(hits, dtype=np.int64)
+    mask[new, hit_channels] = mask[hit_channels, new] = mask[new, new] = True
     return EmotionGraph(
         stage,
         concat_rows(blocks) if len(blocks) > 1 else encoded.features,
-        mask[:n, :n],
-        stages[:n],
-        channels[:n],
-        np.concatenate([encoded.record_ids, np.fromiter(map(itemgetter(0), chain(*rankings)), np.uint64)]),
+        mask,
+        np.array(stages),
+        np.array(channels),
+        np.fromiter(chain(encoded.record_ids.tolist(), map(itemgetter(0), chain(*rankings))), np.uint64),
     )
 
 

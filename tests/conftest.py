@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emodub.errors import SchemaError
-from emodub.graph import STAGES, EmotionGraph, GraphStage
+from emodub.graph import STAGES, EmotionGraph, GraphStage, node_labels
 from emodub.library import FootageLibrary, MODALITY_ORDER
 from emodub.retrieval import CHANNELS, RetrievalResult
 
@@ -106,13 +106,13 @@ def graph_of(features, pairs=(), stage=GraphStage.INDIRECT) -> EmotionGraph:
 def node_table(graph: EmotionGraph) -> list[tuple[GraphStage, str, int | None]]:
     """(stage, channel, source record id) of each node, read off the codes;
     the leading basic nodes have no source record."""
-    sources = [None] * (len(graph.stages) - len(graph.record_ids)) + graph.record_ids.tolist()
+    sources = [r for _, r in node_labels(graph)]
     return [(STAGES[s], CHANNELS[c], r) for s, c, r in zip(graph.stages.tolist(), graph.channels.tolist(), sources)]
 
 
 def node_kinds(graph: EmotionGraph) -> list[str]:
     """Each node's label, such as ``basic_scene``, ``indirect_face`` or ``direct_audio_text``."""
-    return [f"{'direct_audio' if s is GraphStage.DIRECT else s.value}_{c}" for s, c, _ in node_table(graph)]
+    return [kind for kind, _ in node_labels(graph)]
 
 
 def edge_count(graph: EmotionGraph) -> int:

@@ -382,10 +382,29 @@ class TestExtensions:
                 extend_graph(graph, retrieved, proj)
         assert extend_graph(basic_enc, retrieved, proj).stage is INDIRECT
         assert extend_graph(indirect_enc, retrieved, proj).stage is DIRECT
-        # the hit counts fix the topology, so the direct stage needs the indirect stage's hits
+        # the direct stage needs the indirect stage's hits, channel by channel
         for k in (0, 2):
-            with pytest.raises(StateError, match="encoded stage has 6 nodes, not "):
+            with pytest.raises(StateError, match="does not hold"):
                 extend_graph(indirect_enc, synthetic_retrieval(rng, k, D_VEC), proj)
+
+        def one_hit(channel):
+            full = synthetic_retrieval(rng, 1, D_VEC)
+            parts = (full.rankings, full.indirect_vectors, full.matched_audio)
+            return RetrievalResult(*({c: v if c == channel else v[:0] for c, v in p.items()} for p in parts))
+
+        scene_enc = gae_encode(extend_graph(basic_enc, one_hit("scene"), proj), gae)
+        assert extend_graph(scene_enc, one_hit("scene"), proj).stage is DIRECT
+        with pytest.raises(StateError, match=r"\[0, 1, 0\] hits per channel"):  # same total, other channel
+            extend_graph(scene_enc, one_hit("face"), proj)
+
+    def test_extension_keeps_encoded_mask(self, rng, proj, gae):
+        _, _, _, indirect_enc, direct, _, retrieved = encode_stages(rng, proj, gae, k=1)
+        assert np.array_equal(direct.mask[:6, :6], indirect_enc.mask)
+        mask = indirect_enc.mask.copy()
+        mask[3, 4] = mask[4, 3] = True  # an edge the wiring rule does not make
+        extended = extend_graph(dataclasses.replace(indirect_enc, mask=mask), retrieved, proj)
+        assert np.array_equal(extended.mask[:6, :6], mask)
+        assert np.array_equal(extended.mask[6:], direct.mask[6:])
 
     def test_edge_check_rejects_illegal_wiring(self, rng, proj, gae):
         _, _, _, _, direct, _, _ = encode_stages(rng, proj, gae, k=1)
