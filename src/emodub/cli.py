@@ -102,6 +102,24 @@ def _parse_fractions(text: str) -> list[float]:
     return sorted(set(out))
 
 
+#: Largest ``--seed``: the random streams key on a seed's low 64 bits, so a
+#: seed outside [0, 2**64) would silently draw the streams of one inside it.
+SEED_MAX = (1 << 64) - 1
+
+
+def _seed_option(default: int = 0, help: str | None = None):
+    """The ``--seed`` option of every command that takes one. A seed outside
+    [0, 2**64) is refused with an ``error:`` line (exit 2) as it is parsed."""
+
+    def check(ctx, _param, seed):
+        if not 0 <= seed <= SEED_MAX:
+            click.echo(f"error: --seed must be in [0, 2**64), got {seed}", err=True)
+            ctx.exit(EXIT_USAGE)
+        return seed
+
+    return click.option("--seed", default=default, show_default=True, type=int, help=help, callback=check)
+
+
 @contextlib.contextmanager
 def _open_out(path: str | None):
     """The text file at ``path``, closed on exit; stdout for '-' or no path."""
@@ -131,7 +149,7 @@ def main():
 @click.option("--clusters", default=4, show_default=True, help="Number of labeled clusters.")
 @click.option("--separation", default=8.0, show_default=True, help="Pairwise centroid distance in noise sigmas.")
 @click.option("--dim", default=8, show_default=True, type=int, help="Vector dim for all modalities.")
-@click.option("--seed", default=0, show_default=True, type=int)
+@_seed_option()
 @click.option("--speakers", default=4, show_default=True, help="Distinct speakers (round-robin).")
 @click.option("--speaker-per-cluster", is_flag=True, help="Give each cluster its own single speaker.")
 @_handle_errors
@@ -180,7 +198,7 @@ def _load_queries(lib, query_ids, num_queries, seed):
 @click.option("--k", default=3, show_default=True, type=int)
 @click.option("--metric", default="cosine", show_default=True, type=click.Choice(sorted(_METRICS)))
 @click.option("--mode", default="agnostic", show_default=True, type=click.Choice(sorted(_MODES)))
-@click.option("--seed", default=0, show_default=True, type=int)
+@_seed_option()
 @click.option("--out", default="-", help="CSV path or '-' for stdout.")
 @_handle_errors
 def cmd_retrieve(lib_path, query_ids, num_queries, k, metric, mode, seed, out):
@@ -208,7 +226,7 @@ def cmd_retrieve(lib_path, query_ids, num_queries, k, metric, mode, seed, out):
 @click.option("--k", default=3, show_default=True, type=int)
 @click.option("--metric", default="cosine", show_default=True, type=click.Choice(sorted(_METRICS)))
 @click.option("--mode", default="agnostic", show_default=True, type=click.Choice(sorted(_MODES)))
-@click.option("--seed", default=0, show_default=True, type=int, help="Parameter init seed.")
+@_seed_option(help="Parameter init seed.")
 @click.option("--dim", default=256, show_default=True, type=int, help="Node feature dimension.")
 @click.option("--features/--no-features", default=False, help="Include encoded feature matrices.")
 @click.option("--out", default="-", help="JSON path or '-' for stdout.")
@@ -253,7 +271,7 @@ def cmd_encode(lib_path, query_id, k, metric, mode, seed, dim, features, out):
 
 
 @main.command("train-toy")
-@click.option("--seed", default=0, show_default=True, type=int)
+@_seed_option()
 @click.option("--steps", default=200, show_default=True, type=int)
 @click.option("--k", default=3, show_default=True, type=int)
 @click.option("--dim", default=32, show_default=True, type=int, help="Pipeline feature dimension.")
@@ -299,7 +317,7 @@ def _build_toy_fixture(seed, k, dim, mel_bins, length, lib_size, clusters, separ
 @main.command("grad-check")
 # Seeds 0 and 1 collapse this fixture's basic-stage rows, which leaves the
 # basic cross-attention's wq and wk gradients under grad_check's 1e-8 floor.
-@click.option("--seed", default=2, show_default=True, type=int)
+@_seed_option(2)
 @click.option("--dim", default=8, show_default=True, type=int)
 @click.option("--length", default=5, show_default=True, type=int)
 @click.option("--k", default=2, show_default=True, type=int)
@@ -359,7 +377,7 @@ def cmd_sweep_metric(lib_path, k_list, mode, out):
 @click.option("--k", default=3, show_default=True, type=int)
 @click.option("--metric", default="cosine", show_default=True, type=click.Choice(sorted(_METRICS)))
 @click.option("--mode", default="agnostic", show_default=True, type=click.Choice(sorted(_MODES)))
-@click.option("--seed", default=0, show_default=True, type=int)
+@_seed_option()
 @click.option("--out", default="-")
 @_handle_errors
 def cmd_sweep_scale(lib_path, fractions, k, metric, mode, seed, out):

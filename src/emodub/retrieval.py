@@ -94,6 +94,12 @@ A failing query row's slack is 0, a failing library row's unit column 0
 (its norm is never divided), and past the dimension limit every pair
 fails and no unit columns are built.
 
+Up to K = :data:`_ARGMAX_K_MAX`, :func:`_top_k` finds each row's K-th
+approximate score by K + 1 argmax passes. When every row's (K+1)-th score
+falls below its threshold, the K columns each row took are its survivors
+and no entry is compared; else (a near tie or a pool shorter than K in any
+row) every entry is compared with its row's threshold. Past that K, a
+partition gives the K-th score.
 Each row's pool top K are ordered by (score desc, record_id asc), ids
 compared as the unsigned 64-bit integers they are: one per-row sort when
 each row has exactly K survivors and none tie, else a sort by (row, score
@@ -314,46 +320,94 @@ def _exact_scores(lib, queries, query_norms, metric, modalities, rows, cols) -> 
     return scores[0]
 
 
+#: Largest K whose K-th score :func:`_top_k` takes by argmax passes, not a
+#: partition. Timing ``_top_k`` alone (2-vCPU Xeon, numpy 2.4.6, medians of
+#: 400 interleaved calls), the passes win up to K = 9 on a 6 x 10**4 block (a
+#: sweep block at N = 10**4), K = 11 on 200 x 200, and past K = 16 with 75% of
+#: each row outside the pool; on one 10**4 row they tie at K = 4 and cost
+#: 35 -> 50 µs at K = 8, and on 50 x 50 a few µs from K = 3 on.
+_ARGMAX_K_MAX = 8
+
+
+def _survivors(scores: np.ndarray, threshold: np.ndarray, pool: np.ndarray, short: bool) -> np.ndarray:
+    """The flat indices, grouped by row, of the entries scoring at least
+    their row's threshold; with a ``short`` row, only pool entries."""
+    survivors = scores >= threshold[:, None]
+    if short:
+        # such a row's pool is smaller than K, or its pool scores -inf: each
+        # of its pool columns survives, and only those
+        survivors &= pool
+    return np.flatnonzero(survivors)
+
+
 def _top_k(scores: np.ndarray, pool: np.ndarray, ids: np.ndarray, k: int, slack=0.0, exact=None):
     """``(rows, cols, scores)`` of each row's top min(K, pool size) pool
     columns by exact score, in (row asc, score desc, id asc) order.
 
-    ``scores`` is the block's own (Q, N) array of approximate scores, each
-    within ``slack`` (a scalar or one entry per row) of the exact score
-    that ``exact(rows, cols)`` gives for a list of pairs; its entries
-    outside the pool are set to -inf in place. With the defaults, the
-    scores are exact. Each row's K-th score a_K is its maximum at K = 1
-    and comes from one partition otherwise, and the pool columns scoring
-    at least a_K - 2 s survive, s the row's slack. They hold every column
-    whose exact score R reaches the row's K-th exact score R_K: at least K
-    pool columns have R >= R_K, so A >= R_K - s for K of them and
-    a_K >= R_K - s; at most K - 1 have R > R_K, so at most K - 1 have
-    A > R_K + s and a_K <= R_K + s. A column with R >= R_K then has
-    A >= R_K - s >= a_K - 2 s. An entry already exact (A = R, an error of
-    0) is within any slack, so the bound holds for a block that mixes them
-    in. A dropped column scores strictly below K pool columns, so neither
-    a tie nor an id can bring it back. Only the survivors are scored
-    exactly. When every row has exactly K survivors, one per-row sort of
-    the Q×K block orders them if Q > 1 and no two of a row tie. Any other
-    block (a pool smaller than K, a tie at or above the K-th exact score,
-    survivors past K within the slack, or one row, where this costs less)
-    is sorted by (row, score desc, id asc), each row keeping its first K.
+    ``scores`` is the block's own C-contiguous (Q, N) array of approximate
+    scores, each within ``slack`` (a scalar or one entry per row) of the
+    exact score that ``exact(rows, cols)`` gives for a list of pairs; its
+    entries outside the pool are set to -inf in place, and other entries
+    may be too. With the defaults, the scores are exact. The pool columns
+    scoring at least a_K - 2 s survive, a_K the row's K-th approximate
+    score and s its slack. They hold every column whose exact score R
+    reaches the row's K-th exact score R_K: at least K pool columns have
+    R >= R_K, so A >= R_K - s for K of them and a_K >= R_K - s; at most
+    K - 1 have R > R_K, so at most K - 1 have A > R_K + s and
+    a_K <= R_K + s. A column with R >= R_K then has A >= R_K - s >=
+    a_K - 2 s. An entry already exact (A = R, an error of 0) is within any
+    slack, so the bound holds for a block that mixes them in. A dropped
+    column scores strictly below K pool columns, so neither a tie nor an
+    id can bring it back.
+
+    Up to K = :data:`_ARGMAX_K_MAX`, K + 1 argmax passes find a_K: each
+    takes every row's first maximal entry and writes -inf in its place, so
+    pass j takes the row's j-th score counted with its multiplicity, as a
+    partition would (a row whose pool is shorter than K takes -inf, maybe
+    from a column it took before). When no row's a_K is -inf and every row
+    has a_(K+1) < a_K - 2 s, the threshold as computed, each row's K taken
+    columns are exactly its survivors: they score at least a_K, at least
+    the threshold, which rounds a_K - 2 s <= a_K; any other column scores
+    at most a_(K+1), below it. At K = N there is no pass K + 1 and no
+    other column. The comparison is then skipped, and the taken entries
+    stay -inf, as the array is not read again. Otherwise, as when one row
+    has a near tie, the whole block puts the taken scores back, in reverse
+    order so that a column taken twice gets its own score last, and is
+    compared with the threshold, as it is past :data:`_ARGMAX_K_MAX`, where
+    a_K comes from one partition.
+
+    Only the survivors are scored exactly. When every row has exactly K
+    survivors, one per-row sort of the Q×K block orders them if Q > 1 and
+    no two of a row tie. Any other block (a pool smaller than K, a tie at
+    or above the K-th exact score, survivors past K within the slack, or
+    one row, where this costs less) is sorted by (row, score desc, id
+    asc), each row keeping its first K.
     """
     q, n = scores.shape
     k = min(k, n)
     if k == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
     np.copyto(scores, -np.inf, where=~pool)
-    kth = scores.max(axis=1) if k == 1 else np.partition(scores, n - k, axis=1)[:, n - k]
-    survivors, short = scores >= (kth - 2.0 * slack)[:, None], bool((kth == -np.inf).any())
-    if short:
-        # such a row's pool is smaller than K, or its pool scores -inf: each
-        # of its pool columns survives, and only those
-        survivors &= pool
-    flat = np.flatnonzero(survivors)
-    rows, cols = np.divmod(flat, n)
-    top_scores = scores.ravel()[flat] if exact is None else exact(rows, cols)
-    if flat.size == q * k and not short:
+    flat, starts, taken, taken_scores = scores.reshape(-1), np.arange(0, q * n, n), [], []
+    for _ in range(k + (k < n) if k <= _ARGMAX_K_MAX else 0):
+        at = scores.argmax(axis=1)
+        at += starts
+        taken.append(at)
+        taken_scores.append(flat[at])
+        flat[at] = -np.inf
+    kth = taken_scores[k - 1] if taken else np.partition(scores, n - k, axis=1)[:, n - k]
+    threshold, short = kth - 2.0 * slack, bool((kth == -np.inf).any())
+    if taken and not short and (k == n or (taken_scores[k] < threshold).all()):
+        chosen, top_scores = np.array(taken[:k]).T.ravel(), np.array(taken_scores[:k]).T.ravel()
+    else:
+        for at, score in zip(taken[::-1], taken_scores[::-1]):
+            flat[at] = score
+        chosen = _survivors(scores, threshold, pool, short)
+        top_scores = flat[chosen]
+    rows, cols = np.divmod(chosen, n)
+    if exact is not None:
+        top_scores = exact(rows, cols)
+    if chosen.size == q * k and not short:
         # every row has at least K survivors, so exactly K, grouped by row
         if k == 1:
             return rows, cols, top_scores

@@ -421,6 +421,33 @@ class TestEncodeFlags:
             assert sizes == [(3, 3), (3 + hits, 3 + hits), (3 + 2 * hits, 3 + 2 * hits)]
 
 
+class TestSeedRange:
+    """A seed outside [0, 2**64) would alias one inside it, as the streams
+    key on its low 64 bits, so every command that takes ``--seed`` refuses
+    it before it reads or writes a file."""
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    @pytest.mark.parametrize("command", [
+        ["gen-synthetic", "--n", "8", "--out", "OUT"],
+        ["retrieve", "--lib", "LIB", "--num-queries", "1", "--out", "OUT"],
+        ["encode", "--lib", "LIB", "--query-id", "0", "--dim", "4", "--out", "OUT"],
+        ["train-toy", "--steps", "1", "--dim", "8", "--out", "OUT"],
+        ["grad-check"],
+        ["sweep-scale", "--lib", "LIB", "--fractions", "1.0", "--out", "OUT"],
+    ])
+    def test_refused_with_exit_2(self, runner, flag_lib, tmp_path, command, seed):
+        out = tmp_path / "out"
+        paths = {"LIB": str(flag_lib), "OUT": str(out)}
+        result = runner.invoke(main, [*(paths.get(arg, arg) for arg in command), "--seed", str(seed)])
+        assert_error_exit(result, 2, f"--seed must be in [0, 2**64), got {seed}")
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_both_ends_of_the_range_run(self, runner, tmp_path):
+        for seed in (0, (1 << 64) - 1):
+            run_ok(runner, ["gen-synthetic", "--out", str(tmp_path / f"{seed}.mrfl"), "--n", "8", "--seed", str(seed)])
+
+
 class TestTrainToy:
     def test_loss_csv_and_checkpoint(self, runner, tmp_path):
         out = tmp_path / "losses.csv"

@@ -760,6 +760,67 @@ class TestTopK:
         assert (rows.tolist(), cols.tolist(), top.tobytes()) == want
 
 
+class TestTopKSelection:
+    """``_top_k`` against a full sort by exact score, on random blocks of
+    every kind its selection must get right: integer scores with many ties,
+    rows with 75-100% of their entries outside the pool, pools shorter than
+    K, K across :data:`~emodub.retrieval._ARGMAX_K_MAX` and K >= N, with no
+    slack and with a slack that puts a row's (K+1)-th score within twice
+    the slack of its K-th. Both the fast path (each row's K taken columns
+    are its survivors) and the fallback (the block is compared with the
+    threshold) are reached at every Q."""
+
+    SLACK = 0.25
+
+    def kinds(self, rng, q, n):
+        """``(exact scores, pool)`` of each kind of block."""
+        distinct = np.array([rng.permutation(n) for _ in range(q)], dtype=float) - n / 2
+        ties = rng.integers(-3, 4, size=(q, n)).astype(float)
+        full = np.ones((q, n), dtype=bool)
+        sparse = rng.random((q, n)) < rng.uniform(0.0, 0.25, size=(q, 1))
+        short = np.zeros((q, n), dtype=bool)
+        for row in range(q):
+            short[row, rng.choice(n, size=rng.integers(0, 4), replace=False)] = True
+        return [(distinct, full), (ties, full), (distinct, sparse), (ties, sparse), (distinct, short)]
+
+    def near_tie(self, exact, approx, pool, k):
+        """Row 0's (K+1)-th pool column by exact score moved to half a slack
+        below its K-th, and its approximate score to the K-th exact score."""
+        cols = np.flatnonzero(pool[0])
+        ranked = cols[np.argsort(-exact[0, cols], kind="stable")]
+        if ranked.size > k:
+            exact[0, ranked[k]] = exact[0, ranked[k - 1]] - self.SLACK / 2
+            approx[0, ranked[k]] = exact[0, ranked[k - 1]]
+
+    @pytest.mark.parametrize("n", [5, 24])
+    @pytest.mark.parametrize("q", [1, 2, 7, 200])
+    def test_matches_full_sort(self, monkeypatch, q, n):
+        ids = np.array([2**64 - 1 - 7 * c for c in range(n)], dtype=np.uint64)  # falling: a tie goes to the later column
+        fallbacks = []
+        real = retrieval._survivors
+        monkeypatch.setattr(retrieval, "_survivors", lambda *args: fallbacks.append(1) or real(*args))
+        fast = slow = 0
+        rng = np.random.default_rng(30 + q + n)
+        for k in [*range(1, retrieval._ARGMAX_K_MAX + 3), n, n + 3]:
+            for scores, pool in self.kinds(rng, q, n):
+                for slack in (0.0, self.SLACK):
+                    exact = scores.copy()
+                    # approximate scores within the slack, a multiple of a quarter of it from the exact ones
+                    approx = exact + rng.integers(-4, 5, size=exact.shape) * (slack / 4)
+                    if slack:
+                        self.near_tie(exact, approx, pool, k)
+                    want = full_sort_top_k(exact, pool, ids, k)
+                    fallbacks.clear()
+                    # without a slack the scores are exact, and _top_k reads them off the block
+                    scorer = (lambda rows, cols: exact[rows, cols]) if slack else None
+                    rows, cols, top = _top_k(approx, pool, ids, k, np.full(q, slack), scorer)
+                    assert (rows.tolist(), cols.tolist(), top.tobytes()) == want, (k, slack)
+                    if min(k, n) <= retrieval._ARGMAX_K_MAX:
+                        fast += not fallbacks
+                        slow += bool(fallbacks)
+        assert fast and slow
+
+
 class TestHighRecordIds:
     """Record ids are uint64: a tie goes to the lower id also at and above
     2**63, where a signed 64-bit id would turn negative."""
