@@ -4,13 +4,15 @@ Everything is a 2-D float64 matrix. A :class:`Tensor` wraps a numpy array
 and records enough structure to run reverse-mode backpropagation from a
 scalar (1x1) output; :class:`Parameter` is a named trainable leaf with a
 persistent gradient buffer. Ops cover exactly what the encoding pipeline
-needs: sums, linear maps, row and column concatenation, scaled dot-product
-cross-attention over one memory with learned projections as one op, a
-width-1 1-D convolution, and mean-squared error as one op, plus Adam and a
-central-finite-difference gradient checker. The graph attention stage is
-one op too, in :mod:`emodub.graph`. Each fused op rounds as the composition
-of single ops it stands for would: its backward adds each gradient in that
-composition's order, on operands of that composition's memory layout.
+needs: row and column concatenation, and as one op each a linear map,
+scaled dot-product cross-attention over one memory with learned
+projections, and mean-squared error; a width-1 1-D convolution is a
+linear map. Adam and a central-finite-difference gradient checker come
+with them. The graph attention stage and a stage's input projection are
+one op each too, in :mod:`emodub.graph`. Each fused op rounds as the
+composition of single ops it stands for would: its backward adds each
+gradient in that composition's order, on operands of that composition's
+memory layout.
 
 All computation is numpy float64 and single-threaded per tape; independent
 tapes share no mutable state and may run concurrently.
@@ -171,14 +173,6 @@ def _accum_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
         _accum(t, a @ b)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    if shape[0] == 1 and g.shape[0] != 1:
-        g = g.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] != 1:
-        g = g.sum(axis=1, keepdims=True)
-    return g
-
-
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row softmax after subtracting each row's max, so rows of any magnitude
     are safe; a ``-inf`` entry gets probability exactly 0."""
@@ -186,34 +180,7 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-# --- elementwise and structural ops ----------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    (ar, ac), (br, bc) = sa, sb = a.data.shape, b.data.shape
-    if (ar != br and ar != 1 and br != 1) or (ac != bc and ac != 1 and bc != 1):
-        raise ShapeError(f"cannot add shapes {sa} and {sb}")
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, sa))
-        _accum(b, _unbroadcast(g, sb))
-
-    return _make(a.data + b.data, (a, b), backward)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum_product(b, a.data.T, g)
-
-    return _make(a.data @ b.data, (a, b), backward)
+# --- structural ops and the loss ----------------------------------------
 
 
 def concat_cols(a, b) -> Tensor:
@@ -320,8 +287,27 @@ class LinearParams(Params):
 
 
 def linear(x, weight: Parameter | Tensor, bias: Parameter | Tensor) -> Tensor:
-    """Affine map ``x @ weight + bias`` with the bias broadcast over rows."""
-    return add(matmul(x, weight), bias)
+    """Affine map ``x @ weight + bias``, the ``1 x d_out`` bias row broadcast
+    over rows, as one op. The backward rounds as the product-then-sum chain
+    did: the bias takes ``g`` summed over rows (a one-row ``g`` as it is),
+    then ``x`` and ``weight`` take their products of ``0.0 + g`` in C layout.
+    A gradient that no operand needs is not computed.
+    """
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    if x.cols != weight.rows or bias.shape != (1, weight.cols):
+        raise ShapeError(f"linear shape mismatch: {x.shape} @ {weight.shape} + {bias.shape}")
+
+    def backward(g):
+        if bias.requires_grad:
+            _accum(bias, g if g.shape[0] == 1 else g.sum(axis=0, keepdims=True))
+        g_xw = np.zeros(g.shape)  # the product's gradient as the chain held it
+        g_xw += g
+        if x.requires_grad:
+            _accum(x, g_xw @ weight.data.T)
+        if weight.requires_grad:
+            _accum_product(weight, x.data.T, g_xw)
+
+    return _make(x.data @ weight.data + bias.data, (x, weight, bias), backward)
 
 
 @dataclass
@@ -423,9 +409,6 @@ class Conv1dParams(Params):
 def conv1d(x, params: Conv1dParams) -> Tensor:
     """Apply the convolution, ``linear(x, kernel, bias)``; the output has
     the same number of rows as ``x``."""
-    x = as_tensor(x)
-    if x.cols != params.kernel.rows:
-        raise ShapeError(f"conv1d input dim {x.cols}, kernel expects {params.kernel.rows}")
     return linear(x, params.kernel, params.bias)
 
 
@@ -532,11 +515,13 @@ def grad_check(
     Per entry the error is ``|fd - g| / max(|fd|, |g|)``, with deviations at
     or below the absolute floor 1e-8 counting as zero (they are
     indistinguishable from finite-difference roundoff). A non-finite loss,
-    finite difference or analytic entry raises :class:`NumericError`.
+    finite difference or analytic entry raises :class:`NumericError`, as
+    does a finite ``eps`` so large that a perturbed loss overflows; a
+    non-finite ``eps`` raises :class:`ArgumentError`.
     ``loss_fn`` must rebuild its graph on every call and be deterministic.
     """
-    if not eps > 0.0:
-        raise ArgumentError(f"finite-difference step must be > 0, got {eps}")
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ArgumentError(f"finite-difference step must be > 0 and finite, got {eps}")
     params = collect_parameters(params)
     for p in params:
         p.zero_grad()

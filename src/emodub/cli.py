@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import sys
 
 import click
@@ -102,8 +103,8 @@ def _parse_fractions(text: str) -> list[float]:
     return sorted(set(out))
 
 
-#: Largest ``--seed``: the random streams key on a seed's low 64 bits, so a
-#: seed outside [0, 2**64) would silently draw the streams of one inside it.
+#: Largest ``--seed``: the random streams refuse a seed outside [0, 2**64),
+#: and the flag is checked as it is parsed, before any file is read.
 SEED_MAX = (1 << 64) - 1
 
 
@@ -327,8 +328,8 @@ def _build_toy_fixture(seed, k, dim, mel_bins, length, lib_size, clusters, separ
 @_handle_errors
 def cmd_grad_check(seed, dim, length, k, mel_bins, eps, tol):
     """Finite-difference check of the full pipeline gradient."""
-    if not tol > 0.0:
-        raise ArgumentError(f"gradient tolerance must be > 0, got {tol}")
+    if not (tol > 0.0 and math.isfinite(tol)):  # an infinite tolerance passes any finite error
+        raise ArgumentError(f"gradient tolerance must be > 0 and finite, got {tol}")
     batch, model = _build_toy_fixture(
         seed, k, dim, mel_bins, length, lib_size=12, clusters=3, separation=8.0, vec_dim=4,
         metric=Metric.COSINE,

@@ -146,26 +146,30 @@ class ProjectionParams(Params):
         )
 
 
-def project_input(raw, proj: LinearParams) -> Tensor:
-    """Project one raw vector, or an ``n x d_in`` block of them, to node
-    feature rows as one op; the raw values are a constant.
+def project_input(blocks: list[tuple[object, LinearParams]]) -> Tensor:
+    """Project raw vectors to node feature rows as one op. Each block is a
+    raw vector, or an ``n x d_in`` block of them, with its linear map; the
+    rows come out in block order, and the raw values are a constant.
 
-    The block is copied C-contiguous, and one stacked matmul projects each
-    row as its own one-row product, so every row gets the bits a lone
-    contiguous row gets (a plain 2-D product of the block can round
-    differently). The backward adds each row's gradient in row order.
+    Each block is copied C-contiguous, and one stacked matmul per block
+    projects each row as its own one-row product, so every row gets the
+    bits a lone contiguous row gets (a plain 2-D product of the block can
+    round differently). The backward adds each row's gradient in block
+    order, then row order.
     """
-    x = np.array(raw, dtype=np.float64, order="C", ndmin=2)
-    if x.ndim != 2 or x.shape[1] != proj.weight.rows:
-        raise SchemaError(f"raw input of shape {x.shape} does not match projection dim {proj.weight.rows}")
+    xs = [(np.array(raw, dtype=np.float64, order="C", ndmin=2), proj) for raw, proj in blocks]
+    for x, proj in xs:
+        if x.ndim != 2 or x.shape[1] != proj.weight.rows:
+            raise SchemaError(f"raw input of shape {x.shape} does not match projection dim {proj.weight.rows}")
 
     def backward(g):
-        for x_i, g_i in zip(x, g):
-            _accum(proj.weight, np.outer(x_i, g_i))
-            _accum(proj.bias, g_i)
+        for (x, proj), g_block in zip(xs, np.split(g, np.cumsum([len(x) for x, _ in xs[:-1]]))):
+            for x_i, g_i in zip(x, g_block):
+                _accum(proj.weight, np.outer(x_i, g_i))
+                _accum(proj.bias, g_i)
 
-    out = np.matmul(x[:, None, :], proj.weight.data)[:, 0, :] + proj.bias.data
-    return _make(out, (proj.weight, proj.bias), backward)
+    out = np.concatenate([np.matmul(x[:, None, :], proj.weight.data)[:, 0, :] + proj.bias.data for x, proj in xs])
+    return _make(out, tuple(chain.from_iterable((proj.weight, proj.bias) for _, proj in xs)), backward)
 
 
 @dataclass
@@ -247,12 +251,8 @@ def gae_encode(
 
 def build_basic_graph(scene_raw, face_raw, text_concat_raw, proj: ProjectionParams) -> EmotionGraph:
     """Triangle over the target's own scene, face and text features."""
-    rows = [
-        project_input(scene_raw, proj.scene),
-        project_input(face_raw, proj.face),
-        project_input(text_concat_raw, proj.text),
-    ]
-    return EmotionGraph(GraphStage.BASIC, concat_rows(rows), _TRIANGLE, _BASIC_STAGES, _BASIC_CHANNELS, _NO_RECORDS)
+    features = project_input([(scene_raw, proj.scene), (face_raw, proj.face), (text_concat_raw, proj.text)])
+    return EmotionGraph(GraphStage.BASIC, features, _TRIANGLE, _BASIC_STAGES, _BASIC_CHANNELS, _NO_RECORDS)
 
 
 def extend_graph(
@@ -264,12 +264,12 @@ def extend_graph(
 
     An encoded basic graph gains one indirect node per retrieved hit,
     projected from the hit's own channel vector; an encoded indirect graph
-    gains one direct node per hit, projected from its matched audio. Each
-    channel's block of hits is projected by one op, and every encoded
-    feature row is carried over as-is. Each new node is wired to the basic
-    node of the channel whose query found the hit, and the encoded mask is
-    the new mask's leading block. An encoded stage whose shape or codes do
-    not match the hits of ``retrieved`` is a StateError.
+    gains one direct node per hit, projected from its matched audio. The
+    new nodes are projected by one op, and every encoded feature row is
+    carried over as-is. Each new node is wired to the basic node of the
+    channel whose query found the hit, and the encoded mask is the new
+    mask's leading block. An encoded stage whose shape or codes do not
+    match the hits of ``retrieved`` is a StateError.
     """
     if not encoded.encoded or encoded.stage is GraphStage.DIRECT:
         raise StateError("only an encoded basic or indirect graph can be extended")
@@ -285,21 +285,17 @@ def extend_graph(
     stages, channels = ([0, 0, 0] + [1] * h + [2] * h)[:n], ([0, 1, 2] + hits * 2)[:n]
     if (encoded.mask.shape, encoded.stages.tolist(), encoded.channels.tolist()) != ((m, m), stages[:m], channels[:m]):
         raise StateError(f"the encoded stage does not hold {[len(r) for r in rankings]} hits per channel")
-    blocks: list[Tensor] = [encoded.features]
-    for channel in CHANNELS:
-        if stage is GraphStage.INDIRECT:
-            vectors, projection = retrieved.indirect_vectors[channel], getattr(proj, channel)
-        else:
-            vectors, projection = retrieved.matched_audio[channel], proj.audio
-        if len(vectors):
-            blocks.append(project_input(vectors, projection))
+    if stage is GraphStage.INDIRECT:
+        blocks = [(retrieved.indirect_vectors[c], getattr(proj, c)) for c in CHANNELS]
+    else:
+        blocks = [(np.concatenate([retrieved.matched_audio[c] for c in CHANNELS]), proj.audio)]
     mask = np.zeros((n, n), dtype=bool)
     mask[:m, :m] = encoded.mask
     new, hit_channels = np.arange(m, n), np.array(hits, dtype=np.int64)
     mask[new, hit_channels] = mask[hit_channels, new] = mask[new, new] = True
     return EmotionGraph(
         stage,
-        concat_rows(blocks) if len(blocks) > 1 else encoded.features,
+        concat_rows([encoded.features, project_input(blocks)]) if h else encoded.features,
         mask,
         np.array(stages),
         np.array(channels),

@@ -12,9 +12,10 @@ reproduce every draw:
   z *= 0x94D049BB133111EB; z ^= z >> 31`` with all arithmetic mod 2**64.
 * next output: ``state = (state + 0x9E3779B97F4A7C15) mod 2**64`` then
   ``mix64(state)``.
-* stream keying (see :func:`stream`): ``h = mix64(seed)``; for each token,
-  take its bytes (UTF-8 for strings, 8-byte little-endian for ints), then
-  ``h = mix64(h ^ len(bytes))`` followed by ``h = mix64(h ^ b)`` per byte.
+* stream keying (see :func:`stream`), for a seed in ``[0, 2**64)``:
+  ``h = mix64(seed)``; for each token, take its bytes (UTF-8 for strings,
+  8-byte little-endian for ints), then ``h = mix64(h ^ len(bytes))``
+  followed by ``h = mix64(h ^ b)`` per byte.
 * float: ``u64 / 2**64``, the u64 rounded to the nearest float64 (ties to
   even) and scaled exactly. This lies in ``[0, 1)`` except for the top
   ``2**10`` outputs, which round up to exactly ``1.0``.
@@ -57,13 +58,20 @@ def mix64(z):
     return z
 
 
+def _seed(seed: int) -> int:
+    """``seed``, refused outside [0, 2**64), where it would alias its low 64 bits."""
+    if not 0 <= seed <= _MASK64:
+        raise ArgumentError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 class SplitMix64:
     """A SplitMix64 stream. ``seed`` selects the stream deterministically."""
 
     __slots__ = ("_state", "_spare")
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = _seed(seed)
         self._spare: float | None = None
 
     def next_u64(self) -> int:
@@ -115,7 +123,7 @@ def stream(seed: int, *tokens: str | int) -> SplitMix64:
     Distinct token sequences yield distinct streams with overwhelming
     probability; identical inputs always yield the identical stream.
     """
-    h = mix64(seed & _MASK64)
+    h = mix64(_seed(seed))
     for tok in tokens:
         if isinstance(tok, str):
             data = tok.encode("utf-8")

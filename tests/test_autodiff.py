@@ -20,7 +20,6 @@ from emodub.autodiff import (
     _accum,
     _accum_product,
     _make,
-    add,
     concat_cols,
     concat_rows,
     conv1d,
@@ -28,7 +27,6 @@ from emodub.autodiff import (
     grad_check,
     linear,
     load_checkpoint,
-    matmul,
     mse,
     save_checkpoint,
 )
@@ -78,6 +76,11 @@ def param(data, name):
     return Parameter(np.asarray(data, dtype=np.float64), name)
 
 
+def no_bias(cols):
+    """A constant zero bias row, which makes ``linear`` a plain product."""
+    return Tensor(np.zeros((1, cols)))
+
+
 def scaled(t, factor, off_by=1.0):
     """``t * factor`` as one op, with a backward rule off by the factor
     ``off_by`` (1.0 gives the true rule)."""
@@ -113,16 +116,56 @@ class TestLinear:
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), no_bias(3))
+
+
+def chain_linear(x, w, b):
+    """``x @ w + b`` as the product op and the broadcast-sum op that
+    ``linear`` fuses, built from ``_make``: the reference for its bits."""
+
+    def product_backward(g):
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum_product(w, x.data.T, g)
+
+    xw = _make(x.data @ w.data, (x, w), product_backward)
+
+    def sum_backward(g):
+        _accum(xw, g)
+        _accum(b, g if g.shape[0] == 1 else g.sum(axis=0, keepdims=True))
+
+    return _make(xw.data + b.data, (xw, b), sum_backward)
+
+
+class TestLinearBits:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rows, cols, out_cols", [(1, 5, 3), (2, 5, 3), (6, 5, 3), (40, 33, 20)])
+    @pytest.mark.parametrize("upstream", [1.0, -0.5])
+    def test_bits_of_the_chain_it_replaces(self, rng, order, rows, cols, out_cols, upstream):
+        x_data = np.asarray(rng.normal(size=(rows, cols)), order=order)
+        x_data[0] = 0.0  # a zero row: its products are signed zeros
+        w_data, b_data = rng.normal(size=(cols, out_cols)), rng.normal(size=(1, out_cols))
+        target = rng.normal(size=(rows, out_cols))
+        results = []
+        for op in (linear, chain_linear):
+            x = Tensor(x_data.copy(order="K"), requires_grad=True)
+            w, b = param(w_data, "w"), param(b_data, "b")
+            out = op(x, w, b)
+            target[-1] = out.data[-1]  # zero differences, so the gradient holds signed zeros
+            scaled(mse(out, target), upstream).backward()
+            assert x.data.flags[f"{order}_CONTIGUOUS"]
+            results.append([t.tobytes() for t in (out.data, x.grad, w.grad, b.grad)] + [out.data.flags.c_contiguous])
+        assert results[0] == results[1]
 
 
 class TestShapeChecks:
-    def test_add_rejects_shapes_that_do_not_broadcast(self):
-        for other in ((3, 3), (2, 2), (3, 1)):
+    def test_linear_rejects_a_bias_that_is_not_one_output_row(self):
+        x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))
+        for other in ((3, 3), (2, 2), (3, 1), (2, 3), (2, 1), (1, 1), (1, 2)):
             with pytest.raises(ShapeError):
-                add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(other)))
-        for other in ((2, 3), (1, 3), (2, 1), (1, 1)):
-            assert add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(other))).data.shape == (2, 3)
+                linear(x, w, Tensor(np.zeros(other)))
+        assert linear(x, w, Tensor(np.zeros((1, 3)))).data.shape == (2, 3)
 
     def test_concat_rows_rejects_unequal_column_counts(self):
         with pytest.raises(ShapeError, match="row concat"):
@@ -142,8 +185,7 @@ def path_stage(features):
 #: each op on 4x3 inputs; ``b`` supplies a second operand or a constant;
 #: the attentions' parameters are constants
 OPS = {
-    "add": add,
-    "matmul": lambda a, b: matmul(a, Tensor(b.data.T)),
+    "linear": lambda a, b: linear(a, Tensor(b.data.T), no_bias(4)),
     "concat_cols": concat_cols,
     "concat_rows": lambda a, b: concat_rows([a, b]),
     "mse": lambda a, b: mse(a, b.data),
@@ -154,8 +196,7 @@ OPS = {
 #: the output layout of each op for C- and for F-ordered inputs; BLAS
 #: results depend on the layout, so no op may copy its result into another
 LAYOUT = {
-    "add": ("C", "F"),
-    "matmul": ("C", "C"),
+    "linear": ("C", "C"),
     "concat_cols": ("C", "F"),
     "concat_rows": ("C", "F"),
     "mse": ("CF", "CF"),
@@ -192,9 +233,9 @@ class TestOpOutputs:
 #: the ops that backpropagate through products, each with one operand, or
 #: one set of parameters, that needs no gradient; ``a`` and ``b`` are 4x3
 GUARDED = {
-    "matmul-constant-left": lambda a, b: matmul(Tensor(a), param(b.T, "b")),
-    "matmul-constant-right": lambda a, b: matmul(param(a, "a"), Tensor(b.T)),
-    "matmul-constant-parameter-right": lambda a, b: matmul(param(a, "a"), constant_param(b.T, "b")),
+    "linear-constant-input": lambda a, b: linear(Tensor(a), param(b.T, "b"), no_bias(4)),
+    "linear-constant-weight": lambda a, b: linear(param(a, "a"), Tensor(b.T), no_bias(4)),
+    "linear-constant-parameter-weight": lambda a, b: linear(param(a, "a"), constant_param(b.T, "b"), no_bias(4)),
     "cross_attention-constant-query": lambda a, b: cross_attention(
         Tensor(a), param(b, "b"), CrossAttentionParams.init("ca", 3, SplitMix64(13))),
     "cross_attention-constant-memory": lambda a, b: cross_attention(
@@ -430,7 +471,7 @@ class TestGradCheck:
         w = param(rng.normal(size=(3, 3)), "w")
 
         def loss():
-            return mse(matmul(x, w), np.zeros((4, 3)))
+            return mse(linear(x, w, no_bias(3)), np.zeros((4, 3)))
 
         assert grad_check(loss, [w]) < 1e-7
 
@@ -439,21 +480,20 @@ class TestGradCheck:
         dead = param(rng.normal(size=(2, 2)), "dead")
         x = Tensor(rng.normal(size=(3, 2)))
 
-        loss = mse(matmul(x, used), np.zeros((3, 2)))
+        loss = mse(linear(x, used, no_bias(2)), np.zeros((3, 2)))
         loss.backward()
         assert np.all(dead.grad == 0.0)
         assert np.any(used.grad != 0.0)
 
-    @pytest.mark.parametrize("op_name", ["add", "matmul", "concat_cols", "concat_rows"])
+    @pytest.mark.parametrize("op_name", ["linear", "concat_cols", "concat_rows"])
     def test_each_op_gradient(self, rng, op_name):
         a = param(rng.normal(size=(4, 3)), "a")
-        b = param(rng.normal(size=(3, 4) if op_name == "matmul" else (4, 3)), "b")
+        b = param(rng.normal(size=(3, 4) if op_name == "linear" else (4, 3)), "b")
+        bias = param(rng.normal(size=(1, 4)), "bias")
 
         def build():
-            if op_name == "add":
-                y = add(a, b)
-            elif op_name == "matmul":
-                y = matmul(a, b)
+            if op_name == "linear":
+                y = linear(a, b, bias)
             elif op_name == "concat_cols":
                 y = concat_cols(a, b)
             else:
@@ -461,7 +501,7 @@ class TestGradCheck:
             # anchor against a fixed offset so no op yields a flat loss
             return mse(y, np.full(y.data.shape, 0.25))
 
-        assert grad_check(build, [a, b]) < 1e-6
+        assert grad_check(build, [a, b, bias] if op_name == "linear" else [a, b]) < 1e-6
 
     def test_broadcast_bias_gradient(self, rng):
         w = param(rng.normal(size=(3, 2)), "w")
@@ -507,7 +547,7 @@ class TestGradCheck:
         w = param(np.array([[1.0]]), "w")
 
         def loss():
-            return scaled(matmul(w, Tensor([[float("1e308")]])), 1e308)
+            return scaled(linear(w, Tensor([[float("1e308")]]), no_bias(1)), 1e308)
 
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError):
@@ -518,7 +558,7 @@ class TestGradCheck:
         w = param(np.array([[1.0]]), "w")
 
         def loss():
-            return scaled(matmul(w, Tensor([[1e308]])), 1.79769)
+            return scaled(linear(w, Tensor([[1e308]]), no_bias(1)), 1.79769)
 
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="perturbed loss"):
@@ -532,7 +572,7 @@ class TestGradCheck:
         w = param(np.array([[0.0]]), "w")
 
         def loss():
-            return scaled(matmul(w, Tensor([[1e308]])), 1.0, off_by=2.0)
+            return scaled(linear(w, Tensor([[1e308]]), no_bias(1)), 1.0, off_by=2.0)
 
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match=r"w\[0, 0\]"):
@@ -543,7 +583,7 @@ class TestGradCheck:
     def test_second_backward_adds_one_more_gradient(self):
         # interior nodes must not re-propagate the first call's gradient
         p = param(np.array([[2.0]]), "p")
-        loss = scaled(matmul(p, p), 1.0)
+        loss = scaled(linear(p, p, no_bias(1)), 1.0)
         loss.backward()
         assert p.grad[0, 0] == 4.0
         loss.backward()
@@ -553,7 +593,7 @@ class TestGradCheck:
         x = param(rng.normal(size=(2, 3)), "x")
         w = param(rng.normal(size=(3, 2)), "w")
         target = rng.normal(size=(2, 2))
-        assert grad_check(lambda: mse(matmul(x, w), target), [x, w]) < 1e-7
+        assert grad_check(lambda: mse(linear(x, w, no_bias(2)), target), [x, w]) < 1e-7
 
     def test_negative_control_catches_wrong_gradients(self, rng):
         # an op whose backward rule is deliberately off by 10% must be flagged
@@ -566,10 +606,10 @@ class TestGradCheck:
 def every_product_site(x, gae, ca, w):
     """A loss whose weights get their gradients through every product that
     is written in place: two GAE stages share ``W``, a cross-attention
-    block, and two matmuls share ``w``."""
+    block, and two linear maps share ``w``; their outputs are stacked."""
     h = gae_encode(path_stage(x), gae).features
     h = gae_encode(path_stage(h), gae).features
-    return add(matmul(cross_attention(h, x, ca), w), matmul(x, w))
+    return concat_rows([linear(cross_attention(h, x, ca), w, no_bias(3)), linear(x, w, no_bias(3))])
 
 
 class TestFirstGradientWrite:
@@ -585,7 +625,7 @@ class TestFirstGradientWrite:
             for p in params:
                 p.grad[...] = np.nan  # stale values that the write must not read
                 p.zero_grad()
-            mse(every_product_site(x, gae, ca, w), target).backward()
+            mse(every_product_site(x, gae, ca, w), np.tile(target, (2, 1))).backward()
             return [p.grad.tobytes() for p in params]
 
         written = gradients()
@@ -600,7 +640,7 @@ class TestFirstGradientWrite:
         w = param(np.ones((cols, out_cols)), "w")
         w.grad[...] = -1.0
         w.zero_grad()
-        out = matmul(Tensor(np.zeros((rows, cols))), w)
+        out = linear(Tensor(np.zeros((rows, cols))), w, no_bias(out_cols))
         mse(out, np.ones(out.shape)).backward()
         assert not w.grad.any() and not np.signbit(w.grad).any()
 

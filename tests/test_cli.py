@@ -531,6 +531,23 @@ class TestGradCheckCommand:
             result = runner.invoke(main, ["grad-check", "--dim", "2", "--length", "2", "--k", "1", "--tol", tol])
             assert_error_exit(result, 2, "gradient tolerance must be > 0")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--eps", "inf", "finite-difference step must be > 0 and finite, got inf"),
+        ("--eps", "-inf", "finite-difference step must be > 0 and finite, got -inf"),
+        ("--tol", "inf", "gradient tolerance must be > 0 and finite, got inf"),
+    ])
+    def test_infinite_eps_or_tol_is_usage_error(self, runner, flag, value, message):
+        # an infinite step overflows the loss, and an infinite tolerance passes any finite error
+        result = runner.invoke(main, ["grad-check", "--dim", "2", "--length", "2", "--k", "1", flag, value])
+        assert_error_exit(result, 2, message)
+        assert "Traceback" not in result.output
+
+    def test_finite_eps_that_overflows_the_loss_is_numeric_failure(self, runner):
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = runner.invoke(main, ["grad-check", "--dim", "2", "--length", "2", "--k", "1", "--eps", "1e300"])
+        assert_error_exit(result, 4, "perturbed loss is non-finite")
+        assert "Traceback" not in result.output
+
 
 class TestSweeps:
     def test_topk_rows_and_header(self, runner, tmp_path):

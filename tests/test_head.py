@@ -195,10 +195,10 @@ class TestToyTraining:
             assert np.any(p.grad != 0.0), f"dead parameter block {p.name}"
 
     def test_tape_length(self):
-        # 15 encode ops, 4 per cross-attention step (block, concat, conv matmul
-        # and bias), 3 for the final fusion, 2 for the mel head and 1 for mse
+        # 8 encode ops, 3 per cross-attention step (block, concat and conv),
+        # 2 for the final fusion, 1 for the mel head and 1 for mse
         batch, model = toy_fixture(seed=0, k=3)
-        assert tape_ops(toy_loss(batch, model)) == 33
+        assert tape_ops(toy_loss(batch, model)) == 21
 
     def test_loss_decreases_overall(self):
         batch, model = toy_fixture(seed=11)

@@ -5,12 +5,15 @@ independently of the package code; the frozen constants were computed
 offline from the same description before the package was written.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from emodub.errors import ArgumentError
 from emodub.rng import _CHUNK, SplitMix64, mix64, stream
+from emodub.synthetic import ClusterSpec, generate_clustered_library
 
 M64 = (1 << 64) - 1
 
@@ -166,3 +169,28 @@ def test_gaussian_moments():
     var = sum((x - mean) ** 2 for x in xs) / len(xs)
     assert abs(mean) < 0.03
     assert abs(var - 1.0) < 0.05
+
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_outside_the_64_bit_range_is_refused(seed):
+    # keyed on its low 64 bits, it would alias a seed inside the range
+    refused = functools.partial(pytest.raises, ArgumentError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}")
+    with refused():
+        stream(seed, "x")
+    with refused():
+        SplitMix64(seed)
+    with refused():
+        generate_clustered_library(ClusterSpec(n=8, seed=seed))
+    lib = generate_clustered_library(ClusterSpec(n=8))
+    with refused():
+        lib.subsample(0.5, seed)
+
+
+def test_largest_seed_still_works():
+    seed = M64
+    assert stream(seed, "x").next_u64() == ref_draw(ref_stream_state(seed, "x"), 1)[0]
+    assert SplitMix64(seed).next_u64() == ref_draw(seed, 1)[0]
+    lib = generate_clustered_library(ClusterSpec(n=8, seed=seed))
+    assert lib != generate_clustered_library(ClusterSpec(n=8, seed=0))
+    assert len(lib.subsample(0.5, seed)) == 4
